@@ -18,9 +18,7 @@ from abc import ABC, abstractmethod
 from repro._util.floats import EPS, approx_le
 from repro.core.maxsplit import max_split
 from repro.core.partition import PendingPiece, ProcessorState
-from repro.core.rta import is_schedulable
 from repro.core.task import Subtask
-from repro.perf import config as perf_config
 
 __all__ = ["AdmissionPolicy", "ExactRTAAdmission", "ThresholdAdmission"]
 
@@ -48,32 +46,27 @@ class ExactRTAAdmission(AdmissionPolicy):
     ----------
     method:
         MaxSplit implementation, ``"points"`` (default) or ``"binary"``.
-    incremental:
-        Use the processor's cached :class:`~repro.core.rta.RTAContext`
-        (prefix-reusing admission and MaxSplit, the default).  ``False``
-        forces the seed rebuild-per-probe path for this policy instance,
-        regardless of the global ``repro.perf.config`` switch; results are
-        bit-identical, only speed differs.
+
+    Both decisions run on the processor's cached
+    :class:`~repro.core.rta.RTAContext`: admission through
+    :meth:`ProcessorState.schedulable_with
+    <repro.core.partition.ProcessorState.schedulable_with>` and MaxSplit
+    with the context's prefix analysis.  Each is bit-identical to its
+    from-scratch reference (``is_schedulable`` on the merged list,
+    ``max_split(..., context=None)``).
     """
 
-    def __init__(self, method: str = "points", *, incremental: bool = True) -> None:
+    def __init__(self, method: str = "points") -> None:
         if method not in ("points", "binary"):
             raise ValueError(f"unknown MaxSplit method: {method!r}")
         self.method = method
-        self.incremental = bool(incremental)
-
-    def _use_context(self) -> bool:
-        return self.incremental and perf_config.incremental_rta
 
     def fits(self, proc: ProcessorState, candidate: Subtask) -> bool:
-        if not self._use_context():
-            return is_schedulable(proc.subtasks + [candidate])
         return proc.schedulable_with(candidate)
 
     def split_cost(self, proc: ProcessorState, piece: PendingPiece) -> float:
-        context = proc.rta_context() if self._use_context() else None
         return max_split(
-            proc.subtasks, piece, method=self.method, context=context
+            proc.subtasks, piece, method=self.method, context=proc.rta_context()
         )
 
     def describe(self) -> str:

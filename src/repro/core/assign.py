@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro._util.floats import EPS
 from repro.core.admission import AdmissionPolicy
 from repro.core.partition import PendingPiece, ProcessorState
@@ -40,8 +38,8 @@ def _body_response(
         return cost
     r = response_time(
         cost,
-        np.array([s.cost for s in hp], dtype=float),
-        np.array([s.period for s in hp], dtype=float),
+        [float(s.cost) for s in hp],
+        [float(s.period) for s in hp],
         piece.deadline,
     )
     return r if r is not None else cost

@@ -26,12 +26,9 @@ wide vector operations.  The pipeline:
 3. **Bucket** the remaining lanes *across requests* by exact prefix
    width ``H``, so each bucket is a dense ``(lanes, H)`` problem with no
    padding — padded columns would change per-lane summation order and
-   break bit-identity.  Buckets with ``H <= rta._SCALAR_MAX`` go to the
-   selected backend; wider lanes replicate the serial path's
-   ``np.dot`` vector iteration per lane (the reduction order of a dot
-   product is not reproducible by lockstep column accumulation, and
-   such lanes are rare — they only arise past 16 subtasks on one
-   processor).
+   break bit-identity.  Every bucket, at any width, goes to the selected
+   backend, which accumulates the interference column by column exactly
+   like the serial scalar loop.
 4. **Fold** per-lane outcomes back into per-request verdicts with
    serial short-circuit accounting, fully vectorized: lanes past the
    first failing lane were computed (that is the price of batching,
@@ -65,7 +62,6 @@ import numpy as np
 from repro._util.floats import EPS
 from repro.core.kernel import native, np_backend, py_backend
 from repro.core.kernel.request import BatchOutcome, BatchRTARequest
-from repro.core.rta import _MAX_ITER, _SCALAR_MAX
 from repro.core.task import Subtask
 from repro.perf import config as perf_config
 from repro.perf.telemetry import COUNTERS
@@ -130,36 +126,6 @@ def using(backend: str) -> Iterator[None]:
     """
     with perf_config.use_kernel_backend(backend):
         yield
-
-
-def _dot_lane(
-    cost: float,
-    deadline: float,
-    hp_costs: np.ndarray,
-    hp_periods: np.ndarray,
-) -> Tuple[float, int, bool]:
-    """One wide lane via the serial path's vectorized iteration.
-
-    Operation-for-operation the ``hp > _SCALAR_MAX`` branch of
-    :func:`repro.core.rta.response_time` (numpy-sum warm start,
-    ``np.dot`` interference), because lockstep column accumulation
-    cannot reproduce a dot product's reduction order.  Used identically
-    by every backend, so wide lanes stay bit-identical to serial and
-    across the matrix.
-    """
-    r = cost + float(hp_costs.sum())
-    bound = deadline * (1.0 + 1e-12) + EPS
-    iterations = 0
-    for _ in range(_MAX_ITER):
-        if r > bound:
-            return r, iterations, False
-        iterations += 1
-        jobs = np.ceil(r / hp_periods - EPS)
-        r_new = cost + float(np.dot(jobs, hp_costs))
-        if r_new <= r + EPS:
-            return r_new, iterations, r_new <= bound  # repro-lint: disable=R1 (bound pre-inflated by EPS above)
-        r = r_new
-    raise RuntimeError("RTA fixed point failed to converge")
 
 
 class _Group:
@@ -337,8 +303,8 @@ def evaluate_batch(
     verdicts[staged.empty_idx] = True
 
     # ---- expand lanes: shortcuts inline, buckets across groups --------
-    # Bucket key is the exact prefix width H (1..=_SCALAR_MAX); each
-    # entry collects (group, lane index, filtered-row indices).
+    # Bucket key is the exact prefix width H >= 1; each entry collects
+    # (group, lane index, filtered-row indices).
     buckets: Dict[int, List[Tuple[_Group, int, np.ndarray]]] = {}
     lane_count = 0
     for g in staged.groups:
@@ -369,28 +335,14 @@ def evaluate_batch(
                 g.lane_ok[fits, i] = True
                 g.lane_resp[fits, i] = c_i[fits]
                 continue
-            if i <= _SCALAR_MAX:
-                if zero.any():
-                    rows = np.flatnonzero(live)
-                    if rows.size:
-                        buckets.setdefault(i, []).append((g, i, rows))
-                else:
-                    buckets.setdefault(i, []).append(
-                        (g, i, slice(None))  # type: ignore[arg-type]
-                    )
+            if zero.any():
+                rows = np.flatnonzero(live)
+                if rows.size:
+                    buckets.setdefault(i, []).append((g, i, rows))
             else:
-                # Wide lanes: per-lane dot-product reference path.
-                for row in np.flatnonzero(live).tolist():
-                    resp, iters, ok = _dot_lane(
-                        float(c_i[row]),
-                        float(d_i[row]),
-                        g.costs[row, :i],
-                        g.periods[row, :i],
-                    )
-                    g.lane_iters[row, i] = iters
-                    if ok:
-                        g.lane_ok[row, i] = True
-                        g.lane_resp[row, i] = resp
+                buckets.setdefault(i, []).append(
+                    (g, i, slice(None))  # type: ignore[arg-type]
+                )
 
     # ---- run the dense buckets on the selected backend ----------------
     for width in sorted(buckets):

@@ -16,10 +16,9 @@ for the whole ``(lanes, H)`` block in four matrix ufunc calls; the
 reproducing the scalar path's serial summation exactly — a float64
 elementwise op on a lane equals the identical python-float op — instead
 of a dot product whose reduction order would drift by ULPs.  The
-per-column accumulation loop is bounded by
-``repro.core.rta._SCALAR_MAX`` (the engine routes wider lanes through
-the dot-product reference path), so the python-level loop overhead
-stays negligible next to the lane-axis vector work.
+per-column accumulation loop runs once per interferer, which on the
+processor sizes of the paper's workloads (a handful of subtasks) stays
+negligible next to the lane-axis vector work.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, cast
 
 from repro._util.floats import EPS, is_close
 from repro._util.invariants import check_partition
-from repro.core.rta import RTAContext, is_schedulable, response_times
+from repro.core.rta import RTAContext, response_times
 from repro.core.task import SplitTaskView, Subtask, SubtaskKind, Task, TaskSet
 from repro.perf import config as perf_config
 from repro.perf.telemetry import COUNTERS
@@ -156,12 +156,9 @@ class ProcessorState:
         """Exact-RTA admission: does everything still meet its deadline if
         *candidate* joins this processor? (Assign routine, Algorithm 2).
 
-        Uses the cached incremental context unless the performance layer is
-        switched off (``repro.perf.config``); both paths are bit-identical.
+        Answered by the cached incremental context, decision-identical to
+        ``is_schedulable(self.subtasks + [candidate])``.
         """
-        if not perf_config.incremental_rta:
-            COUNTERS.legacy_admissions += 1
-            return is_schedulable(self.subtasks + [candidate])
         ctx = self._ctx
         if ctx is None or len(ctx) != len(self.subtasks):
             ctx = self.rta_context()
@@ -174,8 +171,6 @@ class ProcessorState:
 
     def is_schedulable(self) -> bool:
         """Exact-RTA check of the current contents."""
-        if not perf_config.incremental_rta:
-            return is_schedulable(self.subtasks)
         return self.rta_context().schedulable
 
     def body_subtasks(self) -> List[Subtask]:

@@ -25,9 +25,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-import numpy as np
-
-from repro._util.floats import EPS
+from repro._util.floats import EPS, pairwise_sum
 from repro.core.rta import response_time
 from repro.core.task import Subtask
 
@@ -64,10 +62,10 @@ def schedulable_with_order(
     (``order[0]`` = highest priority)."""
     if sorted(order) != list(range(len(subtasks))):
         raise ValueError("order must be a permutation of subtask indices")
-    costs = np.array([subtasks[i].cost for i in order], dtype=float)
-    periods = np.array([subtasks[i].period for i in order], dtype=float)
-    deadlines = np.array([subtasks[i].deadline for i in order], dtype=float)
-    if float((costs / periods).sum()) > 1.0 + EPS:
+    costs = [float(subtasks[i].cost) for i in order]
+    periods = [float(subtasks[i].period) for i in order]
+    deadlines = [float(subtasks[i].deadline) for i in order]
+    if pairwise_sum([c / t for c, t in zip(costs, periods)]) > 1.0 + EPS:
         return False
     for i in range(len(order)):
         if response_time(costs[i], costs[:i], periods[:i], deadlines[i]) is None:
@@ -93,10 +91,8 @@ def audsley_assign(subtasks: Sequence[Subtask]) -> Optional[List[int]]:
         placed = None
         for idx in remaining:
             others = [j for j in remaining if j != idx]
-            hp_costs = np.array([subtasks[j].cost for j in others], dtype=float)
-            hp_periods = np.array(
-                [subtasks[j].period for j in others], dtype=float
-            )
+            hp_costs = [float(subtasks[j].cost) for j in others]
+            hp_periods = [float(subtasks[j].period) for j in others]
             r = response_time(
                 subtasks[idx].cost, hp_costs, hp_periods, subtasks[idx].deadline
             )

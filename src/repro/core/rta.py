@@ -15,23 +15,28 @@ strictly periodic, so the classic critical-instant interference bound
 ``ceil(R / T_j) * C_j`` is exact here, and the synthetic deadline absorbs
 the shift for the analyzed task itself.
 
-Implementation notes (per the HPC guides): the fixed-point iteration is the
-hot path of every acceptance-ratio sweep, so it runs on flat NumPy arrays of
-``(C, T)`` for the higher-priority set — no Python object traffic inside the
-loop.  The iteration starts from the standard lower bound
-``C_i + sum(C_hp)`` and aborts as soon as the response exceeds the deadline.
+Implementation notes: the fixed-point iteration is the hot path of every
+acceptance-ratio sweep, and a processor in the paper's workloads hosts a
+handful of subtasks, so the analysis runs on plain Python floats and
+lists — NumPy's per-call dispatch would cost more than the arithmetic.
+The iteration starts from the standard lower bound ``C_i + sum(C_hp)``
+and aborts as soon as the response exceeds the deadline.  Sums that the
+array-based code takes with ``np.sum`` go through
+:func:`~repro._util.floats.pairwise_sum`, which adds in numpy's order, so
+results stay bit-identical to it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import ceil
-from typing import Callable, Optional, Sequence, Tuple
+from math import ceil, isnan
+from operator import attrgetter
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro._util.floats import EPS
+from repro._util.floats import EPS, pairwise_sum
 from repro._util.invariants import check_response_monotonicity, invariants_enabled
 from repro.core.task import Subtask
 from repro.obs import metrics as _obs_metrics
@@ -54,19 +59,14 @@ __all__ = [
 #: far fewer steps, this only guards against pathological float cycles.
 _MAX_ITER = 10_000
 
-#: Below this hp-set size the fixed point iterates in scalar Python —
-#: NumPy's per-call dispatch costs ~10x the actual arithmetic there.  The
-#: threshold is deliberately generous: a processor in the paper's
-#: experiments hosts a handful of subtasks, so virtually every call takes
-#: the scalar path, and the crossover versus the vectorized loop lies well
-#: above 16 interfering tasks.
-_SCALAR_MAX = 16
+_NAN = float("nan")
+_PRIORITY = attrgetter("priority")
 
 
 def response_time(
     cost: float,
-    hp_costs: np.ndarray,
-    hp_periods: np.ndarray,
+    hp_costs: Sequence[float],
+    hp_periods: Sequence[float],
     deadline: float,
     *,
     start: Optional[float] = None,
@@ -95,45 +95,17 @@ def response_time(
     Returns
     -------
     The smallest fixed point ``R = C + sum(ceil(R/T_j) C_j)`` if it is at
-    most ``deadline`` (up to tolerance), else ``None``.
+    most ``deadline`` (up to tolerance), else ``None``.  Interference sums
+    accumulate left to right over the hp set in the given order.
     """
     COUNTERS.rta_calls += 1
     if cost <= 0:
         return 0.0
-    if hp_costs.size == 0:
+    if not len(hp_costs):
         return cost if cost <= deadline + EPS else None
-    if hp_costs.size <= _SCALAR_MAX:
-        # Scalar fixed point: NumPy's per-call dispatch overhead dwarfs the
-        # actual arithmetic at the hp-set sizes that dominate partitioning
-        # (a handful of subtasks per processor), so the same iteration runs
-        # roughly an order of magnitude faster on plain Python floats.
-        cs = hp_costs.tolist()
-        ps = hp_periods.tolist()
-        r = cost
-        for c in cs:  # standard warm start: one job of each
-            r += c
-        if start is not None and start > r:
-            r = start
-        bound = deadline * (1.0 + 1e-12) + EPS
-        iterations = 0
-        for _ in range(_MAX_ITER):
-            if r > bound:
-                COUNTERS.rta_iterations += iterations
-                if _obs_metrics.ENABLED:
-                    _obs_metrics.RTA_ITERATIONS.observe(iterations)
-                return None
-            iterations += 1
-            r_new = cost
-            for c, t in zip(cs, ps):
-                r_new += ceil(r / t - EPS) * c
-            if r_new <= r + EPS:
-                COUNTERS.rta_iterations += iterations
-                if _obs_metrics.ENABLED:
-                    _obs_metrics.RTA_ITERATIONS.observe(iterations)
-                return r_new if r_new <= bound else None  # repro-lint: disable=R1 (bound pre-inflated by EPS above)
-            r = r_new
-        raise RuntimeError("RTA fixed point failed to converge")
-    r = cost + float(hp_costs.sum())  # standard warm start: one job of each
+    r = cost
+    for c in hp_costs:  # standard warm start: one job of each
+        r += c
     if start is not None and start > r:
         r = start
     bound = deadline * (1.0 + 1e-12) + EPS
@@ -144,10 +116,10 @@ def response_time(
             if _obs_metrics.ENABLED:
                 _obs_metrics.RTA_ITERATIONS.observe(iterations)
             return None
-        # interference: ceil(r / T_j) * C_j, vectorized over the hp set.
         iterations += 1
-        jobs = np.ceil(r / hp_periods - EPS)
-        r_new = cost + float(np.dot(jobs, hp_costs))
+        r_new = cost
+        for c, t in zip(hp_costs, hp_periods):
+            r_new += ceil(r / t - EPS) * c
         if r_new <= r + EPS:
             COUNTERS.rta_iterations += iterations
             if _obs_metrics.ENABLED:
@@ -155,6 +127,36 @@ def response_time(
             return r_new if r_new <= bound else None  # repro-lint: disable=R1 (bound pre-inflated by EPS above)
         r = r_new
     raise RuntimeError("RTA fixed point failed to converge")
+
+
+def _fluid_start(cost: float, hp_cost: float, hp_util: float) -> Optional[float]:
+    """Warm start for a candidate without a cached fixed point: the fluid
+    lower bound of the iteration map, or ``None`` when ``U_hp >= 1``.
+
+    ``ceil(r/T - EPS) >= r/T - EPS``, so every fixed point satisfies
+    ``R >= C - EPS * sum(C_hp) + U_hp * R``.  Without the ``EPS`` term the
+    plain fluid bound ``C / (1 - U_hp)`` can overshoot a response that
+    lands within the tolerance past a period multiple (merged utilization
+    within ``EPS`` above 1).  The final shrink keeps float rounding from
+    overshooting the least fixed point.
+    """
+    if hp_util < 1.0:
+        return (cost - EPS * hp_cost) / (1.0 - hp_util) * (1.0 - 1e-12)
+    return None
+
+
+def _sorted_columns(
+    subtasks: Sequence[Subtask],
+) -> Tuple[List[Subtask], List[float], List[float], List[float]]:
+    """*subtasks* stably sorted by priority (highest first), with their
+    ``(costs, periods, deadlines)`` as float lists in that order."""
+    ordered = sorted(subtasks, key=_PRIORITY)
+    return (
+        ordered,
+        [float(s.cost) for s in ordered],
+        [float(s.period) for s in ordered],
+        [float(s.deadline) for s in ordered],
+    )
 
 
 def rta_arrays(
@@ -166,12 +168,13 @@ def rta_arrays(
     The sort key is the parent task id, which equals the RMS priority by
     :class:`repro.core.task.TaskSet` construction.
     """
-    order = sorted(range(len(subtasks)), key=lambda i: subtasks[i].priority)
-    costs = np.array([subtasks[i].cost for i in order], dtype=float)
-    periods = np.array([subtasks[i].period for i in order], dtype=float)
-    deadlines = np.array([subtasks[i].deadline for i in order], dtype=float)
-    prios = np.array([subtasks[i].priority for i in order], dtype=int)
-    return costs, periods, deadlines, prios
+    ordered, costs, periods, deadlines = _sorted_columns(subtasks)
+    return (
+        np.array(costs, dtype=float),
+        np.array(periods, dtype=float),
+        np.array(deadlines, dtype=float),
+        np.array([s.priority for s in ordered], dtype=int),
+    )
 
 
 @dataclass(frozen=True)
@@ -201,8 +204,8 @@ def response_times(subtasks: Sequence[Subtask]) -> RTAResult:
     cannot occur (one task contributes at most one subtask per processor and
     tids are unique).
     """
-    costs, periods, deadlines, prios = rta_arrays(subtasks)
-    n = costs.size
+    _, costs, periods, deadlines = _sorted_columns(subtasks)
+    n = len(costs)
     responses = np.full(n, np.nan)
     ok = True
     for i in range(n):
@@ -211,9 +214,10 @@ def response_times(subtasks: Sequence[Subtask]) -> RTAResult:
             ok = False
         else:
             responses[i] = r
+    deadline_arr = np.array(deadlines, dtype=float)
     if invariants_enabled():
-        check_response_monotonicity(responses, deadlines)
-    return RTAResult(schedulable=ok, responses=responses, deadlines=deadlines)
+        check_response_monotonicity(responses, deadline_arr)
+    return RTAResult(schedulable=ok, responses=responses, deadlines=deadline_arr)
 
 
 def is_schedulable(subtasks: Sequence[Subtask]) -> bool:
@@ -225,31 +229,21 @@ def is_schedulable(subtasks: Sequence[Subtask]) -> bool:
     """
     if not subtasks:
         return True
-    costs, periods, deadlines, _ = rta_arrays(subtasks)
-    if float((costs / periods).sum()) > 1.0 + EPS:
+    _, costs, periods, deadlines = _sorted_columns(subtasks)
+    if pairwise_sum([c / t for c, t in zip(costs, periods)]) > 1.0 + EPS:
         return False
-    for i in range(costs.size):
+    for i in range(len(costs)):
         if response_time(costs[i], costs[:i], periods[:i], deadlines[i]) is None:
             return False
     return True
 
 
-def _insert(arr: np.ndarray, pos: int, value: float) -> np.ndarray:
-    """``np.insert`` for the 1-D hot path, without its generic-axis
-    machinery (which costs ~30x the actual copy at these array sizes)."""
-    out = np.empty(arr.size + 1, dtype=arr.dtype)
-    out[:pos] = arr[:pos]
-    out[pos] = value
-    out[pos + 1 :] = arr[pos:]
-    return out
-
-
 class RTAContext:
     """Cached analysis context for one processor's *fixed* subtask list.
 
-    Holds the priority-sorted ``(C, T, Delta)`` arrays plus the
+    Holds the priority-sorted ``(C, T, Delta)`` lists plus the
     last-computed response times, so admission probes stop rebuilding and
-    re-sorting arrays per candidate.  A probe against a candidate at sorted
+    re-sorting per candidate.  A probe against a candidate at sorted
     position ``pos`` reuses the cache twice (Section IV-A structure):
 
     * subtasks with **higher** priority than the candidate are untouched —
@@ -260,10 +254,11 @@ class RTAContext:
       on the new one, see :func:`response_time`), which typically converges
       in one or two iterations.
 
-    All arithmetic uses the same array slices, iteration order and dot
-    products as :func:`is_schedulable` on the merged list, so decisions and
-    response values are bit-identical to the rebuild-from-scratch path
-    (property-tested in ``tests/core/test_rta_incremental.py``).
+    All arithmetic uses the same prefixes, iteration order and sums as
+    :func:`is_schedulable` on the merged list, so decisions and response
+    values are bit-identical to the rebuild-from-scratch path
+    (property-tested in ``tests/core/test_rta_incremental.py``).  A NaN
+    response means "not computed".
 
     The context is logically immutable once built — internal state only
     moves monotonically from "deferred" to "computed" (:meth:`_resolve`,
@@ -272,11 +267,9 @@ class RTAContext:
     """
 
     __slots__ = (
-        "_block",
         "costs",
         "periods",
         "deadlines",
-        "_prios",
         "ratios",
         "util_sum",
         "prio_list",
@@ -288,25 +281,40 @@ class RTAContext:
         "_memo",
     )
 
+    #: ``(cost, period, deadline, priority, merged responses)`` of the last
+    #: admitted probe, consumed by :meth:`with_subtask`.
+    _memo: Optional[Tuple[float, float, float, int, List[float]]]
+
     def __init__(self, subtasks: Sequence[Subtask]) -> None:
-        costs, periods, deadlines, prios = rta_arrays(subtasks)
-        # One (4, n) block holds costs/periods/deadlines/ratios as row
-        # views: a single allocation per context, and incremental
-        # extension copies all four rows in one slice operation.
-        block = np.empty((4, costs.size))
-        block[0] = costs
-        block[1] = periods
-        block[2] = deadlines
-        self._set_block(block)
-        self._prios = prios
-        self.prio_list = prios.tolist()
-        self._init_derived()
-        self.responses = np.full(costs.size, np.nan)
+        ordered, costs, periods, deadlines = _sorted_columns(subtasks)
+        self.costs = costs
+        self.periods = periods
+        self.deadlines = deadlines
+        self.prio_list = [s.priority for s in ordered]
+        # Per-subtask utilizations (elementwise, so their pairwise sum is
+        # float-identical to ``is_schedulable``'s precheck on the same list).
+        self.ratios = ratios = [c / t for c, t in zip(costs, periods)]
+        self.util_sum = pairwise_sum(ratios)
+        self._memo = None
+        # Bini-Buttazzo applies only when every (synthetic) deadline equals
+        # its period, i.e. nothing on the processor has been split, AND the
+        # priority order is rate monotonic.  Partitioning always satisfies
+        # the latter (tids are assigned in RM order), but the context must
+        # stay sound for arbitrary priority-consistent inputs.
+        self.implicit = all(d == t for d, t in zip(deadlines, periods))  # repro-lint: disable=R1 (exact structural check: unsplit <=> D is literally T)
+        self.rm_ordered = all(a <= b for a, b in zip(periods, periods[1:]))
+        hyper_prod = float("inf")
+        if self.implicit:
+            hyper_prod = 1.0
+            for u in ratios:
+                hyper_prod *= 1.0 + u
+        self.hyper_prod = hyper_prod
+        n = len(costs)
+        self.responses = responses = [_NAN] * n
         # Index of the first subtask failing exact RTA, or a sentinel:
         # -1 schedulable, -2 the necessary utilization condition fails,
         # -3 analysis deferred (see :meth:`_resolve`).
         self.first_fail = -1
-        n = costs.size
         if n and self.util_sum > 1.0 + EPS:
             self.first_fail = -2
             return
@@ -315,44 +323,10 @@ class RTAContext:
             if r is None:
                 self.first_fail = i
                 break
-            self.responses[i] = r
-
-    def _set_block(self, block: np.ndarray) -> None:
-        """Adopt a (4, n) data block; rows become the named array views."""
-        self._block = block
-        self.costs = block[0]
-        self.periods = block[1]
-        self.deadlines = block[2]
-        self.ratios = block[3]
-
-    def _init_derived(self) -> None:
-        """Derived caches: per-subtask utilizations (elementwise, so their
-        sum is float-identical to ``(costs / periods).sum()`` on the same
-        arrays) and the hyperbolic-bound state for the sufficient
-        pre-accept."""
-        np.divide(self.costs, self.periods, out=self.ratios)
-        self.util_sum = float(self.ratios.sum()) if self.ratios.size else 0.0
-        self._memo = None
-        # Bini-Buttazzo applies only when every (synthetic) deadline equals
-        # its period, i.e. nothing on the processor has been split, AND the
-        # priority order is rate monotonic.  Partitioning always satisfies
-        # the latter (tids are assigned in RM order), but the context must
-        # stay sound for arbitrary priority-consistent inputs.
-        self.implicit = bool(np.all(self.deadlines == self.periods))  # repro-lint: disable=R1 (exact structural check: unsplit <=> D is literally T)
-        self.rm_ordered = bool((np.diff(self.periods) >= 0.0).all())
-        self.hyper_prod = (
-            float(np.prod(1.0 + self.ratios)) if self.implicit else np.inf
-        )
-
-    @property
-    def prios(self) -> np.ndarray:
-        """Priority array (lazy — the hot paths use :attr:`prio_list`)."""
-        if self._prios is None:
-            self._prios = np.array(self.prio_list, dtype=int)
-        return self._prios
+            responses[i] = r
 
     def __len__(self) -> int:
-        return int(self.costs.size)
+        return len(self.costs)
 
     def _resolve(self) -> int:
         """Run the deferred exact RTA of any NaN response slots.
@@ -362,15 +336,15 @@ class RTAContext:
         marked full right after, so the fixed points are usually never
         needed again.  When they are — a later probe, a schedulability
         query, partition validation — this fills the missing slots exactly
-        like a fresh build would (same cold starts over the same array
+        like a fresh build would (same cold starts over the same
         prefixes, hence bit-identical values and failure index).
         """
         costs = self.costs
         periods = self.periods
         deadlines = self.deadlines
         responses = self.responses
-        for i in range(costs.size):
-            if not np.isnan(responses[i]):  # already known
+        for i in range(len(costs)):
+            if not isnan(responses[i]):  # already known
                 continue
             r = response_time(costs[i], costs[:i], periods[:i], deadlines[i])
             if r is None:
@@ -390,9 +364,19 @@ class RTAContext:
     @property
     def utilization(self) -> float:
         """Assigned utilization, summed in priority order."""
-        if self.costs.size == 0:
-            return 0.0
-        return float((self.costs / self.periods).sum())
+        return self.util_sum
+
+    def _hyper_applies(self, pos: int, period: float, deadline: float) -> bool:
+        """Whether the hyperbolic pre-accept is sound for a candidate at
+        sorted position *pos*: nothing split, RM order kept."""
+        periods = self.periods
+        return (
+            self.implicit
+            and self.rm_ordered
+            and deadline == period  # repro-lint: disable=R1 (structural: hyper path needs D literally == T)
+            and (pos == 0 or periods[pos - 1] <= period)
+            and (pos == len(periods) or period <= periods[pos])
+        )
 
     def admission_probe(
         self, period: float, deadline: float, priority: int
@@ -401,34 +385,38 @@ class RTAContext:
         shape (period/deadline/priority fixed, cost varying).
 
         Used by the MaxSplit searches, which probe many costs of the same
-        candidate: the merged arrays are materialized once and only the
+        candidate: the merged lists are materialized once and only the
         candidate's cost slot is rewritten per probe.
         """
         if self.first_fail == -3:
             self._resolve()
         if self.first_fail != -1:
             return lambda cost: False
-        n = self.costs.size
-        # side="right" matches the stable sort of rta_arrays with the
+        costs = self.costs
+        deadlines = self.deadlines
+        responses = self.responses
+        ratios = self.ratios
+        n = len(costs)
+        # bisect_right matches the stable sort of the rebuild path with the
         # candidate appended last (ties cannot occur for valid partitions,
         # but the probe must mirror the rebuild path exactly regardless).
         pos = bisect_right(self.prio_list, priority)
-        m_costs = _insert(self.costs, pos, 0.0)
-        m_periods = _insert(self.periods, pos, float(period))
-        m_ratios = _insert(self.ratios, pos, 0.0)
-        hyper = (
-            self.implicit
-            and self.rm_ordered
-            and deadline == period  # repro-lint: disable=R1 (structural: hyper path needs D literally == T)
-            and (pos == 0 or self.periods[pos - 1] <= period)
-            and (pos == n or period <= self.periods[pos])
-        )
+        period = float(period)
+        hp_costs = costs[:pos]
+        hp_periods = self.periods[:pos]
+        m_costs = costs.copy()
+        m_costs.insert(pos, 0.0)
+        m_periods = self.periods.copy()
+        m_periods.insert(pos, period)
+        m_ratios = ratios.copy()
+        m_ratios.insert(pos, 0.0)
+        hyper = self._hyper_applies(pos, period, deadline)
         hyper_prod = self.hyper_prod
         util_sum = self.util_sum
-        hp_util = float(self.ratios[:pos].sum()) if pos else 0.0
-        deadlines = self.deadlines
-        costs = self.costs
-        responses = self.responses
+        hp_util = pairwise_sum(ratios[:pos])
+        hp_cost = 0.0
+        for c in hp_costs:
+            hp_cost += c
         ctx = self
 
         def admit(cost: float) -> bool:
@@ -442,35 +430,29 @@ class RTAContext:
                 return True
             # Necessary condition: cheap cached-sum test with a margin far
             # above its summation-order error; candidates inside the band
-            # fall back to the merged-order sum the legacy path compares
+            # fall back to the merged-order sum the rebuild path compares
             # (elementwise division commutes with the insertion).
             approx = util_sum + u_c
             if approx > 1.0 + EPS - 1e-10:
                 if approx > 1.0 + EPS + 1e-10:
                     return False
                 m_ratios[pos] = u_c
-                if float(m_ratios.sum()) > 1.0 + EPS:
+                if pairwise_sum(m_ratios) > 1.0 + EPS:
                     return False
             m_costs[pos] = cost
             # The candidate itself: no cached fixed point exists; the fluid
-            # bound C/(1-U_hp) warm-starts the iteration (shrunk so float
-            # rounding cannot overshoot the least fixed point).
+            # bound warm-starts the iteration.
             r = response_time(
                 cost,
-                m_costs[:pos],
-                m_periods[:pos],
+                hp_costs,
+                hp_periods,
                 deadline,
-                start=(
-                    cost / (1.0 - hp_util) * (1.0 - 1e-12)
-                    if hp_util < 1.0
-                    else None
-                ),
+                start=_fluid_start(cost, hp_cost, hp_util),
             )
             if r is None:
                 return False
-            merged = np.empty(n + 1)
-            merged[:pos] = responses[:pos]
-            merged[pos] = r
+            merged = responses[:pos]
+            merged.append(r)
             # Lower-priority suffix: warm-start each task with one step of
             # the *extended* iteration map applied to its cached fixed
             # point — still a lower bound on the new least fixed point
@@ -495,11 +477,11 @@ class RTAContext:
                 )
                 if r is None:
                     return False
-                merged[i + 1] = r
+                merged.append(r)
             # Remember the last admitted candidate's merged responses: when
             # the caller commits it (ProcessorState.add -> with_subtask) the
             # extended context is assembled without re-running any RTA.
-            ctx._memo = (cost, float(period), float(deadline), priority, merged)
+            ctx._memo = (cost, period, float(deadline), priority, merged)
             return True
 
         return admit
@@ -520,51 +502,57 @@ class RTAContext:
             self._resolve()
         if self.first_fail != -1:
             return False
+        cost = float(cost)
+        period = float(period)
         u_c = cost / period
         pos = bisect_right(self.prio_list, priority)
         if (
-            self.implicit
-            and self.rm_ordered
-            and deadline == period  # repro-lint: disable=R1 (structural: hyper path needs D literally == T)
-            and (pos == 0 or self.periods[pos - 1] <= period)
-            and (pos == self.periods.size or period <= self.periods[pos])
+            self._hyper_applies(pos, period, deadline)
             and self.hyper_prod * (1.0 + u_c) <= 2.0 - 1e-9
         ):
             COUNTERS.hyper_accepts += 1
             return True
+        ratios = self.ratios
         # Necessary utilization condition.  The cheap cached-sum test is
         # conservative by a margin far above its worst-case summation-order
         # error (~n*eps); only candidates inside the margin band fall back
-        # to the merged-order sum that the legacy path compares.
+        # to the merged-order sum that the rebuild path compares.
         approx = self.util_sum + u_c
         if approx > 1.0 + EPS - 1e-10:
             if approx > 1.0 + EPS + 1e-10:
                 return False
-            if float(_insert(self.ratios, pos, u_c).sum()) > 1.0 + EPS:
+            m_ratios = ratios.copy()
+            m_ratios.insert(pos, u_c)
+            if pairwise_sum(m_ratios) > 1.0 + EPS:
                 return False
-        # The candidate's hp set is the unchanged prefix — no merged arrays
+        # The candidate's hp set is the unchanged prefix — no merged lists
         # needed unless the suffix must be re-checked.  The fluid lower
-        # bound C/(1-U_hp) warm-starts the cold iteration; the tiny shrink
-        # keeps float rounding from overshooting the least fixed point.
-        hp_util = float(self.ratios[:pos].sum()) if pos else 0.0
-        start = (
-            cost / (1.0 - hp_util) * (1.0 - 1e-12) if hp_util < 1.0 else None
-        )
+        # bound warm-starts the cold iteration.
+        costs = self.costs
+        hp_costs = costs[:pos]
+        hp_cost = 0.0
+        for c in hp_costs:
+            hp_cost += c
+        periods = self.periods
         r = response_time(
-            cost, self.costs[:pos], self.periods[:pos], deadline, start=start
+            cost,
+            hp_costs,
+            periods[:pos],
+            deadline,
+            start=_fluid_start(cost, hp_cost, pairwise_sum(ratios[:pos])),
         )
         if r is None:
             return False
-        n = self.costs.size
+        n = len(costs)
         responses = self.responses
-        costs = self.costs
         deadlines = self.deadlines
-        merged = np.empty(n + 1)
-        merged[:pos] = responses[:pos]
-        merged[pos] = r
+        merged = responses[:pos]
+        merged.append(r)
         if pos < n:
-            m_costs = _insert(self.costs, pos, cost)
-            m_periods = _insert(self.periods, pos, float(period))
+            m_costs = costs.copy()
+            m_costs.insert(pos, cost)
+            m_periods = periods.copy()
+            m_periods.insert(pos, period)
             # Suffix warm start: one step of the extended map from the
             # cached fixed point (see :meth:`admission_probe`).
             for i in range(pos, n):
@@ -584,8 +572,8 @@ class RTAContext:
                 )
                 if r is None:
                     return False
-                merged[i + 1] = r
-        self._memo = (cost, float(period), float(deadline), priority, merged)
+                merged.append(r)
+        self._memo = (cost, period, float(deadline), priority, merged)
         return True
 
     def admits_subtask(self, candidate: Subtask) -> bool:
@@ -605,46 +593,51 @@ class RTAContext:
         verbatim; the candidate and the lower-priority suffix are settled
         by the probe memo or the hyperbolic accept when possible, and
         deferred to :meth:`_resolve` otherwise.  Either way the observable
-        values are bit-identical to a fresh build (same arrays, same
-        iteration maps, same dot products), so
+        values are bit-identical to a fresh build (same prefixes, same
+        iteration maps, same sums), so
         :meth:`ProcessorState.add <repro.core.partition.ProcessorState.add>`
         can maintain its cache in O(n) instead of O(n^2) per mutation.
         """
         new = RTAContext.__new__(RTAContext)
         pos = bisect_right(self.prio_list, candidate.priority)
-        u_c = candidate.cost / candidate.period
-        old = self._block
-        block = np.empty((4, old.shape[1] + 1))
-        block[:, :pos] = old[:, :pos]
-        block[:, pos + 1 :] = old[:, pos:]
-        block[0, pos] = candidate.cost
-        block[1, pos] = candidate.period
-        block[2, pos] = candidate.deadline
-        block[3, pos] = u_c
-        new._set_block(block)
-        new._prios = None
-        new.util_sum = float(new.ratios.sum())
-        new.prio_list = self.prio_list.copy()
-        new.prio_list.insert(pos, candidate.priority)
-        new.implicit = self.implicit and candidate.deadline == candidate.period  # repro-lint: disable=R1 (structural: split pieces have D < T)
-        new.rm_ordered = bool(
+        cost = float(candidate.cost)
+        period = float(candidate.period)
+        deadline = float(candidate.deadline)
+        u_c = cost / period
+        periods = self.periods
+        # copy + insert: one allocation per list, the cheapest way to
+        # build the extended columns at these sizes.
+        new.costs = costs = self.costs.copy()
+        costs.insert(pos, cost)
+        new.periods = new_periods = periods.copy()
+        new_periods.insert(pos, period)
+        new.deadlines = deadlines = self.deadlines.copy()
+        deadlines.insert(pos, deadline)
+        new.ratios = ratios = self.ratios.copy()
+        ratios.insert(pos, u_c)
+        new.prio_list = prio_list = self.prio_list.copy()
+        prio_list.insert(pos, candidate.priority)
+        new.util_sum = pairwise_sum(ratios)
+        new.implicit = self.implicit and deadline == period  # repro-lint: disable=R1 (structural: split pieces have D < T)
+        new.rm_ordered = (
             self.rm_ordered
-            and (pos == 0 or old[1, pos - 1] <= candidate.period)
-            and (pos == old.shape[1] or candidate.period <= old[1, pos])
+            and (pos == 0 or periods[pos - 1] <= period)
+            and (pos == len(periods) or period <= periods[pos])
         )
-        # Maintained as a running product: may drift from a fresh
-        # ``np.prod`` by ulps, which the pre-accept margin absorbs.
+        # Maintained as a running product: the new factor joins last, not
+        # at its sorted position, so it may drift from a fresh build's
+        # product by ulps, which the pre-accept margin absorbs.
         new.hyper_prod = (
-            self.hyper_prod * (1.0 + u_c) if new.implicit else np.inf
+            self.hyper_prod * (1.0 + u_c) if new.implicit else float("inf")
         )
         new._memo = None
-        n = new.costs.size
+        n = len(ratios)
         memo = self._memo
         if (
             memo is not None
-            and memo[0] == candidate.cost
-            and memo[1] == candidate.period
-            and memo[2] == candidate.deadline  # repro-lint: disable=R1 (memo key: identity of the exact floats probed)
+            and memo[0] == cost
+            and memo[1] == period
+            and memo[2] == deadline  # repro-lint: disable=R1 (memo key: identity of the exact floats probed)
             and memo[3] == candidate.priority
         ):
             # The candidate was just admitted through a probe of this very
@@ -662,21 +655,19 @@ class RTAContext:
             # Hyperbolic sufficient accept: schedulability is settled, so
             # fixed points need not be computed now.  NaN responses mean
             # "no cached value" — later probes cold-start those slots.
-            new.responses = responses = np.empty(n)
-            responses[pos:] = np.nan
-            responses[:pos] = self.responses[:pos]
+            new.responses = self.responses[:pos] + [_NAN] * (n - pos)
             new.first_fail = -1
             return new
-        new.responses = np.empty(n)
-        new.responses[:] = np.nan
         if new.util_sum > 1.0 + EPS:
+            new.responses = [_NAN] * n
             new.first_fail = -2
             return new
         if 0 <= self.first_fail < pos:
             # The old failure is in the unchanged prefix; it fails
             # identically in the extended set.
-            new.responses[: self.first_fail] = self.responses[: self.first_fail]
-            new.first_fail = self.first_fail
+            keep = self.first_fail
+            new.responses = self.responses[:keep] + [_NAN] * (n - keep)
+            new.first_fail = keep
             return new
         # General path: defer the exact analysis.  This case is dominated
         # by body subtasks landing on a processor that is marked full
@@ -684,7 +675,7 @@ class RTAContext:
         # usually never consulted; :meth:`_resolve` computes any slot that
         # is later needed, bit-identically to a fresh build.  The valid
         # prefix responses are kept (NaN slots stay "unknown").
-        new.responses[:pos] = self.responses[:pos]
+        new.responses = self.responses[:pos] + [_NAN] * (n - pos)
         new.first_fail = -3
         return new
 
@@ -696,11 +687,8 @@ def first_failure(subtasks: Sequence[Subtask]) -> Optional[Subtask]:
     tests: increasing the top-priority cost slightly must make some subtask
     fail on a full processor.
     """
-    if not subtasks:
-        return None
-    ordered = sorted(subtasks, key=lambda s: s.priority)
-    costs, periods, deadlines, _ = rta_arrays(subtasks)
-    for i in range(costs.size):
+    ordered, costs, periods, deadlines = _sorted_columns(subtasks)
+    for i in range(len(costs)):
         if response_time(costs[i], costs[:i], periods[:i], deadlines[i]) is None:
             return ordered[i]
     return None

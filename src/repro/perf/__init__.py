@@ -7,10 +7,8 @@ and the ``BENCH_sweep.json`` schema.
 """
 
 from repro.perf.config import (
-    incremental_rta_enabled,
     kernel_backend_name,
     kernel_batching_enabled,
-    use_incremental_rta,
     use_kernel_backend,
     use_kernel_batching,
 )
@@ -20,10 +18,8 @@ __all__ = [
     "COUNTERS",
     "PerfCounters",
     "StageTimes",
-    "incremental_rta_enabled",
     "kernel_backend_name",
     "kernel_batching_enabled",
-    "use_incremental_rta",
     "use_kernel_backend",
     "use_kernel_batching",
 ]

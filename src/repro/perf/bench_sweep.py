@@ -1,34 +1,26 @@
 """E3-scale sweep benchmark: the ``BENCH_sweep.json`` artifact generator.
 
 Runs the paper's E3 acceptance sweep (general task sets, log-uniform
-periods, full utilization grid) in three engine modes and records wall
-times, hot-path counters and curve equality:
+periods, full utilization grid) in two modes and records wall times,
+hot-path counters and curve equality:
 
-* ``legacy-serial`` — per-probe array rebuild admission (the seed's
-  algorithmic path) on one process;
 * ``incremental-serial`` — cached-context admission with warm-started
   fixed points, one process;
 * ``incremental-parallel`` — the same, fanned out over ``--jobs`` worker
   processes by :mod:`repro.runner`.
 
-All three must produce bit-identical curves; the run aborts loudly if
-they do not.  Usage::
+Both must produce bit-identical curves; the run aborts loudly if they do
+not.  Usage::
 
     PYTHONPATH=src python -m repro.perf.bench_sweep \
         --samples 100 --jobs 4 --repeats 3 \
         --out benchmarks/results/BENCH_sweep.json
 
-Interpretation caveats (also recorded inside the artifact):
-
-* ``legacy-serial`` shares the partitioning skeleton, the scalar RTA
-  fast path and the MaxSplit constraint pruning with the incremental
-  mode — improvements this PR made to shared code speed it up too.  It
-  is therefore *faster than the true seed revision*, and the reported
-  speedups are conservative lower bounds on the speedup vs the seed.
-* On a single-core container the parallel mode cannot beat the serial
-  mode — it measures pool overhead plus the (verified) bit-identity of
-  the fan-out path.  The parallel win multiplies the serial win only
-  when ``os.cpu_count() >= jobs``.
+Interpretation caveat (also recorded inside the artifact): on a
+single-core container the parallel mode cannot beat the serial mode — it
+measures pool overhead plus the (verified) bit-identity of the fan-out
+path.  The parallel win multiplies the serial win only when
+``os.cpu_count() >= jobs``.
 """
 
 # repro-lint: disable-file=R8 -- this module IS a CLI entry point
@@ -45,17 +37,16 @@ import numpy as np
 
 from repro.analysis.acceptance import acceptance_sweep
 from repro.analysis.algorithms import rmts_test, standard_algorithms
-from repro.perf.config import use_incremental_rta
 from repro.perf.telemetry import COUNTERS, write_bench_json
 from repro.taskgen.generators import TaskSetGenerator
 
 __all__ = ["run_bench_sweep", "main"]
 
-#: Seed-revision wall time measured once at PR time (commit 7a7548e,
-#: samples=25, same host class) next to in-repo legacy 2.22 s and
-#: incremental 1.33 s — evidence that legacy-serial underestimates the
-#: speedup vs the true seed.  Not reproducible from this tree alone,
-#: hence recorded as an annotation, not a measured mode.
+#: Seed-revision wall time measured once (commit 7a7548e, samples=25,
+#: same host class) next to the rebuild-per-probe engine of that time
+#: (2.22 s, since removed) and the incremental engine (1.33 s).  Not
+#: reproducible from this tree alone, hence recorded as an annotation,
+#: not a measured mode.
 _SEED_REFERENCE = {
     "commit": "7a7548e",
     "samples": 25,
@@ -81,7 +72,7 @@ def run_bench_sweep(
     repeats: int = 3,
     seed: int = 0,
 ) -> Dict[str, object]:
-    """Measure the three engine modes; return the artifact payload."""
+    """Measure the serial and parallel modes; return the artifact payload."""
     gen, algorithms, m, u_grid = _sweep_config(samples)
 
     def sweep(jobs_: int):
@@ -96,32 +87,31 @@ def run_bench_sweep(
         )
 
     modes = (
-        ("legacy-serial", False, 1),
-        ("incremental-serial", True, 1),
-        ("incremental-parallel", True, jobs),
+        ("incremental-serial", 1),
+        ("incremental-parallel", jobs),
     )
-    walls: Dict[str, List[float]] = {name: [] for name, _, _ in modes}
+    walls: Dict[str, List[float]] = {name: [] for name, _ in modes}
     counters: Dict[str, Dict[str, object]] = {}
     curves: Dict[str, Dict[str, List[float]]] = {}
     # Interleave the modes across repeats so host-load drift hits all of
     # them equally; report the minimum (the least-perturbed run).
     for _ in range(repeats):
-        for name, incremental, jobs_ in modes:
-            with use_incremental_rta(incremental):
-                before = COUNTERS.snapshot()
-                t0 = time.perf_counter()
-                result = sweep(jobs_)
-                walls[name].append(time.perf_counter() - t0)
-                counters[name] = COUNTERS.delta_since(before)
-                curves[name] = result.curves
+        for name, jobs_ in modes:
+            before = COUNTERS.snapshot()
+            t0 = time.perf_counter()
+            result = sweep(jobs_)
+            walls[name].append(time.perf_counter() - t0)
+            counters[name] = COUNTERS.delta_since(before)
+            curves[name] = result.curves
 
-    identical = all(c == curves["legacy-serial"] for c in curves.values())
+    identical = all(
+        c == curves["incremental-serial"] for c in curves.values()
+    )
     if not identical:
         raise AssertionError(
-            "engine modes disagree on sweep curves — bit-identity broken"
+            "sweep modes disagree on curves — bit-identity broken"
         )
 
-    legacy_min = min(walls["legacy-serial"])
     payload: Dict[str, object] = {
         "kind": "bench_sweep",
         "host": {
@@ -148,20 +138,14 @@ def run_bench_sweep(
                 "wall_seconds_all": [round(w, 4) for w in walls[name]],
                 "counters": counters[name],
             }
-            for name, _, _ in modes
+            for name, _ in modes
         },
         "curves_identical": identical,
-        "speedups_vs_legacy_serial": {
-            name: round(legacy_min / min(walls[name]), 3)
-            for name, _, _ in modes
-            if name != "legacy-serial"
-        },
         "seed_reference": dict(
             _SEED_REFERENCE,
             note=(
-                "legacy-serial shares this PR's skeleton/RTA/MaxSplit "
-                "improvements, so speedups_vs_legacy_serial are "
-                "conservative lower bounds on the speedup vs the seed"
+                "historical walls; the rebuild-per-probe engine they "
+                "compare against is no longer in the tree"
             ),
         ),
     }
@@ -171,8 +155,8 @@ def run_bench_sweep(
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.perf.bench_sweep",
-        description="Measure the E3 sweep in all engine modes and write "
-        "the BENCH_sweep.json perf artifact.",
+        description="Measure the E3 sweep serially and in parallel and "
+        "write the BENCH_sweep.json perf artifact.",
     )
     parser.add_argument("--samples", type=int, default=100)
     parser.add_argument("--jobs", type=int, default=4)
@@ -193,8 +177,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     for name, data in modes.items():  # type: ignore[union-attr]
         print(f"{name:>22}: {data['wall_seconds_min']:.4f}s min")
     print(f"curves identical: {payload['curves_identical']}")
-    for name, ratio in payload["speedups_vs_legacy_serial"].items():  # type: ignore[union-attr]
-        print(f"{name:>22}: {ratio:.3f}x vs legacy-serial")
     print(f"written to {args.out}")
     return 0
 

@@ -1,19 +1,10 @@
 """Runtime switches for the performance layer.
 
-``incremental_rta`` selects between the two bit-identical admission paths:
-
-* ``True`` (default) — :class:`repro.core.rta.RTAContext` caching: each
-  :class:`~repro.core.partition.ProcessorState` keeps priority-sorted
-  ``(C, T, Delta)`` arrays plus the last-computed response times, and
-  admission probes reuse the unchanged higher-priority prefix with
-  warm-started fixed points.
-* ``False`` — the seed code path: every probe rebuilds and re-sorts the
-  subtask arrays from scratch.  Kept as the reference/baseline for the
-  equivalence property tests and for ``BENCH_sweep.json`` speedup numbers.
-
-The switch is a module global read once per admission call; flip it with
-:func:`use_incremental_rta` (a context manager) rather than assigning the
-attribute directly, so nesting restores the previous value.
+Admission has one engine: every :class:`~repro.core.partition.ProcessorState`
+answers probes from its cached :class:`repro.core.rta.RTAContext`.  The
+from-scratch functions of :mod:`repro.core.rta` serve one-shot callers
+(sensitivity analysis, experiments) and are the reference oracle the
+equivalence tests compare the context against.  There is no switch for it.
 
 ``debug_invariants`` arms the runtime sanitizer
 (:mod:`repro._util.invariants`): subsystem boundaries then assert RTA
@@ -28,8 +19,8 @@ default), or ``"native"`` (compiled C, falls back to numpy when no
 compiler is available).  ``kernel_batching`` routes the *existing*
 serial call sites — partition validation, checked sweeps, service batch
 revalidation — through the kernel; it defaults to off so the
-incremental per-probe path (PR 1) stays the production default, and the
-two paths are property-tested verdict- and counter-identical.
+incremental per-probe path stays the production default, and the two
+paths are property-tested verdict- and counter-identical.
 """
 
 from __future__ import annotations
@@ -37,30 +28,10 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 
-#: Whether cached/incremental RTA admission is active (see module docstring).
-incremental_rta: bool = True
-
 #: Whether the runtime invariant sanitizer is armed (see module docstring).
 debug_invariants: bool = os.environ.get(
     "REPRO_DEBUG_INVARIANTS", ""
 ).strip().lower() not in ("", "0", "false", "no")
-
-
-def incremental_rta_enabled() -> bool:
-    """Current state of the incremental-RTA switch."""
-    return incremental_rta
-
-
-@contextmanager
-def use_incremental_rta(enabled: bool):
-    """Temporarily force the incremental-RTA switch on or off."""
-    global incremental_rta
-    previous = incremental_rta
-    incremental_rta = bool(enabled)
-    try:
-        yield
-    finally:
-        incremental_rta = previous
 
 
 def debug_invariants_enabled() -> bool:

@@ -171,6 +171,53 @@ def test_kernel_agrees_on_real_partitions_with_split_subtasks(seed):
     assert all(serial)  # Lemma 4: success implies schedulable
 
 
+def _wide_corpus(seed: int, *, requests: int = 8):
+    """Processors of 18..40 whole tasks: lanes with more than 16
+    interferers, the widths the serial path once ran through ``np.dot``."""
+    rng = np.random.default_rng(seed)
+    lists = []
+    for _ in range(requests):
+        n = int(rng.integers(18, 41))
+        total = float(rng.uniform(0.6, 1.02))
+        utils = rng.dirichlet(np.ones(n)) * total
+        # Rate-monotonic order, so most lanes run instead of the first
+        # short-period task failing behind long-period interferers.
+        periods = np.sort(
+            np.exp(rng.uniform(np.log(4.0), np.log(400.0), size=n))
+        )
+        lists.append([
+            Subtask.whole(
+                Task(
+                    cost=float(max(u, 1e-4) * t), period=float(t), tid=tid
+                )
+            )
+            for tid, (u, t) in enumerate(zip(utils, periods))
+        ])
+    return lists
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=seeds)
+def test_wide_lanes_bit_identical_to_serial_on_every_backend(seed):
+    lists = _wide_corpus(seed)
+    verdicts, calls, iters = _serial_reference(lists)
+    staged = stage_subtask_lists(lists)
+    for backend in available_backends():
+        outcome = evaluate_batch(
+            staged, backend=backend, collect_responses=True
+        )
+        assert [bool(v) for v in outcome.verdicts] == verdicts
+        assert outcome.rta_calls.tolist() == calls
+        assert outcome.rta_iterations.tolist() == iters
+        for q, sts in enumerate(lists):
+            fb = int(outcome.first_fail[q])
+            if fb == -2:
+                continue
+            ref = response_times(sts).responses
+            upto = len(sts) if fb == -1 else fb
+            assert np.array_equal(outcome.responses[q][:upto], ref[:upto])
+
+
 def test_empty_and_trivial_requests():
     outcome = check_subtask_lists([[]], backend="numpy")
     assert outcome.verdicts.tolist() == [True]

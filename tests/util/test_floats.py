@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,6 +14,7 @@ from repro._util.floats import (
     approx_lt,
     is_close,
     is_integer_multiple,
+    pairwise_sum,
     safe_ceil,
 )
 
@@ -114,3 +116,38 @@ class TestSafeCeil:
     @given(st.floats(min_value=0.0, max_value=1e6, allow_nan=False))
     def test_never_below_floor(self, x):
         assert safe_ceil(x) >= math.floor(x)
+
+
+class TestPairwiseSum:
+    """``pairwise_sum`` must equal ``np.sum`` bit for bit, in every regime
+    numpy's reduction has: left-to-right below 8 terms, eight interleaved
+    lanes up to 128, recursive halving above."""
+
+    @pytest.mark.parametrize("n", range(0, 201))
+    def test_matches_numpy_sum_for_every_length(self, n):
+        rng = np.random.default_rng(n)
+        # Mixed magnitudes make every reordering visible in the last ulp.
+        xs = (rng.random(n) * 10.0 ** rng.uniform(-9, 9, size=n)).tolist()
+        assert pairwise_sum(xs) == float(np.sum(np.array(xs)))
+
+    @pytest.mark.parametrize("n", [7, 8, 9, 15, 16, 17, 127, 128, 129, 200])
+    def test_matches_numpy_sum_on_utilization_like_values(self, n):
+        rng = np.random.default_rng(1000 + n)
+        for _ in range(50):
+            costs = rng.uniform(0.01, 5.0, size=n)
+            periods = rng.uniform(4.0, 400.0, size=n)
+            ratios = costs / periods
+            assert pairwise_sum(ratios.tolist()) == float(ratios.sum())
+
+    def test_plain_running_sum_would_differ(self):
+        """The replica is needed: a left-to-right sum disagrees with
+        ``np.sum`` on some inputs of 8 or more terms."""
+        rng = np.random.default_rng(7)
+        differs = 0
+        for _ in range(200):
+            xs = (rng.random(24) * 10.0 ** rng.uniform(-6, 6, size=24)).tolist()
+            running = 0.0
+            for x in xs:
+                running += x
+            differs += running != float(np.sum(np.array(xs)))
+        assert differs > 0
