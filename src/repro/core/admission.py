@@ -17,8 +17,7 @@ from abc import ABC, abstractmethod
 
 from repro._util.floats import EPS, approx_le
 from repro.core.maxsplit import max_split
-from repro.core.partition import PendingPiece, ProcessorState
-from repro.core.task import Subtask
+from repro.core.partition import Candidate, PendingPiece, ProcessorState
 
 __all__ = ["AdmissionPolicy", "ExactRTAAdmission", "ThresholdAdmission"]
 
@@ -27,8 +26,9 @@ class AdmissionPolicy(ABC):
     """Strategy deciding fits/splits during partitioning."""
 
     @abstractmethod
-    def fits(self, proc: ProcessorState, candidate: Subtask) -> bool:
-        """Whether *candidate* can be assigned entirely to *proc*."""
+    def fits(self, proc: ProcessorState, candidate: Candidate) -> bool:
+        """Whether *candidate* (a subtask, or a pending piece's whole
+        remainder) can be assigned entirely to *proc*."""
 
     @abstractmethod
     def split_cost(self, proc: ProcessorState, piece: PendingPiece) -> float:
@@ -61,7 +61,7 @@ class ExactRTAAdmission(AdmissionPolicy):
             raise ValueError(f"unknown MaxSplit method: {method!r}")
         self.method = method
 
-    def fits(self, proc: ProcessorState, candidate: Subtask) -> bool:
+    def fits(self, proc: ProcessorState, candidate: Candidate) -> bool:
         return proc.schedulable_with(candidate)
 
     def split_cost(self, proc: ProcessorState, piece: PendingPiece) -> float:
@@ -89,7 +89,7 @@ class ThresholdAdmission(AdmissionPolicy):
             raise ValueError("threshold must lie in (0, 1]")
         self.threshold = float(threshold)
 
-    def fits(self, proc: ProcessorState, candidate: Subtask) -> bool:
+    def fits(self, proc: ProcessorState, candidate: Candidate) -> bool:
         return approx_le(proc.utilization + candidate.utilization, self.threshold)
 
     def split_cost(self, proc: ProcessorState, piece: PendingPiece) -> float:

@@ -8,7 +8,7 @@ to the next processor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro._util.floats import EPS
 from repro.core.admission import AdmissionPolicy
@@ -45,9 +45,9 @@ def _body_response(
     return r if r is not None else cost
 
 
-@dataclass(frozen=True)
-class AssignOutcome:
-    """What happened when a piece met a processor."""
+class AssignOutcome(NamedTuple):
+    """What happened when a piece met a processor (a named tuple: one is
+    built per Assign call, and a tuple is the cheapest immutable record)."""
 
     #: The piece was fully placed; move on to the next task.
     completed: bool
@@ -87,17 +87,19 @@ def assign_piece(
         return AssignOutcome(
             completed=False, filled=False, placed_cost=0.0, infeasible=True
         )
-    candidate = piece.as_candidate()
-    if policy.fits(proc, candidate):
-        proc.add(piece.finalize(candidate))
-        return AssignOutcome(completed=True, filled=False, placed_cost=candidate.cost)
+    # The piece is its own admission candidate; a Subtask is built only
+    # when it is committed.
+    if policy.fits(proc, piece):
+        placed = piece.cost
+        proc.add(piece.finalize())
+        return AssignOutcome(completed=True, filled=False, placed_cost=placed)
 
     cost = policy.split_cost(proc, piece)
     proc.full = True
     if cost >= piece.cost - max(EPS, 1e-9 * piece.cost):
         # Boundary case: MaxSplit admits the entire remainder.
         placed = piece.cost
-        proc.add(piece.finalize(candidate))
+        proc.add(piece.finalize())
         return AssignOutcome(completed=True, filled=True, placed_cost=placed)
     if cost <= EPS:
         return AssignOutcome(completed=False, filled=True, placed_cost=0.0)

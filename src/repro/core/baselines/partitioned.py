@@ -13,9 +13,13 @@ algorithms quantifies what task splitting buys.
 from __future__ import annotations
 
 import enum
-from typing import List, Optional
+from typing import Callable, List, Optional
 
-from repro.core.partition import PartitionResult, ProcessorState
+from repro.core.partition import (
+    PartitionResult,
+    ProcessorState,
+    least_utilized,
+)
 from repro.core.rta import liu_layland_test_holds
 from repro.core.task import Subtask, TaskSet
 
@@ -33,13 +37,9 @@ class FitHeuristic(enum.Enum):
     BEST_FIT = "bf"
 
 
-def _admits(proc: ProcessorState, candidate: Subtask, admission: str) -> bool:
-    """Admission test for strict partitioning (no synthetic deadlines)."""
-    if admission == "rta":
-        return proc.schedulable_with(candidate)
-    if admission == "ll":
-        return liu_layland_test_holds(proc.subtasks + [candidate])
-    raise ValueError(f"unknown admission test: {admission!r}")
+def _ll_admits(proc: ProcessorState, candidate: Subtask) -> bool:
+    """L&L utilization test of *proc* with *candidate* added."""
+    return liu_layland_test_holds(proc.subtasks + [candidate])
 
 
 def partition_no_split(
@@ -67,29 +67,38 @@ def partition_no_split(
     """
     if processors < 1:
         raise ValueError("need at least one processor")
+    # Resolved per call, not at import, so the lookup sees the class
+    # attribute as it is now.
+    admits: Callable[[ProcessorState, Subtask], bool]
+    if admission == "rta":
+        admits = ProcessorState.schedulable_with
+    elif admission == "ll":
+        admits = _ll_admits
+    else:
+        raise ValueError(f"unknown admission test: {admission!r}")
     procs = [ProcessorState(index=q) for q in range(processors)]
 
     tasks = list(taskset.tasks)
     if decreasing_utilization:
         tasks.sort(key=lambda t: (-t.utilization, t.tid))
 
+    first_fit = heuristic is FitHeuristic.FIRST_FIT
     unassigned: List[int] = []
     for task in tasks:
         candidate = Subtask.whole(task)
         target: Optional[ProcessorState] = None
-        if heuristic is FitHeuristic.FIRST_FIT:
+        if first_fit:
             # First-fit only needs the first feasible processor, so stop
             # probing at the first admit.
-            target = next(
-                (p for p in procs if _admits(p, candidate, admission)), None
-            )
+            for proc in procs:
+                if admits(proc, candidate):
+                    target = proc
+                    break
         else:
-            feasible = [p for p in procs if _admits(p, candidate, admission)]
+            feasible = [p for p in procs if admits(p, candidate)]
             if feasible:
                 if heuristic is FitHeuristic.WORST_FIT:
-                    target = min(
-                        feasible, key=lambda p: (p.utilization, p.index)
-                    )
+                    target = least_utilized(feasible)  # index order
                 else:  # BEST_FIT: most loaded feasible processor
                     target = max(
                         feasible, key=lambda p: (p.utilization, -p.index)

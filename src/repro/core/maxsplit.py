@@ -29,19 +29,20 @@ partitioning calls them.  With a context the fixed existing-set prefix is
 analyzed **once per search** instead of once per probe — the binary search
 probes through a reusable
 :meth:`~repro.core.rta.RTAContext.admission_probe` (warm-started fixed
-points, no re-sorting), and the scheduling-points variant turns the
-context's priority-sorted lists into arrays once per call and slices them.
-The scheduling-point arithmetic itself stays on NumPy (``np.dot``, ``@``)
-in both paths: its BLAS reductions do not add in the order of a plain
-Python loop, so porting it to lists would break bit-identity with the
-reference.  Without a context the rebuild-per-probe code runs; it is the
-oracle of the equivalence tests.  Results are bit-identical either way.
+points, no re-sorting), and the scheduling-points variant runs its
+margin-guarded skip checks as scalar loops over the context's lists and
+turns the lists into arrays once per call for the full evaluation.  That
+evaluation stays on NumPy (``@``) in both paths: its BLAS reductions do
+not add in the order of a plain Python loop, so porting it to lists
+would break bit-identity with the reference.  Without a context the
+rebuild-per-probe code runs; it is the oracle of the equivalence tests.
+Results are bit-identical either way.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from math import floor
+from math import ceil, floor
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -101,9 +102,8 @@ def max_split_binary(
             # Invariant violation upstream: the processor must be
             # schedulable before a split is attempted.
             return 0.0
-        cand = piece.as_candidate()
         admit = context.admission_probe(
-            cand.period, cand.deadline, cand.priority
+            piece.period, piece.deadline, piece.priority
         )
     else:
         if not is_schedulable(list(existing)):
@@ -195,48 +195,40 @@ def max_split_points(
         # prefix of the cached lists — built into arrays once per search,
         # then sliced as zero-copy views without re-sorting.
         pos = bisect_right(context.prio_list, prio)
+        cost_list = context.costs
         period_list = context.periods
-        all_costs = np.array(context.costs, dtype=float)
+        deadline_list = context.deadlines
+        all_costs = np.array(cost_list, dtype=float)
         all_periods = np.array(period_list, dtype=float)
-        hp_costs = all_costs[:pos]
-        hp_periods = all_periods[:pos]
-        lp_costs = context.costs[pos:]
-        lp_deadlines = context.deadlines[pos:]
-        n_lp = len(lp_costs)
 
         # The result is min(best, C) in the end, so a constraint whose cap
         # provably reaches C cannot bind.  Evaluating the slack at the
         # single point t = Delta_j lower-bounds the cap (the deadline is
         # always in the point set); if even that clears C — with a margin
-        # far above any summation-order ulp between this dot product and
+        # far above any summation-order ulp between this scalar loop and
         # the vectorized full evaluation — the whole point enumeration for
         # that constraint is skipped, leaving the final value unchanged.
         skip_at = piece.cost * (1.0 + 1e-9) + 1e-9
         best = np.inf
 
         dl = piece.deadline
-        quick = dl - (
-            float(np.dot(np.ceil(dl / hp_periods - EPS), hp_costs))
-            if pos
-            else 0.0
-        )
+        quick = dl
+        for c, t in zip(cost_list[:pos], period_list[:pos]):
+            quick -= ceil(dl / t - EPS) * c
         if quick < skip_at:
             pts = _scheduling_points_fast(period_list[:pos], dl)
-            slack = pts - _interference(pts, hp_costs, hp_periods)
+            hp = _interference(pts, all_costs[:pos], all_periods[:pos])
+            slack = pts - hp
             best = float(slack.max()) if slack.size else dl
 
-        for idx in range(n_lp):
-            j = pos + idx
-            dl_j = lp_deadlines[idx]
-            interf = (
-                float(np.dot(np.ceil(dl_j / all_periods[:j] - EPS), all_costs[:j]))
-                if j
-                else 0.0
-            )
-            denom_dl = np.ceil(dl_j / period_new - EPS)
-            if denom_dl > 0:
-                quick = (dl_j - lp_costs[idx] - interf) / denom_dl
-                if quick >= skip_at:
+        for j in range(pos, len(cost_list)):
+            dl_j = deadline_list[j]
+            jobs = ceil(dl_j / period_new - EPS)
+            if jobs > 0:
+                quick = dl_j - cost_list[j]
+                for c, t in zip(cost_list[:j], period_list[:j]):
+                    quick -= ceil(dl_j / t - EPS) * c
+                if quick / jobs >= skip_at:
                     continue
             pts = _scheduling_points_fast(
                 period_list[:j] + [period_new],
@@ -244,7 +236,7 @@ def max_split_points(
             )
             numer = (
                 pts
-                - lp_costs[idx]
+                - cost_list[j]
                 - _interference(pts, all_costs[:j], all_periods[:j])
             )
             denom = np.ceil(pts / period_new - EPS)

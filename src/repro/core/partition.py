@@ -23,21 +23,24 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, cast
+from operator import attrgetter
+from typing import Dict, List, Optional, Sequence, Tuple, Union, cast
 
 from repro._util.floats import EPS, is_close
 from repro._util.invariants import check_partition
-from repro.core.rta import RTAContext, response_times
+from repro.core.rta import RTAContext, is_schedulable, response_times
 from repro.core.task import SplitTaskView, Subtask, SubtaskKind, Task, TaskSet
 from repro.perf import config as perf_config
 from repro.perf.telemetry import COUNTERS
 
 __all__ = [
+    "Candidate",
     "ProcessorRole",
     "ProcessorState",
     "PendingPiece",
     "PartitionResult",
     "build_split_views",
+    "least_utilized",
 ]
 
 
@@ -53,15 +56,28 @@ class ProcessorRole(enum.Enum):
     DEDICATED = "dedicated"
 
 
+#: Definite utilization reject of :meth:`ProcessorState.schedulable_with`.
+#: It sits above the definite reject of
+#: :meth:`RTAContext.admits <repro.core.rta.RTAContext.admits>`
+#: (``1 + EPS + 1e-10`` on its priority-order sum) by far more than the
+#: running sum's summation-order error, so the two always agree.
+_UTIL_REJECT = 1.0 + EPS + 2e-10
+
+_UTIL = attrgetter("_util")
+
+
 @dataclass
 class ProcessorState:
     """Mutable assignment state of one processor during partitioning.
 
-    Cache-invalidation contract: the subtask list must only be mutated
-    through :meth:`add` (or followed by :meth:`invalidate_analysis`), which
-    drops the cached :class:`~repro.core.rta.RTAContext` and running
-    utilization.  Replacing elements of ``subtasks`` in place without
-    invalidating is unsupported and would serve stale analysis results.
+    The processor owns one :class:`~repro.core.rta.RTAContext`, built on
+    first demand and from then on updated in place by :meth:`add`.
+    Mutate the subtask list only through :meth:`add` and
+    :meth:`remove_parent` (or call :meth:`invalidate_analysis` after
+    editing it): the context is not re-checked against ``subtasks``, so
+    an edit behind its back leaves admission answering for the old
+    contents.  :meth:`PartitionResult.validate` re-runs exact RTA from
+    scratch and so still reports such a processor.
     """
 
     index: int
@@ -89,23 +105,23 @@ class ProcessorState:
     def add(self, subtask: Subtask) -> None:
         """Assign *subtask* to this processor.
 
-        An existing analysis context is updated incrementally (prefix
-        responses kept, suffix warm-started) rather than discarded, so the
-        admission cache survives the mutation at O(n) cost.
+        An existing analysis context is updated in place (prefix responses
+        kept, suffix settled by the probe memo or deferred) rather than
+        discarded, so the admission cache survives the mutation at O(n)
+        cost.
         """
         if subtask.cost <= 0:
             raise ValueError("cannot assign a zero-cost subtask")
         ctx = self._ctx
-        if ctx is not None and len(ctx) == len(self.subtasks):
-            self._ctx = ctx.with_subtask(subtask)
-        else:
-            self._ctx = None
+        if ctx is not None:
+            ctx.insert(subtask)
         self.subtasks.append(subtask)
         self._util += subtask.utilization
 
     def invalidate_analysis(self) -> None:
-        """Drop cached analysis state after out-of-band mutation of
-        ``subtasks`` (normal code should only mutate via :meth:`add`)."""
+        """Drop the analysis context after out-of-band mutation of
+        ``subtasks`` (normal code only mutates via :meth:`add` and
+        :meth:`remove_parent`)."""
         self._ctx = None
         self._util = float(sum(s.utilization for s in self.subtasks))
 
@@ -141,36 +157,37 @@ class ProcessorState:
         return removed
 
     def rta_context(self) -> RTAContext:
-        """The cached analysis context, rebuilt only after mutation."""
+        """The processor's analysis context, built on first demand."""
         COUNTERS.ctx_requests += 1
         ctx = self._ctx
-        # The length guard catches out-of-band appends defensively; in-place
-        # element replacement cannot be detected and is unsupported.
-        if ctx is None or len(ctx) != len(self.subtasks):
+        if ctx is None:
             COUNTERS.ctx_builds += 1
-            ctx = RTAContext(self.subtasks)
-            self._ctx = ctx
+            ctx = self._ctx = RTAContext(self.subtasks)
         return ctx
 
-    def schedulable_with(self, candidate: Subtask) -> bool:
+    def schedulable_with(self, candidate: Candidate) -> bool:
         """Exact-RTA admission: does everything still meet its deadline if
         *candidate* joins this processor? (Assign routine, Algorithm 2).
 
-        Answered by the cached incremental context, decision-identical to
+        *candidate* is a :class:`~repro.core.task.Subtask` or a
+        :class:`PendingPiece` (its remainder assigned whole).  Candidates
+        that overflow the running utilization are rejected before the
+        context is fetched; the rest are answered by the context.  Every
+        call is one admission probe, decision-identical to
         ``is_schedulable(self.subtasks + [candidate])``.
         """
+        cost = candidate.cost
+        period = candidate.period
+        if self._util + cost / period > _UTIL_REJECT:
+            COUNTERS.admission_probes += 1
+            return False
         ctx = self._ctx
-        if ctx is None or len(ctx) != len(self.subtasks):
+        if ctx is None:
             ctx = self.rta_context()
-        return ctx.admits(
-            candidate.cost,
-            candidate.period,
-            candidate.deadline,
-            candidate.priority,
-        )
+        return ctx.admits(cost, period, candidate.deadline, candidate.priority)
 
     def is_schedulable(self) -> bool:
-        """Exact-RTA check of the current contents."""
+        """Exact-RTA check of the current contents (via the context)."""
         return self.rta_context().schedulable
 
     def body_subtasks(self) -> List[Subtask]:
@@ -216,6 +233,16 @@ class PendingPiece:
         return PendingPiece(task=task, cost=task.cost)
 
     @property
+    def period(self) -> float:
+        """Period of the task (every piece shares it)."""
+        return self.task.period
+
+    @property
+    def priority(self) -> int:
+        """Priority key of the task (its tid; smaller = higher)."""
+        return self.task.tid
+
+    @property
     def utilization(self) -> float:
         """Utilization of the remaining piece."""
         return self.cost / self.task.period
@@ -227,10 +254,12 @@ class PendingPiece:
         return self.task.period - self.body_response
 
     def as_candidate(self) -> Subtask:
-        """The remainder viewed as a subtask, for admission tests.
+        """The remainder as the subtask it would become if assigned
+        entirely now: WHOLE when the task was never split, TAIL otherwise.
 
-        Kind is what it *would be* if assigned entirely now: WHOLE when the
-        task was never split, TAIL otherwise.
+        Admission tests take the piece itself (it offers the same
+        ``cost``/``period``/``deadline``/``priority``), so this is built
+        only when a piece is committed.
         """
         kind = SubtaskKind.WHOLE if self.index == 1 else SubtaskKind.TAIL
         return Subtask(
@@ -242,15 +271,9 @@ class PendingPiece:
             kind=kind,
         )
 
-    def finalize(self, candidate: Optional[Subtask] = None) -> Subtask:
-        """Consume the piece: the remainder is assigned entirely.
-
-        *candidate* may pass back the subtask a preceding
-        :meth:`as_candidate` built for the admission test, provided the
-        piece was not mutated in between — it is returned as-is instead of
-        constructing an identical copy.
-        """
-        sub = candidate if candidate is not None else self.as_candidate()
+    def finalize(self) -> Subtask:
+        """Consume the piece: the remainder is assigned entirely."""
+        sub = self.as_candidate()
         self.cost = 0.0
         return sub
 
@@ -299,6 +322,20 @@ class PendingPiece:
         self.body_cost += first_cost
         self.body_response += response
         return body
+
+
+#: What an admission test probes: a subtask, or a pending piece standing
+#: for its remainder assigned whole (no ``Subtask`` built per probe).
+Candidate = Union[Subtask, PendingPiece]
+
+
+def least_utilized(procs: Sequence[ProcessorState]) -> ProcessorState:
+    """The worst-fit choice: the first processor of minimal utilization.
+
+    With *procs* in index order this is the ``(utilization, index)``
+    minimum, without building a key tuple per processor.
+    """
+    return min(procs, key=_UTIL)
 
 
 def build_split_views(processors: Sequence[ProcessorState]) -> Dict[int, SplitTaskView]:
@@ -449,7 +486,8 @@ class PartitionResult:
         3. each processor hosts at most one piece per task;
         4. at most one body subtask per processor, and it has the highest
            priority there among non-pre-assigned content (Lemma 2 / 14);
-        5. each processor passes exact RTA;
+        5. each processor passes exact RTA, re-run from scratch on its
+           subtask list (independent of the cached analysis context);
         6. consecutive pieces of a split task live on distinct processors.
 
         For EDF partitions (``info["scheduler"] == "edf"``) the
@@ -540,7 +578,10 @@ class PartitionResult:
                         errors.append(
                             f"processor {proc.index}: fails exact RTA"
                         )
-                elif not proc.is_schedulable():
+                elif not is_schedulable(proc.subtasks):
+                    # From scratch, not the processor's context: the
+                    # context trusts that ``subtasks`` changed only via
+                    # ``add``, which is what this rule must not assume.
                     errors.append(f"processor {proc.index}: fails exact RTA")
 
         for tid, view in views.items():

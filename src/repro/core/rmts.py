@@ -50,6 +50,7 @@ from repro.core.partition import (
     PendingPiece,
     ProcessorRole,
     ProcessorState,
+    least_utilized,
 )
 from repro.core.task import Subtask, Task, TaskSet
 
@@ -233,7 +234,7 @@ def partition_rmts(
     ]
     while queue and open_normal:
         piece = queue[0]
-        target = min(open_normal, key=lambda p: (p.utilization, p.index))
+        target = least_utilized(open_normal)  # index order: ties by index
         outcome = assign_piece(piece, target, policy)
         if target.full:
             open_normal.remove(target)

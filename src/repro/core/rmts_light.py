@@ -31,7 +31,12 @@ from typing import Deque, Optional
 from repro.core.admission import AdmissionPolicy, ExactRTAAdmission
 from repro.core.assign import assign_piece
 from repro.core.bounds import light_task_threshold
-from repro.core.partition import PartitionResult, PendingPiece, ProcessorState
+from repro.core.partition import (
+    PartitionResult,
+    PendingPiece,
+    ProcessorState,
+    least_utilized,
+)
 from repro.core.task import TaskSet
 
 __all__ = ["partition_rmts_light", "is_light_task_set"]
@@ -106,10 +111,12 @@ def partition_rmts_light(
     open_procs = [p for p in procs if not p.full]
     while queue and open_procs:
         piece = queue[0]
+        # open_procs stays in index order, so the first minimum breaks
+        # ties by index.
         if placement == "worst_fit":
-            target = min(open_procs, key=lambda p: (p.utilization, p.index))
+            target = least_utilized(open_procs)
         else:
-            target = min(open_procs, key=lambda p: p.index)
+            target = open_procs[0]
         outcome = assign_piece(piece, target, policy)
         if target.full:
             open_procs.remove(target)

@@ -260,10 +260,15 @@ class RTAContext:
     (property-tested in ``tests/core/test_rta_incremental.py``).  A NaN
     response means "not computed".
 
-    The context is logically immutable once built — internal state only
-    moves monotonically from "deferred" to "computed" (:meth:`_resolve`,
-    the probe memo); :class:`ProcessorState` owns invalidation (any
-    mutation of the subtask list drops its cached context).
+    The context is mutable and has one owner, a
+    :class:`~repro.core.partition.ProcessorState`, which updates it in
+    place through :meth:`insert` as subtasks are assigned and drops it on
+    any other mutation (departures).  Between insertions its state only
+    moves from "deferred" to "computed" (:meth:`_resolve`, the probe
+    memo).  Nothing else may edit the lists: an edit made behind the
+    owner's back is caught by the from-scratch check of
+    :meth:`PartitionResult.validate
+    <repro.core.partition.PartitionResult.validate>`, not by the context.
     """
 
     __slots__ = (
@@ -282,7 +287,7 @@ class RTAContext:
     )
 
     #: ``(cost, period, deadline, priority, merged responses)`` of the last
-    #: admitted probe, consumed by :meth:`with_subtask`.
+    #: admitted probe, consumed by :meth:`insert`.
     _memo: Optional[Tuple[float, float, float, int, List[float]]]
 
     def __init__(self, subtasks: Sequence[Subtask]) -> None:
@@ -325,13 +330,10 @@ class RTAContext:
                 break
             responses[i] = r
 
-    def __len__(self) -> int:
-        return len(self.costs)
-
     def _resolve(self) -> int:
         """Run the deferred exact RTA of any NaN response slots.
 
-        Lazy extensions (:meth:`with_subtask` on the general path) postpone
+        Lazy insertions (:meth:`insert` on the general path) postpone
         the suffix re-analysis: a body subtask lands on a processor that is
         marked full right after, so the fixed points are usually never
         needed again.  When they are — a later probe, a schedulability
@@ -479,7 +481,7 @@ class RTAContext:
                     return False
                 merged.append(r)
             # Remember the last admitted candidate's merged responses: when
-            # the caller commits it (ProcessorState.add -> with_subtask) the
+            # the caller commits it (ProcessorState.add -> insert) the
             # extended context is assembled without re-running any RTA.
             ctx._memo = (cost, period, float(deadline), priority, merged)
             return True
@@ -506,9 +508,10 @@ class RTAContext:
         period = float(period)
         u_c = cost / period
         pos = bisect_right(self.prio_list, priority)
-        if (
-            self._hyper_applies(pos, period, deadline)
-            and self.hyper_prod * (1.0 + u_c) <= 2.0 - 1e-9
+        # hyper_prod is inf unless everything is implicit-deadline, so the
+        # product test alone rules out most probes before the RM checks.
+        if self.hyper_prod * (1.0 + u_c) <= 2.0 - 1e-9 and self._hyper_applies(
+            pos, period, deadline
         ):
             COUNTERS.hyper_accepts += 1
             return True
@@ -585,9 +588,9 @@ class RTAContext:
             candidate.priority,
         )
 
-    def with_subtask(self, candidate: Subtask) -> "RTAContext":
-        """A new context with *candidate* inserted — the incremental
-        counterpart of rebuilding from the extended subtask list.
+    def insert(self, candidate: Subtask) -> None:
+        """Insert *candidate* in place — the incremental counterpart of
+        rebuilding the context from the extended subtask list.
 
         The unchanged higher-priority prefix keeps its cached responses
         verbatim; the candidate and the lower-priority suffix are settled
@@ -596,88 +599,80 @@ class RTAContext:
         values are bit-identical to a fresh build (same prefixes, same
         iteration maps, same sums), so
         :meth:`ProcessorState.add <repro.core.partition.ProcessorState.add>`
-        can maintain its cache in O(n) instead of O(n^2) per mutation.
+        maintains its context in O(n) instead of O(n^2) per mutation.
         """
-        new = RTAContext.__new__(RTAContext)
-        pos = bisect_right(self.prio_list, candidate.priority)
+        priority = candidate.priority
+        pos = bisect_right(self.prio_list, priority)
         cost = float(candidate.cost)
         period = float(candidate.period)
         deadline = float(candidate.deadline)
         u_c = cost / period
         periods = self.periods
-        # copy + insert: one allocation per list, the cheapest way to
-        # build the extended columns at these sizes.
-        new.costs = costs = self.costs.copy()
-        costs.insert(pos, cost)
-        new.periods = new_periods = periods.copy()
-        new_periods.insert(pos, period)
-        new.deadlines = deadlines = self.deadlines.copy()
-        deadlines.insert(pos, deadline)
-        new.ratios = ratios = self.ratios.copy()
-        ratios.insert(pos, u_c)
-        new.prio_list = prio_list = self.prio_list.copy()
-        prio_list.insert(pos, candidate.priority)
-        new.util_sum = pairwise_sum(ratios)
-        new.implicit = self.implicit and deadline == period  # repro-lint: disable=R1 (structural: split pieces have D < T)
-        new.rm_ordered = (
+        old_hyper = self.hyper_prod
+        old_fail = self.first_fail
+        self.rm_ordered = (
             self.rm_ordered
             and (pos == 0 or periods[pos - 1] <= period)
             and (pos == len(periods) or period <= periods[pos])
         )
+        self.costs.insert(pos, cost)
+        periods.insert(pos, period)
+        self.deadlines.insert(pos, deadline)
+        ratios = self.ratios
+        ratios.insert(pos, u_c)
+        self.prio_list.insert(pos, priority)
+        self.util_sum = pairwise_sum(ratios)
+        self.implicit = implicit = self.implicit and deadline == period  # repro-lint: disable=R1 (structural: split pieces have D < T)
         # Maintained as a running product: the new factor joins last, not
         # at its sorted position, so it may drift from a fresh build's
         # product by ulps, which the pre-accept margin absorbs.
-        new.hyper_prod = (
-            self.hyper_prod * (1.0 + u_c) if new.implicit else float("inf")
-        )
-        new._memo = None
+        self.hyper_prod = old_hyper * (1.0 + u_c) if implicit else float("inf")
         n = len(ratios)
         memo = self._memo
+        self._memo = None
         if (
             memo is not None
             and memo[0] == cost
             and memo[1] == period
             and memo[2] == deadline  # repro-lint: disable=R1 (memo key: identity of the exact floats probed)
-            and memo[3] == candidate.priority
+            and memo[3] == priority
         ):
             # The candidate was just admitted through a probe of this very
             # context; its merged fixed points are already exact.
-            new.responses = memo[4]
-            new.first_fail = -1
+            self.responses = memo[4]
+            self.first_fail = -1
             COUNTERS.ctx_memo_hits += 1
-            return new
+            return
+        responses = self.responses
         if (
-            new.implicit
-            and new.rm_ordered
-            and self.first_fail == -1
-            and self.hyper_prod * (1.0 + u_c) <= 2.0 - 1e-9
+            implicit
+            and self.rm_ordered
+            and old_fail == -1
+            and old_hyper * (1.0 + u_c) <= 2.0 - 1e-9
         ):
             # Hyperbolic sufficient accept: schedulability is settled, so
             # fixed points need not be computed now.  NaN responses mean
             # "no cached value" — later probes cold-start those slots.
-            new.responses = self.responses[:pos] + [_NAN] * (n - pos)
-            new.first_fail = -1
-            return new
-        if new.util_sum > 1.0 + EPS:
-            new.responses = [_NAN] * n
-            new.first_fail = -2
-            return new
-        if 0 <= self.first_fail < pos:
+            responses[pos:] = [_NAN] * (n - pos)
+            self.first_fail = -1
+            return
+        if self.util_sum > 1.0 + EPS:
+            self.responses = [_NAN] * n
+            self.first_fail = -2
+            return
+        if 0 <= old_fail < pos:
             # The old failure is in the unchanged prefix; it fails
             # identically in the extended set.
-            keep = self.first_fail
-            new.responses = self.responses[:keep] + [_NAN] * (n - keep)
-            new.first_fail = keep
-            return new
+            responses[old_fail:] = [_NAN] * (n - old_fail)
+            return
         # General path: defer the exact analysis.  This case is dominated
         # by body subtasks landing on a processor that is marked full
         # immediately afterwards (Algorithm 2), so the new fixed points are
         # usually never consulted; :meth:`_resolve` computes any slot that
         # is later needed, bit-identically to a fresh build.  The valid
         # prefix responses are kept (NaN slots stay "unknown").
-        new.responses = self.responses[:pos] + [_NAN] * (n - pos)
-        new.first_fail = -3
-        return new
+        responses[pos:] = [_NAN] * (n - pos)
+        self.first_fail = -3
 
 
 def first_failure(subtasks: Sequence[Subtask]) -> Optional[Subtask]:

@@ -1,10 +1,11 @@
 """The CI pipeline definitions must match the documented invocations.
 
-Tier-1, lint and mypy are documented in CONTRIBUTING.md and asserted
-here as exact command strings, so the workflows, the docs and the local
-developer commands cannot drift apart silently.  Assertions are
-text-based (a YAML parser is only used for structure when available) so
-this test runs in environments without PyYAML.
+Tier-1, the benchmark smoke, lint and mypy are documented in
+CONTRIBUTING.md and asserted here as exact command strings, so the
+workflows, the docs and the local developer commands cannot drift apart
+silently.  Assertions are text-based (a YAML parser is only used for
+structure when available) so this test runs in environments without
+PyYAML.
 """
 
 import os
@@ -23,6 +24,7 @@ TIER1_CMD = "PYTHONPATH=src python -m pytest -x -q"
 LINT_CMD = "PYTHONPATH=src python -m repro lint"
 MYPY_CMD = "mypy --config-file pyproject.toml"
 PERF_SMOKE_CMD = "PYTHONPATH=src python -m pytest -q -m perf_smoke"
+BENCH_SMOKE_CMD = "python3 perfbench/smoke.py"
 DRIFT_CMD = "python scripts/check_bench_drift.py"
 FLOW_BENCH_CMD = "python -m repro.lint.flow.bench_flow"
 LINT_BENCH_CMD = (
@@ -48,6 +50,7 @@ def test_workflow_files_exist():
 def test_ci_runs_the_documented_tier1_commands():
     text = CI.read_text()
     assert TIER1_CMD in text
+    assert BENCH_SMOKE_CMD in text
     assert LINT_CMD in text
     assert MYPY_CMD in text
 
@@ -290,7 +293,9 @@ def test_contributing_documents_the_same_commands():
     contributing = ROOT / "CONTRIBUTING.md"
     assert contributing.is_file(), "missing CONTRIBUTING.md"
     text = contributing.read_text()
-    for cmd in (TIER1_CMD, LINT_CMD, MYPY_CMD, KERNEL_SUITE_CMD):
+    for cmd in (
+        TIER1_CMD, BENCH_SMOKE_CMD, LINT_CMD, MYPY_CMD, KERNEL_SUITE_CMD
+    ):
         assert cmd in text, f"CONTRIBUTING.md must document: {cmd}"
 
 

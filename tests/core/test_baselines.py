@@ -94,6 +94,13 @@ class TestPartitionedNoSplit:
         with pytest.raises(ValueError):
             partition_no_split(harmonic_set, 2, admission="vibes")
 
+    @pytest.mark.parametrize("heuristic", list(FitHeuristic))
+    def test_unknown_admission_rejected_before_any_probe(self, heuristic):
+        # With no task to place, no probe would ever check the mode.
+        with pytest.raises(ValueError, match="unknown admission test"):
+            partition_no_split(TaskSet([]), 2, heuristic=heuristic,
+                               admission="bogus")
+
     def test_cannot_place_heavy_overload(self):
         ts = TaskSet.from_pairs([(9, 10), (9, 10), (9, 10)])
         result = partition_no_split(ts, 2)

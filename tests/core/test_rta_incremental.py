@@ -1,10 +1,10 @@
 """Property tests: the incremental RTA context vs the one-shot analysis.
 
-The cached-context admission path (`RTAContext.admits`, `with_subtask`,
-lazy deferred resolution) must be *decision- and value-identical* to the
-straightforward rebuild-per-probe path (`is_schedulable`,
-`response_times`, `max_split(..., context=None)`), which is kept as the
-reference oracle.  These tests drive both on randomized processors —
+The cached-context admission path (`RTAContext.admits`, in-place
+`insert`, lazy deferred resolution) must be *decision- and
+value-identical* to the straightforward rebuild-per-probe path
+(`is_schedulable`, `response_times`, `max_split(..., context=None)`),
+which is kept as the reference oracle.  These tests drive both on randomized processors —
 random seeds come from hypothesis, the processor contents from a NumPy
 generator derived from them, so failures replay exactly.
 """
@@ -19,12 +19,13 @@ from hypothesis import strategies as st
 from repro._util.floats import EPS
 from repro.core.admission import ExactRTAAdmission
 from repro.core.maxsplit import max_split
-from repro.core.partition import ProcessorState
+from repro.core.partition import PendingPiece, ProcessorState
 from repro.core.rta import RTAContext, is_schedulable, response_times
 from repro.core.rmts import partition_rmts
 from repro.core.rmts_light import partition_rmts_light
 from repro.core.baselines import partition_no_split
 from repro.core.task import Subtask, Task
+from repro.perf.telemetry import COUNTERS
 from repro.taskgen.generators import TaskSetGenerator
 
 seeds = st.integers(min_value=0, max_value=10_000)
@@ -116,6 +117,20 @@ def same_floats(got, want):
         assert (a != a and b != b) or a == b
 
 
+def same_columns(got, want):
+    """The sorted columns and everything derived from them are
+    bit-identical.  The running hyperbolic product is not compared: it
+    multiplies in insertion order, which the pre-accept margin absorbs."""
+    assert got.costs == want.costs
+    assert got.periods == want.periods
+    assert got.deadlines == want.deadlines
+    assert got.ratios == want.ratios
+    assert got.prio_list == want.prio_list
+    assert got.util_sum == want.util_sum
+    assert got.implicit == want.implicit
+    assert got.rm_ordered == want.rm_ordered
+
+
 class TestContextMatchesOneShot:
     @given(seed=seeds)
     @settings(max_examples=150, deadline=None)
@@ -151,34 +166,55 @@ class TestContextMatchesOneShot:
 
     @given(seed=seeds)
     @settings(max_examples=150, deadline=None)
-    def test_with_subtask_equals_fresh_build(self, seed):
+    def test_insert_equals_fresh_build(self, seed):
         subs = random_subtasks(seed)
         candidate = random_candidate(seed, len(subs))
-        grown = RTAContext(subs).with_subtask(candidate)
+        grown = RTAContext(subs)
+        grown.insert(candidate)
         fresh = RTAContext(merged(subs, candidate))
+        same_columns(grown, fresh)
         assert grown.schedulable == fresh.schedulable
-        # After resolution both contexts expose the same computed values.
-        for got, want in zip(grown.responses, fresh.responses):
-            if got == got and want == want:
-                assert got == want
-        assert grown.util_sum == pytest.approx(fresh.util_sum, abs=1e-12)
+        assert grown.first_fail == fresh.first_fail
+        if fresh.schedulable:
+            grown._resolve()
+            same_floats(grown.responses, fresh.responses)
 
     @given(seed=seeds)
     @settings(max_examples=100, deadline=None)
-    def test_admits_then_with_subtask_stays_consistent(self, seed):
+    def test_admits_then_insert_stays_consistent(self, seed):
         """The probe memo fast path must not corrupt the grown context."""
         subs = random_subtasks(seed)
         candidate = random_candidate(seed, len(subs))
         ctx = RTAContext(subs)
         if not ctx.admits_subtask(candidate):
             return
-        grown = ctx.with_subtask(candidate)
-        assert grown.schedulable
+        ctx.insert(candidate)
+        assert ctx._memo is None
         fresh = RTAContext(merged(subs, candidate))
-        assert fresh.schedulable
-        for got, want in zip(grown.responses, fresh.responses):
-            if got == got and want == want:
-                assert got == want
+        assert fresh.schedulable and ctx.schedulable
+        same_columns(ctx, fresh)
+        # A hyperbolic accept arms no memo and leaves the suffix NaN.
+        ctx._resolve()
+        same_floats(ctx.responses, fresh.responses)
+
+    @given(seed=seeds)
+    @settings(max_examples=60, deadline=None)
+    def test_insert_sequence_equals_fresh_build(self, seed):
+        """Several in-place insertions, probed or not, leave the same
+        context a fresh build of the final contents gives."""
+        subs = random_subtasks(seed, n=6)
+        ctx = RTAContext(subs[:2])
+        for i, sub in enumerate(subs[2:]):
+            if i % 2:
+                ctx.admits_subtask(sub)  # may arm the probe memo
+            ctx.insert(sub)
+        fresh = RTAContext(subs)
+        same_columns(ctx, fresh)
+        assert ctx.schedulable == fresh.schedulable
+        assert ctx.first_fail == fresh.first_fail
+        if fresh.schedulable:
+            ctx._resolve()
+            same_floats(ctx.responses, fresh.responses)
 
 
 class TestLargeProcessors:
@@ -212,15 +248,15 @@ class TestLargeProcessors:
 
     @given(seed=seeds)
     @settings(max_examples=60, deadline=None)
-    def test_with_subtask_equals_fresh_build(self, seed):
+    def test_insert_equals_fresh_build(self, seed):
         subs = many_subtasks(seed)
         candidate = small_candidate(seed, len(subs))
-        ctx = RTAContext(subs)
-        ctx.admits_subtask(candidate)  # may arm the probe memo
-        grown = ctx.with_subtask(candidate)
+        grown = RTAContext(subs)
+        grown.admits_subtask(candidate)  # may arm the probe memo
+        grown.insert(candidate)
         fresh = RTAContext(merged(subs, candidate))
+        same_columns(grown, fresh)
         assert grown.schedulable == fresh.schedulable
-        assert grown.util_sum == fresh.util_sum
         assert grown.first_fail == fresh.first_fail
         if fresh.schedulable:
             grown._resolve()
@@ -310,3 +346,162 @@ class TestEndToEndPartitionEquality:
                         (s.cost, s.period, s.deadline, s.priority)
                         for s in p_inc.subtasks
                     ]
+
+
+def loaded_processor(subs):
+    proc = ProcessorState(index=0)
+    for sub in subs:
+        proc.add(sub)
+    return proc
+
+
+def random_piece(seed: int, n_existing: int) -> PendingPiece:
+    """A pending piece at any priority slot; sometimes already split, so
+    its synthetic deadline is shorter than its period."""
+    candidate = random_candidate(seed, n_existing)
+    piece = PendingPiece.of(candidate.parent)
+    rng = np.random.default_rng(seed + 313)
+    if rng.random() < 0.5:
+        piece.split_off(float(rng.uniform(0.1, 0.6)) * piece.cost)
+    return piece
+
+
+class TestLeanAdmissionPath:
+    """The probe shortcuts of ``ProcessorState.schedulable_with`` answer
+    exactly like the context they bypass."""
+
+    @given(seed=seeds)
+    @settings(max_examples=150, deadline=None)
+    def test_piece_probe_equals_subtask_probe(self, seed):
+        """A pending piece probes like the subtask it would become: same
+        decision, same counter increments, and committing it leaves the
+        same context."""
+        subs = random_subtasks(seed)
+        piece = random_piece(seed, len(subs))
+        by_piece, by_subtask = loaded_processor(subs), loaded_processor(subs)
+        if seed % 2:  # half the time the contexts are warm already
+            by_piece.rta_context()
+            by_subtask.rta_context()
+        before = COUNTERS.snapshot()
+        got = by_piece.schedulable_with(piece)
+        piece_delta = COUNTERS.delta_since(before)
+        before = COUNTERS.snapshot()
+        want = by_subtask.schedulable_with(piece.as_candidate())
+        assert COUNTERS.delta_since(before) == piece_delta
+        assert got == want
+        assert got == is_schedulable(merged(subs, piece.as_candidate()))
+        if got:
+            sub = piece.finalize()
+            by_piece.add(sub)
+            by_subtask.add(sub)
+            same_columns(by_piece.rta_context(), by_subtask.rta_context())
+            same_floats(
+                by_piece.rta_context().responses,
+                by_subtask.rta_context().responses,
+            )
+
+    @given(seed=seeds)
+    @settings(max_examples=60, deadline=None)
+    def test_utilization_check_agrees_with_admits(self, seed):
+        """Candidates whose utilization lands within 3e-10 of ``1 + EPS``
+        on top of the running sum: the early reject fires above the
+        margin, and every decision equals ``RTAContext.admits`` and the
+        from-scratch oracle.  With one common period exact RTA accepts
+        right up to the edge, so both decisions occur."""
+        period = 1.0
+        subs = many_subtasks(seed, period=period)
+        if loaded_processor(subs).utilization >= 0.99:
+            return
+        tid = 2 * int(np.random.default_rng(seed).integers(0, len(subs) + 1)) - 1
+        seen = set()
+        for offset in np.linspace(-3e-10, 3e-10, 25):
+            proc = loaded_processor(subs)
+            cost = (1.0 + EPS + float(offset) - proc.utilization) * period
+            candidate = Subtask(
+                cost=cost, period=period, deadline=period,
+                parent=Task(cost=cost, period=period, tid=tid),
+            )
+            got = proc.schedulable_with(candidate)
+            assert got == RTAContext(subs).admits_subtask(candidate)
+            assert got == is_schedulable(merged(subs, candidate))
+            early = proc.utilization + cost / period > 1.0 + EPS + 2e-10
+            # The early reject never fetches (or builds) the context.
+            assert (proc._ctx is None) == early
+            seen.add(got)
+        assert seen == {True, False}
+
+    @given(seed=seeds)
+    @settings(max_examples=60, deadline=None)
+    def test_add_keeps_the_one_context(self, seed):
+        """``add`` updates the processor's one context in place; the
+        context object is never replaced while tasks are only added."""
+        subs = random_subtasks(seed, n=6)
+        proc = ProcessorState(index=0)
+        ctx = proc.rta_context()
+        for sub in subs:
+            proc.schedulable_with(sub)
+            proc.add(sub)
+            assert proc.rta_context() is ctx
+        same_columns(ctx, RTAContext(subs))
+
+
+def skip_check_value(ctx, pos, deadline, cost_j, j, period_new):
+    """The margin-guarded skip value MaxSplit computes for one
+    constraint (``j is None`` for the piece's own), in its scalar order."""
+    from math import ceil
+
+    if j is None:
+        quick = deadline
+        for c, t in zip(ctx.costs[:pos], ctx.periods[:pos]):
+            quick -= ceil(deadline / t - EPS) * c
+        return quick
+    quick = deadline - cost_j
+    for c, t in zip(ctx.costs[:j], ctx.periods[:j]):
+        quick -= ceil(deadline / t - EPS) * c
+    return quick / ceil(deadline / period_new - EPS)
+
+
+class TestMaxSplitSkipBoundary:
+    @given(seed=seeds)
+    @settings(max_examples=100, deadline=None)
+    def test_context_equals_reference_at_the_skip_boundary(self, seed):
+        """Piece costs a few ulps either side of where a constraint's
+        skip check flips: the context path (scalar skip checks) returns
+        the same float as ``context=None`` on both sides."""
+        from bisect import bisect_right
+
+        from repro.core.maxsplit import max_split_points
+
+        subs = random_subtasks(seed)
+        ctx = RTAContext(subs)
+        rng = np.random.default_rng(seed + 4242)
+        tid = 2 * int(rng.integers(0, len(subs) + 1)) - 1
+        pos = bisect_right(ctx.prio_list, tid)
+        period = float(rng.uniform(4.0, 64.0))
+        # The piece's own constraint, or the lowest-priority one.
+        if pos == len(subs) or rng.random() < 0.3:
+            target = skip_check_value(ctx, pos, period, 0.0, None, period)
+        else:
+            j = len(subs) - 1
+            target = skip_check_value(
+                ctx, pos, ctx.deadlines[j], ctx.costs[j], j, period
+            )
+        base = (target - 1e-9) / (1.0 + 1e-9)
+        if not 1e-6 < base < period:
+            return
+        costs = [base]
+        for _ in range(4):
+            costs.append(float(np.nextafter(costs[-1], np.inf)))
+            costs.insert(0, float(np.nextafter(costs[0], -np.inf)))
+        sides = set()
+        for cost in costs:
+            sides.add(cost * (1.0 + 1e-9) + 1e-9 <= target)
+        # Coarser steps too, where the constraint is far from skippable
+        # and usually binds.
+        costs += [f * base for f in (0.5, 0.9, 1.1, 1.5) if f * base < period]
+        for cost in costs:
+            piece = PendingPiece.of(Task(cost=cost, period=period, tid=tid))
+            assert max_split_points(subs, piece, context=ctx) == (
+                max_split_points(subs, piece, context=None)
+            )
+        assert sides == {True, False}

@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.partition import PartitionResult, ProcessorState
 from repro.core.rmts import partition_rmts
+from repro.core.rta import is_schedulable
 from repro.core.task import Subtask, SubtaskKind, Task, TaskSet
 
 
@@ -101,6 +102,26 @@ class TestScheduleCorruption:
         proc.subtasks.append(Subtask.whole(intruder))
         errors = good_partition.validate()
         assert any("RTA" in e for e in errors)
+
+    def test_in_place_replacement_behind_a_warm_context_detected(
+        self, good_partition
+    ):
+        """Rule 5 re-runs exact RTA from scratch: replacing a subtask in
+        place leaves the processor's warm context describing the old
+        contents, and validation must not trust it."""
+        proc, i = next(
+            (proc, i)
+            for proc in good_partition.processors
+            for i, sub in enumerate(proc.subtasks)
+            if sub.kind is SubtaskKind.WHOLE
+        )
+        assert proc.is_schedulable()  # warms the cached context
+        sub = proc.subtasks[i]
+        proc.subtasks[i] = rebuild_subtask(sub, cost=0.99 * sub.period)
+        assert proc.is_schedulable()  # the stale context still says yes
+        assert not is_schedulable(proc.subtasks)
+        errors = good_partition.validate()
+        assert f"processor {proc.index}: fails exact RTA" in errors
 
     def test_body_priority_violation_detected(self):
         # hand-build: a body subtask sharing a processor with a
