@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy.stats import norm
 
 from repro._util.validation import check_positive
 
@@ -39,6 +38,10 @@ def z_score(confidence: float) -> float:
 
     ``z_score(0.95)`` is the familiar ``1.95996...``.
     """
+    # Imported here: ``scipy.stats`` takes over a second to load, which
+    # every ``repro`` command would otherwise pay at start-up.
+    from scipy.stats import norm
+
     _check_confidence(confidence)
     return float(norm.ppf(0.5 * (1.0 + confidence)))
 

@@ -24,8 +24,6 @@ from repro.core.task import TaskSet
 
 __all__ = [
     "PARTITIONERS",
-    "kernel_checked_algorithms",
-    "kernel_checked_test",
     "standard_algorithms",
     "rmts_test",
     "rmts_light_test",
@@ -71,62 +69,6 @@ def rmts_light_test(**kwargs) -> AcceptanceTest:
         return partition_rmts_light(taskset, processors, **kwargs).success
 
     return test
-
-
-def kernel_checked_test(partitioner: Partitioner) -> AcceptanceTest:
-    """Wrap a partitioner into a kernel-cross-checked acceptance test.
-
-    When ``perf.config.kernel_batching`` is on, every *successful*
-    fixed-priority partition is revalidated through one batched-RTA
-    kernel call over all of its processors (``repro.core.kernel``).  By
-    Lemma 4 success implies schedulability, so a disagreement can only
-    mean a divergence between the incremental admission path and the
-    cold batched check — the wrapper raises rather than silently
-    flipping the verdict, making sweeps a continuous bit-identity
-    tripwire.  With the toggle off (the default) this is exactly
-    ``partitioner(...).success``.
-    """
-
-    def test(taskset: TaskSet, processors: int) -> bool:
-        from repro.perf import config as perf_config
-
-        result = partitioner(taskset, processors)
-        if not result.success:
-            return False
-        if perf_config.kernel_batching and result.scheduler == "fixed":
-            from repro.core.kernel import validate_processors
-
-            verdicts = validate_processors(result.processors)
-            if not all(verdicts):
-                bad = [
-                    result.processors[i].index
-                    for i, ok in enumerate(verdicts)
-                    if not ok
-                ]
-                raise RuntimeError(
-                    f"kernel revalidation disagrees with "
-                    f"{result.algorithm}: processors {bad} fail batched "
-                    f"RTA on a successful partition"
-                )
-        return True
-
-    return test
-
-
-def kernel_checked_algorithms(
-    names: Union[list, None] = None,
-) -> Dict[str, AcceptanceTest]:
-    """Kernel-cross-checked acceptance tests for PARTITIONERS entries.
-
-    The menu sweeps and the frontier search use when batched
-    revalidation is wanted; *names* defaults to every registered
-    partitioner.
-    """
-    selected = list(PARTITIONERS) if names is None else list(names)
-    unknown = [n for n in selected if n not in PARTITIONERS]
-    if unknown:
-        raise KeyError(f"unknown partitioners: {unknown}")
-    return {n: kernel_checked_test(PARTITIONERS[n]) for n in selected}
 
 
 def standard_algorithms(

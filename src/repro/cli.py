@@ -22,6 +22,11 @@ import sys
 from typing import List, Optional
 
 from repro._util.floats import approx_le
+from repro._util.validation import (
+    as_finite_float,
+    check_nonnegative,
+    check_positive,
+)
 from repro.core.bounds import (
     ALL_BOUNDS,
     HarmonicChainBound,
@@ -46,6 +51,11 @@ from repro.taskgen.workloads import build_workload, preset_names
 #: Algorithm registry for the CLI — the same table the admission service
 #: dispatches on (see :data:`repro.analysis.algorithms.PARTITIONERS`).
 ALGORITHMS = PARTITIONERS
+
+#: Cap on ``repro sweep`` grid levels: a step far below the grid's span
+#: (or below float resolution, where ``u += step`` stops advancing)
+#: would otherwise grow the grid without bound.
+_MAX_SWEEP_LEVELS = 10_000
 
 BOUNDS = {
     "ll": LiuLaylandBound,
@@ -74,6 +84,7 @@ def load_taskset(path: str) -> TaskSet:
 
 
 def cmd_bounds(args) -> int:
+    check_nonnegative("--processors", args.processors)
     ts = load_taskset(args.taskfile)
     n = len(ts)
     print(f"N={n}, U={ts.total_utilization:.4f}, "
@@ -161,15 +172,23 @@ def cmd_sweep(args) -> int:
     )
     from repro.perf.telemetry import COUNTERS, StageTimes, write_bench_json
 
-    if args.u_max < args.u_min:
+    u_min = as_finite_float("--u-min", args.u_min)
+    u_max = as_finite_float("--u-max", args.u_max)
+    u_step = check_positive("--u-step", as_finite_float("--u-step", args.u_step))
+    if u_max < u_min:
         raise ValueError("--u-max must be >= --u-min")
     if args.resume and not args.store:
         raise ValueError("--resume needs --store PATH")
     u_grid = []
-    u = args.u_min
-    while u <= args.u_max + 1e-9:
+    u = u_min
+    while u <= u_max + 1e-9:
+        if len(u_grid) == _MAX_SWEEP_LEVELS:
+            raise ValueError(
+                f"--u-step {u_step!r} gives more than {_MAX_SWEEP_LEVELS} "
+                f"utilization levels"
+            )
         u_grid.append(round(u, 6))
-        u += args.u_step
+        u += u_step
     gen = TaskSetGenerator(n=args.n, period_model=args.periods)
     if args.light:
         gen = gen.light()

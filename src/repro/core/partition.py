@@ -498,25 +498,6 @@ class PartitionResult:
         views = self.split_views()
         edf = self.scheduler == "edf"
 
-        # Batched-RTA path (perf.config.kernel_batching): one kernel
-        # batch answers every processor's exact-RTA check up front,
-        # verdict-identical to the per-processor loop below.
-        kernel_verdicts: Optional[Dict[int, bool]] = None
-        if (
-            self.success
-            and not edf
-            and not structural_only
-            and perf_config.kernel_batching
-        ):
-            from repro.core.kernel import validate_processors
-
-            kernel_verdicts = dict(
-                zip(
-                    (proc.index for proc in self.processors),
-                    validate_processors(self.processors),
-                )
-            )
-
         if self.success:
             departed = set(self.removed_tids())
             missing = [
@@ -572,11 +553,6 @@ class PartitionResult:
                     if not edf_schedulable(proc.subtasks):
                         errors.append(
                             f"processor {proc.index}: fails exact DBF test"
-                        )
-                elif kernel_verdicts is not None:
-                    if not kernel_verdicts[proc.index]:
-                        errors.append(
-                            f"processor {proc.index}: fails exact RTA"
                         )
                 elif not is_schedulable(proc.subtasks):
                     # From scratch, not the processor's context: the

@@ -48,7 +48,6 @@ __all__ = [
     "is_schedulable",
     "RTAResult",
     "RTAContext",
-    "rta_arrays",
     "first_failure",
     "utilization_headroom",
     "hyperbolic_bound_holds",
@@ -156,24 +155,6 @@ def _sorted_columns(
         [float(s.cost) for s in ordered],
         [float(s.period) for s in ordered],
         [float(s.deadline) for s in ordered],
-    )
-
-
-def rta_arrays(
-    subtasks: Sequence[Subtask],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Decompose *subtasks* into ``(costs, periods, deadlines, priorities)``
-    arrays sorted by priority (highest first).
-
-    The sort key is the parent task id, which equals the RMS priority by
-    :class:`repro.core.task.TaskSet` construction.
-    """
-    ordered, costs, periods, deadlines = _sorted_columns(subtasks)
-    return (
-        np.array(costs, dtype=float),
-        np.array(periods, dtype=float),
-        np.array(deadlines, dtype=float),
-        np.array([s.priority for s in ordered], dtype=int),
     )
 
 

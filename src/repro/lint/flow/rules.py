@@ -46,11 +46,6 @@ _R11_SANCTIONED_MODULES = (
     "repro.perf.telemetry",
     "repro.perf.config",
     "repro.obs.",
-    # Per-process native-library handle of the batched RTA kernel: the
-    # lazy ctypes load is idempotent and deliberately process-local
-    # (each forked worker attaches its own handle; the compiled .so is
-    # shared through the on-disk cache, not through memory).
-    "repro.core.kernel.native",
 )
 _R11_SANCTIONED_ROOTS = {"COUNTERS"}
 

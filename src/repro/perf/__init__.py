@@ -6,20 +6,10 @@ without cycles.  See ``DESIGN.md`` §5 for the cache-invalidation contract
 and the ``BENCH_sweep.json`` schema.
 """
 
-from repro.perf.config import (
-    kernel_backend_name,
-    kernel_batching_enabled,
-    use_kernel_backend,
-    use_kernel_batching,
-)
 from repro.perf.telemetry import COUNTERS, PerfCounters, StageTimes
 
 __all__ = [
     "COUNTERS",
     "PerfCounters",
     "StageTimes",
-    "kernel_backend_name",
-    "kernel_batching_enabled",
-    "use_kernel_backend",
-    "use_kernel_batching",
 ]

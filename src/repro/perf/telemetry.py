@@ -64,13 +64,6 @@ _FIELDS = (
     "se_levels",          # utilization levels classified by the mapper
     "se_ce_rounds",       # cross-entropy refinement rounds completed
     "se_witnesses",       # adversarial witness records emitted
-    # -- batched RTA kernel (repro.core.kernel) -----------------------------
-    "krn_batches",        # evaluate_batch() invocations
-    "krn_requests",       # processor checks evaluated through the kernel
-    "krn_lanes",          # fixed-point lanes dispatched (post-precheck)
-    "krn_lane_iterations",  # iterations actually run, incl. past short-circuits
-    "krn_native_calls",   # lane buckets executed by the native C backend
-    "krn_fallbacks",      # native requests served by numpy instead
 )
 
 

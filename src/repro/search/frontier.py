@@ -43,18 +43,9 @@ __all__ = [
 
 
 def acceptance_test_for(algorithm: str) -> AcceptanceTest:
-    """The PARTITIONERS entry as a boolean acceptance test.
-
-    Honors ``perf.config.kernel_batching``: with the toggle on, every
-    frontier probe's successful fixed-priority partition is revalidated
-    through one batched-RTA kernel call (see
-    :func:`repro.analysis.algorithms.kernel_checked_test`), so a
-    Wilson level's probe batch doubles as a bit-identity tripwire for
-    the vectorized kernel.  The verdict stream is unchanged either way.
-    """
-    from repro.analysis.algorithms import kernel_checked_test
-
-    return kernel_checked_test(PARTITIONERS[algorithm])
+    """The PARTITIONERS entry as a boolean acceptance test."""
+    partitioner = PARTITIONERS[algorithm]
+    return lambda ts, m: partitioner(ts, m).success
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,6 @@ from repro.core.serialization import partition_to_dict
 from repro.core.task import TaskSet
 from repro.obs import metrics as _obs_metrics
 from repro.obs import trace as _obs_trace
-from repro.perf import config as perf_config
 from repro.perf.telemetry import COUNTERS
 from repro.runner import chunked_map
 from repro.service.cache import LRUCache, admit_cache_key
@@ -99,11 +98,6 @@ class ServiceConfig:
     cluster_queue_limit: int = 8
     #: wall-clock seconds before a queued cluster tenant expires.
     cluster_max_wait: float = 300.0
-    #: revalidate every admitted ``/v1/batch`` partition through one
-    #: batched-RTA kernel call (``repro.core.kernel``); each admitted
-    #: body gains ``"kernel_validated"``.  Also armed by the
-    #: ``perf.config.kernel_batching`` toggle.
-    kernel_validate: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -207,39 +201,6 @@ def _bounds_body(
         body["normalized_utilization"] = u_norm
         body["guaranteed_schedulable"] = bool(u_norm <= lam + EPS)
     return body
-
-
-def _kernel_validate_bodies(bodies: List[Dict[str, object]]) -> None:
-    """Revalidate admitted batch bodies through one kernel batch.
-
-    Every admitted fixed-priority body's serialized partition is rebuilt
-    and all of their processors pooled into a *single*
-    :func:`repro.core.kernel.check_subtask_lists` call; each admitted
-    body gains ``"kernel_validated"`` (True when every one of its
-    processors passes the batched cold RTA — by Lemma 4 always, so a
-    False is a cross-path divergence signal, not a verdict change).
-    Bodies stay deterministic: the flag depends only on the request.
-    """
-    from repro.core.kernel import check_subtask_lists
-    from repro.core.serialization import partition_from_dict
-
-    spans: List[Tuple[Dict[str, object], int, int]] = []
-    lists = []
-    for body in bodies:
-        part_dict = body.get("partition")
-        if not (body.get("admitted") and isinstance(part_dict, dict)):
-            continue
-        result = partition_from_dict(part_dict)
-        if result.scheduler != "fixed":
-            continue
-        start = len(lists)
-        lists.extend(proc.subtasks for proc in result.processors)
-        spans.append((body, start, len(lists)))
-    if not lists:
-        return
-    outcome = check_subtask_lists(lists)
-    for body, start, stop in spans:
-        body["kernel_validated"] = bool(outcome.verdicts[start:stop].all())
 
 
 def _batch_worker(payload, item) -> Dict[str, object]:
@@ -439,8 +400,6 @@ class AdmissionService:
             payload=self.config.inject_delay,
             jobs=self.config.jobs,
         )
-        if self.config.kernel_validate or perf_config.kernel_batching:
-            _kernel_validate_bodies(results)
         for i, body in zip(pending, results):
             plan.bodies[i] = body
             self.cache.put(plan.keys[i], body)

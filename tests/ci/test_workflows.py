@@ -30,16 +30,6 @@ FLOW_BENCH_CMD = "python -m repro.lint.flow.bench_flow"
 LINT_BENCH_CMD = (
     "PYTHONPATH=src python -m repro lint --bench-json fresh/BENCH_lint.json"
 )
-KERNEL_SUITE_CMD = "PYTHONPATH=src python -m pytest -q -m kernel"
-KERNEL_EQUIV_CMD = (
-    "PYTHONPATH=src python -m repro.perf.bench_kernel_batch "
-    "--equivalence-only --samples 25 --seed 0"
-)
-KERNEL_BENCH_CMD = (
-    "PYTHONPATH=src python -m repro.perf.bench_kernel_batch "
-    "--samples 100 --repeats 5 --seed 0 "
-    "--out fresh/BENCH_kernel_batch.json"
-)
 
 
 def test_workflow_files_exist():
@@ -79,21 +69,6 @@ def test_ci_flow_job_gates_and_uploads_sarif():
     assert "--format sarif" in text
     assert "actions/upload-artifact@v4" in text
     assert "flow.sarif" in text
-
-
-def test_ci_kernel_matrix_covers_backends_and_numpy_generations():
-    text = CI.read_text()
-    assert "kernel-matrix:" in text, "CI must have a kernel-matrix job"
-    assert KERNEL_SUITE_CMD in text
-    assert KERNEL_EQUIV_CMD in text
-    # Old and new numpy generations; 1.21 has no 3.12 wheels, so the
-    # matrix uses explicit includes instead of a full product.
-    assert '"1.21.*"' in text
-    assert '"1.26.*"' in text
-    assert '"2.*"' in text
-    assert 'pip install "numpy==${{ matrix.numpy-version }}"' in text
-    # One leg must prove the no-compiler fallback path.
-    assert "REPRO_KERNEL_NATIVE" in text
 
 
 def test_ci_guards_against_committed_bytecode():
@@ -187,45 +162,23 @@ def test_committed_search_benchmark_meets_the_efficiency_contract():
     assert determinism["witness_replay_confirmed"] is True
 
 
-def test_nightly_regenerates_kernel_batch_benchmark():
-    text = NIGHTLY.read_text()
-    assert KERNEL_BENCH_CMD in text
-
-
-def test_nightly_kernel_params_match_committed_kernel_config():
-    import json
-
-    artifact = ROOT / "benchmarks" / "results" / "BENCH_kernel_batch.json"
-    if not artifact.is_file():
-        pytest.skip("no committed BENCH_kernel_batch.json")
-    config = json.loads(artifact.read_text())["config"]
-    kernel_line = next(
-        line for line in NIGHTLY.read_text().splitlines()
-        if "repro.perf.bench_kernel_batch" in line
+def test_every_committed_bench_artifact_is_regenerated_nightly():
+    # The drift gate pairs baseline and fresh artifacts by file name and
+    # skips one-sided ones, so a committed baseline that no nightly step
+    # regenerates would never be gated.
+    run_lines = [
+        line.strip() for line in NIGHTLY.read_text().splitlines()
+        if line.strip().startswith("run:")
+    ]
+    committed = sorted(
+        (ROOT / "benchmarks" / "results").glob("BENCH_*.json")
     )
-    assert f"--samples {config['samples']}" in kernel_line
-    assert f"--repeats {config['repeats']}" in kernel_line
-    assert f"--seed {config['seed']}" in kernel_line
-
-
-def test_committed_kernel_benchmark_meets_the_speedup_contract():
-    import json
-
-    artifact = ROOT / "benchmarks" / "results" / "BENCH_kernel_batch.json"
-    if not artifact.is_file():
-        pytest.skip("no committed BENCH_kernel_batch.json")
-    payload = json.loads(artifact.read_text())
-    contract = payload["contract"]
-    assert contract["speedup_ok"] is True
-    assert contract["min_speedup"] >= 10.0
-    assert contract["backend"] == "kernel-numpy"
-    equivalence = payload["equivalence"]
-    assert equivalence["verdicts_identical"] is True
-    assert equivalence["counters_identical"] is True
-    # The committed artifact must match the committed sweep shape.
-    config = payload["config"]
-    assert (config["processors"], config["n"]) == (8, 24)
-    assert config["u_grid_points"] == 19
+    assert committed, "no committed BENCH_*.json baselines"
+    for artifact in committed:
+        target = f"fresh/{artifact.name}"
+        assert any(target in line.split() for line in run_lines), (
+            f"no nightly step writes {target}"
+        )
 
 
 def test_nightly_gates_on_bench_drift_and_uploads_artifacts():
@@ -293,9 +246,7 @@ def test_contributing_documents_the_same_commands():
     contributing = ROOT / "CONTRIBUTING.md"
     assert contributing.is_file(), "missing CONTRIBUTING.md"
     text = contributing.read_text()
-    for cmd in (
-        TIER1_CMD, BENCH_SMOKE_CMD, LINT_CMD, MYPY_CMD, KERNEL_SUITE_CMD
-    ):
+    for cmd in (TIER1_CMD, BENCH_SMOKE_CMD, LINT_CMD, MYPY_CMD):
         assert cmd in text, f"CONTRIBUTING.md must document: {cmd}"
 
 

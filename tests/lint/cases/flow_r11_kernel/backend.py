@@ -1,11 +1,10 @@
 """Kernel-backend-style per-process handle cache.
 
-Mirrors the shape of ``repro.core.kernel.native``: a module-global
-handle populated lazily on first use.  Inside a fork-pool worker that
-mutation never reaches the parent — harmless for an idempotent load
-cache, which is why the real module is sanctioned by name in
-``_R11_SANCTIONED_MODULES``, but R11 must flag the pattern anywhere
-else.
+A module-global handle populated lazily on first use, the shape a
+native-library loader takes.  Inside a fork-pool worker that mutation
+never reaches the parent.  Even where such an idempotent load cache is
+harmless, R11 must flag the pattern unless the module is sanctioned by
+name in ``_R11_SANCTIONED_MODULES`` or the line carries a pragma.
 """
 
 _HANDLES = {}

@@ -101,16 +101,6 @@ def test_r7_suppressed_fixture_really_has_drift():
     assert codes == {"R7"}
 
 
-def test_native_kernel_backend_is_r11_sanctioned():
-    # repro.core.kernel.native caches a per-process ctypes handle in
-    # module globals by design (idempotent lazy load; the compiled .so is
-    # shared via an on-disk cache, not via fork-inherited state), so it is
-    # sanctioned by name rather than silenced with inline pragmas.
-    from repro.lint.flow.rules import _R11_SANCTIONED_MODULES
-
-    assert "repro.core.kernel.native" in _R11_SANCTIONED_MODULES
-
-
 def test_r4_reports_both_directions_of_drift():
     diagnostics = lint_paths([str(CASES / "r4")], select=["R4"])
     messages = [d.message for d in diagnostics]

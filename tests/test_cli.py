@@ -1,6 +1,10 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -111,6 +115,45 @@ class TestErrors:
     def test_missing_file(self, capsys):
         assert main(["bounds", "/nonexistent.json"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_negative_processors_fail_before_printing(self, taskfile, capsys):
+        assert main(["bounds", taskfile, "--processors", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --processors")
+
+
+class TestBadSweepGrid:
+    """Bad ``repro sweep`` grid bounds exit 2 before any grid is built.
+
+    Run as subprocesses with a timeout: a zero or negative step used to
+    grow the grid list forever, and a regression must fail, not hang.
+    """
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--u-step", "0"], "--u-step must be positive"),
+        (["--u-step", "-0.05"], "--u-step must be positive"),
+        (["--u-step", "nan"], "--u-step must be finite"),
+        (["--u-step", "inf"], "--u-step must be finite"),
+        (["--u-step", "1e-300"], "utilization levels"),
+        (["--u-min", "0.5", "--u-max", "0.5", "--u-step", "1e-300"],
+         "utilization levels"),
+        (["--u-min", "nan"], "--u-min must be finite"),
+        (["--u-max", "nan"], "--u-max must be finite"),
+    ])
+    def test_exit_2_without_sweeping(self, flags, message):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "sweep", "--samples", "1",
+             "--n", "4", "-m", "2", *flags],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1
+        assert message in proc.stderr
 
 
 class TestMalformedTaskFiles:
