@@ -9,16 +9,14 @@ Beyond the classic flags, the flow-analysis additions:
 * ``--explain CODE`` — print each finding for ``CODE`` followed by its
   witness call path;
 * ``--changed`` — lint only files touched per ``git status`` (the
-  pre-commit fast path);
-* ``--cache PATH`` — persist per-file flow summaries (SHA-256 keyed)
-  through the result store so re-lints skip re-analysis of unchanged
-  files.
+  pre-commit fast path), resolved from the repository root.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 import time
@@ -72,13 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--changed",
         action="store_true",
-        help="lint only files changed per git (status + diff vs HEAD)",
-    )
-    parser.add_argument(
-        "--cache",
-        metavar="PATH",
-        default=None,
-        help="flow-summary cache location (sqlite result store)",
+        help="lint only files changed per git (staged, unstaged, untracked)",
     )
     parser.add_argument(
         "--list-rules",
@@ -94,44 +86,46 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _git(args: Sequence[str], cwd: Optional[str]) -> str:
+    proc = subprocess.run(
+        ["git", *args], capture_output=True, cwd=cwd, check=False
+    )
+    if proc.returncode != 0:
+        detail = os.fsdecode(proc.stderr).strip() or "not a git checkout"
+        raise FileNotFoundError(f"git {args[0]} failed: {detail}")
+    return os.fsdecode(proc.stdout)
+
+
 def changed_python_files(
     roots: Sequence[str], repo_dir: Optional[str] = None
 ) -> List[str]:
     """Python files under ``roots`` that git reports as touched.
 
     Covers staged, unstaged and untracked files (``git status
-    --porcelain``).  Returns paths relative to the current directory;
-    raises ``FileNotFoundError`` outside a git checkout.
+    --porcelain -z``).  Git reports those paths relative to the
+    repository root, so they are joined onto ``git rev-parse
+    --show-toplevel``, never onto the current directory.  Returns
+    absolute paths; raises ``FileNotFoundError`` outside a git checkout.
     """
-    proc = subprocess.run(
-        ["git", "status", "--porcelain", "--untracked-files=all"],
-        capture_output=True,
-        text=True,
-        cwd=repo_dir,
-        check=False,
+    toplevel = Path(_git(["rev-parse", "--show-toplevel"], repo_dir).strip())
+    status = _git(
+        ["status", "--porcelain", "-z", "--untracked-files=all"], repo_dir
     )
-    if proc.returncode != 0:
-        raise FileNotFoundError(
-            f"git status failed: {proc.stderr.strip() or 'not a git checkout'}"
-        )
     root_paths = [Path(r).resolve() for r in roots]
     found: List[str] = []
-    for line in proc.stdout.splitlines():
-        if len(line) < 4:
+    fields = iter(status.split("\0"))
+    for entry in fields:
+        if len(entry) < 4:
             continue
-        raw = line[3:].strip()
-        if " -> " in raw:  # rename: lint the new side
-            raw = raw.split(" -> ", 1)[1]
-        raw = raw.strip('"')
-        if not raw.endswith(".py"):
-            continue
-        path = (Path(repo_dir) if repo_dir else Path.cwd()) / raw
-        if not path.is_file():
-            continue  # deleted
+        if "R" in entry[:2] or "C" in entry[:2]:
+            next(fields, None)  # a rename's source path: lint the new side
+        path = toplevel / entry[3:]
+        if path.suffix != ".py" or not path.is_file():
+            continue  # not python, or deleted
         resolved = path.resolve()
         for root in root_paths:
             if root == resolved or root in resolved.parents:
-                found.append(str(path))
+                found.append(str(resolved))
                 break
     return sorted(set(found))
 
@@ -161,8 +155,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
     paths: List[str] = list(args.paths) if args.paths else _DEFAULT_PATHS
     select = list(args.select) if args.select else None
-    if args.explain and not select:
-        select = [args.explain]
+    if args.explain:
+        if select is None:
+            select = [args.explain]
+        elif args.explain.upper() not in {c.upper() for c in select}:
+            print(
+                f"error: --explain {args.explain.upper()} names a code "
+                "that --select excludes",
+                file=sys.stderr,
+            )
+            return 2
     if args.changed:
         try:
             paths = changed_python_files(paths)
@@ -174,9 +176,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 0
     start = time.perf_counter()
     try:
-        diagnostics = lint_paths(
-            paths, select=select, ignore=args.ignore, flow_cache=args.cache
-        )
+        diagnostics = lint_paths(paths, select=select, ignore=args.ignore)
     except (FileNotFoundError, SyntaxError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

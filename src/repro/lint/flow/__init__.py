@@ -4,7 +4,7 @@ The flow engine layers three stages under the ordinary rule registry:
 
 1. :mod:`repro.lint.flow.summary` — a per-file *flow summary* (functions,
    call sites, blocking/RNG/sink/mutation sites, handlers, registries),
-   a pure function of file content so it can be cached by SHA-256;
+   a pure function of file content;
 2. :mod:`repro.lint.flow.graph` — a project-wide symbol table and call
    graph built from the summaries (alias/re-export resolution, typed
    receivers, registry fan-out, ``python -m`` entry points, fork-pool
@@ -14,22 +14,19 @@ The flow engine layers three stages under the ordinary rule registry:
    paths to their diagnostics (rendered by ``--explain CODE`` and as
    SARIF ``codeFlows``).
 
-Incremental mode caches summaries through the PR-4
-:class:`repro.store.backend.ResultStore` (``--cache PATH``): a warm
-re-lint of an unchanged tree skips parsing and extraction entirely.
+The rules run inside an ordinary ``lint_paths`` run; one graph build
+per file set is shared by all five (:func:`analyze_linted`).
 """
 
-from repro.lint.flow.engine import FlowStats, analyze_linted, flow_lint
+from repro.lint.flow.engine import analyze_linted
 from repro.lint.flow.graph import Edge, ProjectGraph
 from repro.lint.flow.summary import FunctionSummary, ModuleSummary, extract_module
 
 __all__ = [
     "Edge",
-    "FlowStats",
     "FunctionSummary",
     "ModuleSummary",
     "ProjectGraph",
     "analyze_linted",
     "extract_module",
-    "flow_lint",
 ]

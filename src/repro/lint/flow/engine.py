@@ -1,107 +1,44 @@
-"""Flow-analysis driver: caching, memoization and the fast flow path.
+"""Flow-analysis driver: summary extraction and the per-run graph memo.
 
-Two entry points:
-
-* :func:`analyze_linted` — used by the R9–R13 rules inside an ordinary
-  ``lint_paths`` run.  Files are already parsed; the cache (when
-  enabled via ``--cache PATH`` / ``flow_cache=``) only skips summary
-  extraction.  The resulting :class:`ProjectGraph` is memoized per file
-  fingerprint so the five flow rules share one build.
-
-* :func:`flow_lint` — the incremental fast path used by the committed
-  ``BENCH_flow.json`` benchmark and the pre-commit hook.  It reads raw
-  sources, keys them by SHA-256 and **skips parsing entirely** on cache
-  hits: a warm re-lint of an unchanged tree does one
-  :meth:`ResultStore.get_namespace` query plus the graph build.
-
-Cache entries live in the PR-4 content-addressed store under the
-namespace ``flowlint:v<SUMMARY_VERSION>``; bumping the summary schema
-version orphans stale rows instead of misreading them (the store's
-TTL/LRU gc reclaims them).
+:func:`analyze_linted` is called by each of the R9–R13 rules inside an
+ordinary ``lint_paths`` run.  The files are already parsed; it extracts
+one :class:`ModuleSummary` per file and links them into a
+:class:`ProjectGraph`.  The graph is memoized one-deep under a content
+fingerprint of the file set, so the five flow rules share one build.
 """
 
 from __future__ import annotations
 
 import ast
 import hashlib
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
-from repro.lint.diagnostics import Diagnostic
 from repro.lint.flow.graph import ProjectGraph, build_graph
-from repro.lint.flow.summary import (
-    SUMMARY_VERSION,
-    ModuleSummary,
-    extract_module,
-)
+from repro.lint.flow.summary import ModuleSummary, extract_module
 
 __all__ = [
-    "CACHE_NAMESPACE",
-    "FlowStats",
     "SourceFile",
     "analyze_linted",
     "analyze_sources",
-    "flow_lint",
     "module_name_for",
-    "set_cache_path",
 ]
 
-CACHE_NAMESPACE = f"flowlint:v{SUMMARY_VERSION}"
-
-#: Cache path threaded in by ``lint_paths(..., flow_cache=...)``.
-_ACTIVE_CACHE: Optional[str] = None
 #: One-deep memo: (fingerprint -> built graph) for the current file set,
 #: shared by all five flow rules within a single lint run.
 _MEMO: Dict[str, ProjectGraph] = {}
 
 
-def set_cache_path(path: Optional[str]) -> Optional[str]:
-    """Set the summary cache location; returns the previous value."""
-    global _ACTIVE_CACHE
-    previous = _ACTIVE_CACHE
-    _ACTIVE_CACHE = path
-    return previous
-
-
 @dataclass
 class SourceFile:
-    """One file queued for flow analysis (tree parsed on demand)."""
+    """One parsed file queued for flow analysis."""
 
-    path: Path
     display: str
-    text: str
     module: str
     rel_base: str
     sha: str
-    tree: Optional[ast.Module] = None
-
-    @property
-    def cache_key(self) -> str:
-        return f"{self.module}|{self.rel_base}|{self.sha}"
-
-
-@dataclass
-class FlowStats:
-    """Build statistics for benchmarks and ``--explain`` headers."""
-
-    files: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    functions: int = 0
-    edges: int = 0
-    wall_seconds: float = 0.0
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "files": self.files,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "functions": self.functions,
-            "edges": self.edges,
-            "wall_seconds": round(self.wall_seconds, 4),
-        }
+    tree: ast.Module
 
 
 def module_name_for(path: Path) -> Tuple[str, str]:
@@ -132,89 +69,25 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _load_cached(
-    store_path: str, keys: Sequence[str]
-) -> Dict[str, ModuleSummary]:
-    from repro.store.backend import ResultStore
-
-    found: Dict[str, ModuleSummary] = {}
-    wanted = set(keys)
-    store = ResultStore(store_path)
-    try:
-        for key, payload in store.get_namespace(CACHE_NAMESPACE).items():
-            if key not in wanted or not isinstance(payload, dict):
-                continue
-            if payload.get("version") != SUMMARY_VERSION:
-                continue
-            found[key] = ModuleSummary.from_json(payload)
-    finally:
-        store.close()
-    return found
-
-
-def _store_summaries(
-    store_path: str, items: Sequence[Tuple[str, ModuleSummary]]
-) -> None:
-    from repro.store.backend import ResultStore
-
-    if not items:
-        return
-    store = ResultStore(store_path)
-    try:
-        store.put_many(
-            CACHE_NAMESPACE,
-            {key: summary.to_json() for key, summary in items},
-        )
-    finally:
-        store.close()
-
-
-def analyze_sources(
-    sources: Sequence[SourceFile],
-    cache_path: Optional[str] = None,
-    stats: Optional[FlowStats] = None,
-) -> ProjectGraph:
+def analyze_sources(sources: Sequence[SourceFile]) -> ProjectGraph:
     """Summarize + link a set of sources into a :class:`ProjectGraph`."""
-    start = time.perf_counter()
-    if stats is None:
-        stats = FlowStats()
-    stats.files = len(sources)
     fingerprint = _sha256(
-        "\n".join(sorted(f"{src.cache_key}|{src.display}" for src in sources))
+        "\n".join(
+            sorted(
+                f"{src.module}|{src.rel_base}|{src.sha}|{src.display}"
+                for src in sources
+            )
+        )
     )
     memoized = _MEMO.get(fingerprint)
     if memoized is not None:
-        stats.functions = len(memoized.functions)
-        stats.edges = sum(len(e) for e in memoized.out_edges.values())
-        stats.wall_seconds = time.perf_counter() - start
         return memoized
-
-    cached: Dict[str, ModuleSummary] = {}
-    if cache_path is not None:
-        cached = _load_cached(cache_path, [s.cache_key for s in sources])
     summaries: List[ModuleSummary] = []
     displays: Dict[str, str] = {}
-    fresh: List[Tuple[str, ModuleSummary]] = []
     for src in sources:
         displays[src.module] = src.display
-        hit = cached.get(src.cache_key)
-        if hit is not None:
-            stats.cache_hits += 1
-            summaries.append(hit)
-            continue
-        stats.cache_misses += 1
-        tree = src.tree
-        if tree is None:
-            tree = ast.parse(src.text, filename=str(src.path))
-        summary = extract_module(src.module, src.rel_base, tree)
-        summaries.append(summary)
-        fresh.append((src.cache_key, summary))
-    if cache_path is not None:
-        _store_summaries(cache_path, fresh)
+        summaries.append(extract_module(src.module, src.rel_base, src.tree))
     graph = build_graph(summaries, displays)
-    stats.functions = len(graph.functions)
-    stats.edges = sum(len(e) for e in graph.out_edges.values())
-    stats.wall_seconds = time.perf_counter() - start
     _MEMO.clear()  # one-deep: bound memory across repeated lint calls
     _MEMO[fingerprint] = graph
     return graph
@@ -232,81 +105,17 @@ def analyze_linted(files: Sequence[object]) -> ProjectGraph:
     for lf in files:
         path: Path = lf.path  # type: ignore[attr-defined]
         text: str = lf.source  # type: ignore[attr-defined]
-        display: str = lf.display_path  # type: ignore[attr-defined]
-        tree: ast.Module = lf.tree  # type: ignore[attr-defined]
         module, rel_base = module_name_for(path)
         while module in seen_modules:  # duplicate top-level stems
             module += "_"
         seen_modules.add(module)
         sources.append(
             SourceFile(
-                path=path,
-                display=display,
-                text=text,
+                display=lf.display_path,  # type: ignore[attr-defined]
                 module=module,
                 rel_base=rel_base,
                 sha=_sha256(text),
-                tree=tree,
+                tree=lf.tree,  # type: ignore[attr-defined]
             )
         )
-    return analyze_sources(sources, cache_path=_ACTIVE_CACHE)
-
-
-def flow_lint(
-    paths: Sequence[str],
-    cache_path: Optional[str] = None,
-    select: Optional[Sequence[str]] = None,
-) -> Tuple[List[Diagnostic], FlowStats]:
-    """Incremental flow-only lint: parse only what the cache misses.
-
-    Returns sorted, suppression-filtered diagnostics from the flow rules
-    (R9–R13, or the subset in ``select``) plus build statistics.  This
-    is the path benchmarked by ``BENCH_flow.json``.
-    """
-    from repro.lint.framework import _parse_suppressions, collect_files
-    from repro.lint.flow import rules as flow_rules
-
-    stats = FlowStats()
-    start = time.perf_counter()
-    sources: List[SourceFile] = []
-    suppressions: Dict[str, Tuple[Dict[int, Set[str]], Set[str]]] = {}
-    seen_modules: Set[str] = set()
-    for path in collect_files(paths):
-        text = path.read_text(encoding="utf-8")
-        module, rel_base = module_name_for(path)
-        while module in seen_modules:
-            module += "_"
-        seen_modules.add(module)
-        display = _display_path(path)
-        suppressions[display] = _parse_suppressions(text)
-        sources.append(
-            SourceFile(
-                path=path,
-                display=display,
-                text=text,
-                module=module,
-                rel_base=rel_base,
-                sha=_sha256(text),
-            )
-        )
-    graph = analyze_sources(sources, cache_path=cache_path, stats=stats)
-    wanted = {c.upper() for c in select} if select else None
-    diagnostics: List[Diagnostic] = []
-    for code, check in flow_rules.FLOW_CHECKS.items():
-        if wanted is not None and code not in wanted:
-            continue
-        for diag in check(graph):
-            per_line, per_file = suppressions.get(diag.path, ({}, set()))
-            codes = per_file | per_line.get(diag.line, set())
-            if diag.code.upper() in codes or "ALL" in codes:
-                continue
-            diagnostics.append(diag)
-    stats.wall_seconds = time.perf_counter() - start
-    return sorted(diagnostics), stats
-
-
-def _display_path(path: Path) -> str:
-    try:
-        return str(path.resolve().relative_to(Path.cwd()))
-    except ValueError:
-        return str(path)
+    return analyze_sources(sources)

@@ -2,9 +2,8 @@
 
 Each rule is a pure function of the :class:`ProjectGraph`; thin wrappers
 register them as project-scope rules with the ordinary lint framework so
-``python -m repro lint`` runs R1–R13 in one pass.  The standalone
-``FLOW_CHECKS`` table is the entry point for the incremental fast path
-(:func:`repro.lint.flow.engine.flow_lint`).
+``python -m repro lint`` runs R1–R13 in one pass.  ``FLOW_CHECKS``
+maps each code to its graph check.
 
 Every diagnostic carries a *witness*: the shortest call-edge chain that
 exhibits the property, rendered by ``--explain CODE`` and exported as

@@ -1,11 +1,9 @@
-"""Per-file flow summaries — the cacheable unit of whole-program analysis.
+"""Per-file flow summaries — the unit of whole-program analysis.
 
 A :class:`ModuleSummary` is a pure function of ``(module name, relative
-import base, source text)``: it contains **no absolute paths and no
-filesystem state**, so it can be keyed by content SHA-256 and stored in
-the PR-4 :class:`~repro.store.backend.ResultStore`.  Everything the call
-graph and the interprocedural rules need is extracted here in one AST
-pass per file:
+import base, source text)``: it contains no absolute paths and no
+filesystem state.  Everything the call graph and the interprocedural
+rules need is extracted here in one AST pass per file:
 
 * functions (including ``async``), methods, nested defs and synthetic
   lambda scopes, each with their call sites;
@@ -28,7 +26,7 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.rules import (  # single source of truth with lexical R3/R6
     _BLOCKING_BARE,
@@ -48,12 +46,7 @@ __all__ = [
     "Dispatch",
     "ModuleSummary",
     "extract_module",
-    "SUMMARY_VERSION",
 ]
-
-#: Bump whenever the summary schema or extraction logic changes — stale
-#: cached summaries are then simply never looked up (new namespace).
-SUMMARY_VERSION = 1
 
 MODULE_SCOPE = "<module>"
 ARGPARSE_REGISTRY = "<argparse>"
@@ -130,8 +123,9 @@ _HTTP_METHODS = {"GET", "POST", "PUT", "DELETE", "PATCH", "HEAD", "OPTIONS"}
 
 
 # --------------------------------------------------------------------------
-# summary records (all JSON round-trippable)
+# summary records
 # --------------------------------------------------------------------------
+
 
 @dataclass
 class CallSite:
@@ -142,13 +136,6 @@ class CallSite:
     kind: str  # "call" | "executor" | "fork" | "submit" | "registry"
     receiver: str = ""  # dotted receiver for "submit" (fork vs executor)
     refs: Tuple[str, ...] = ()  # function-ish references passed as arguments
-
-    def to_json(self) -> List[Any]:
-        return [self.callee, self.line, self.kind, self.receiver, list(self.refs)]
-
-    @classmethod
-    def from_json(cls, data: Sequence[Any]) -> "CallSite":
-        return cls(data[0], data[1], data[2], data[3], tuple(data[4]))
 
 
 @dataclass
@@ -161,13 +148,6 @@ class FactSite:
     line: int
     extra: str = ""
 
-    def to_json(self) -> List[Any]:
-        return [self.desc, self.line, self.extra]
-
-    @classmethod
-    def from_json(cls, data: Sequence[Any]) -> "FactSite":
-        return cls(data[0], data[1], data[2])
-
 
 @dataclass
 class HandlerSite:
@@ -179,20 +159,6 @@ class HandlerSite:
     observes: bool  # re-raises, logs, uses the bound name or counts
     reraises: bool
     try_callees: Tuple[str, ...] = ()
-
-    def to_json(self) -> List[Any]:
-        return [
-            self.line,
-            self.broad,
-            self.assertion,
-            self.observes,
-            self.reraises,
-            list(self.try_callees),
-        ]
-
-    @classmethod
-    def from_json(cls, data: Sequence[Any]) -> "HandlerSite":
-        return cls(data[0], data[1], data[2], data[3], data[4], tuple(data[5]))
 
 
 @dataclass
@@ -212,39 +178,6 @@ class FunctionSummary:
     raises: Tuple[str, ...] = ()
     var_types: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
 
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "line": self.line,
-            "async": self.is_async,
-            "cls": self.cls,
-            "calls": [c.to_json() for c in self.calls],
-            "blocking": [s.to_json() for s in self.blocking],
-            "rng": [s.to_json() for s in self.rng],
-            "sinks": [s.to_json() for s in self.sinks],
-            "mutations": [s.to_json() for s in self.mutations],
-            "handlers": [h.to_json() for h in self.handlers],
-            "raises": list(self.raises),
-            "var_types": {k: list(v) for k, v in self.var_types.items()},
-        }
-
-    @classmethod
-    def from_json(cls, data: Dict[str, Any]) -> "FunctionSummary":
-        return cls(
-            name=data["name"],
-            line=data["line"],
-            is_async=data["async"],
-            cls=data["cls"],
-            calls=[CallSite.from_json(c) for c in data["calls"]],
-            blocking=[FactSite.from_json(s) for s in data["blocking"]],
-            rng=[FactSite.from_json(s) for s in data["rng"]],
-            sinks=[FactSite.from_json(s) for s in data["sinks"]],
-            mutations=[FactSite.from_json(s) for s in data["mutations"]],
-            handlers=[HandlerSite.from_json(h) for h in data["handlers"]],
-            raises=tuple(data["raises"]),
-            var_types={k: tuple(v) for k, v in data["var_types"].items()},
-        )
-
 
 @dataclass
 class ClassInfo:
@@ -254,23 +187,6 @@ class ClassInfo:
     bases: Tuple[str, ...] = ()
     methods: Tuple[str, ...] = ()
     attr_types: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "line": self.line,
-            "bases": list(self.bases),
-            "methods": list(self.methods),
-            "attr_types": {k: list(v) for k, v in self.attr_types.items()},
-        }
-
-    @classmethod
-    def from_json(cls, data: Dict[str, Any]) -> "ClassInfo":
-        return cls(
-            line=data["line"],
-            bases=tuple(data["bases"]),
-            methods=tuple(data["methods"]),
-            attr_types={k: tuple(v) for k, v in data["attr_types"].items()},
-        )
 
 
 @dataclass
@@ -283,13 +199,6 @@ class Registration:
     target: str  # dotted name in module context; may be a synthetic lambda
     line: int
 
-    def to_json(self) -> List[Any]:
-        return [self.registry, self.key, self.target, self.line]
-
-    @classmethod
-    def from_json(cls, data: Sequence[Any]) -> "Registration":
-        return cls(data[0], data[1], data[2], data[3])
-
 
 @dataclass
 class Dispatch:
@@ -298,13 +207,6 @@ class Dispatch:
     registry: str
     key: str
     line: int
-
-    def to_json(self) -> List[Any]:
-        return [self.registry, self.key, self.line]
-
-    @classmethod
-    def from_json(cls, data: Sequence[Any]) -> "Dispatch":
-        return cls(data[0], data[1], data[2])
 
 
 @dataclass
@@ -326,55 +228,6 @@ class ModuleSummary:
     argv_literals: List[Tuple[str, int]] = field(default_factory=list)
     subcommands: List[Tuple[str, int]] = field(default_factory=list)
     is_entry: bool = False
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "version": SUMMARY_VERSION,
-            "module": self.module,
-            "rel_base": self.rel_base,
-            "functions": {k: v.to_json() for k, v in self.functions.items()},
-            "classes": {k: v.to_json() for k, v in self.classes.items()},
-            "imports": {k: list(v) for k, v in self.imports.items()},
-            "module_globals": list(self.module_globals),
-            "global_types": {k: list(v) for k, v in self.global_types.items()},
-            "registrations": [r.to_json() for r in self.registrations],
-            "dispatches": [d.to_json() for d in self.dispatches],
-            "routes_eq": [list(r) for r in self.routes_eq],
-            "routes_member": [list(r) for r in self.routes_member],
-            "argv_literals": [list(a) for a in self.argv_literals],
-            "subcommands": [list(s) for s in self.subcommands],
-            "is_entry": self.is_entry,
-        }
-
-    @classmethod
-    def from_json(cls, data: Dict[str, Any]) -> "ModuleSummary":
-        return cls(
-            module=data["module"],
-            rel_base=data["rel_base"],
-            functions={
-                k: FunctionSummary.from_json(v)
-                for k, v in data["functions"].items()
-            },
-            classes={
-                k: ClassInfo.from_json(v) for k, v in data["classes"].items()
-            },
-            imports={
-                k: (v[0], v[1], v[2]) for k, v in data["imports"].items()
-            },
-            module_globals=tuple(data["module_globals"]),
-            global_types={
-                k: tuple(v) for k, v in data["global_types"].items()
-            },
-            registrations=[
-                Registration.from_json(r) for r in data["registrations"]
-            ],
-            dispatches=[Dispatch.from_json(d) for d in data["dispatches"]],
-            routes_eq=[(r[0], r[1]) for r in data["routes_eq"]],
-            routes_member=[(r[0], r[1]) for r in data["routes_member"]],
-            argv_literals=[(a[0], a[1]) for a in data["argv_literals"]],
-            subcommands=[(s[0], s[1]) for s in data["subcommands"]],
-            is_entry=data["is_entry"],
-        )
 
 
 # --------------------------------------------------------------------------
@@ -1054,7 +907,7 @@ def extract_module(module: str, rel_base: str, tree: ast.Module) -> ModuleSummar
 
     ``rel_base`` is the package that a ``from . import x`` (level 1)
     resolves against — the module itself for ``__init__`` files, its
-    parent package otherwise.  Both are part of the cache key, keeping
-    the summary a pure function of its inputs.
+    parent package otherwise.  The summary is a pure function of the
+    three inputs.
     """
     return _Extractor(module, rel_base, tree).run()

@@ -197,34 +197,26 @@ def lint_paths(
     paths: Sequence[str],
     select: Optional[Sequence[str]] = None,
     ignore: Optional[Sequence[str]] = None,
-    flow_cache: Optional[str] = None,
 ) -> List[Diagnostic]:
     """Lint files/directories and return sorted, unsuppressed diagnostics.
 
-    ``flow_cache`` points the interprocedural rules' per-file summary
-    cache (SHA-256 keyed, stored through the PR-4 ResultStore) at a
-    persistent location; ``None`` analyzes from scratch.
+    Every file is parsed once; the project-scope flow rules (R9–R13)
+    share one call-graph build over the same parsed trees.
     """
-    from repro.lint.flow import engine as _flow_engine
-
     files = [LintedFile.load(p, _display(p)) for p in collect_files(paths)]
     chosen = _selected_rules(select, ignore)
     diagnostics: List[Diagnostic] = []
     by_display: Dict[str, LintedFile] = {f.display_path: f for f in files}
-    previous_cache = _flow_engine.set_cache_path(flow_cache)
-    try:
-        for rule_obj in chosen:
-            if rule_obj.scope == "project":
-                found = list(rule_obj.check(files))
-            else:
-                found = []
-                for lf in files:
-                    found.extend(rule_obj.check(lf))
-            for diag in found:
-                lf = by_display.get(diag.path)
-                if lf is not None and lf.is_suppressed(diag.code, diag.line):
-                    continue
-                diagnostics.append(diag)
-    finally:
-        _flow_engine.set_cache_path(previous_cache)
+    for rule_obj in chosen:
+        if rule_obj.scope == "project":
+            found = list(rule_obj.check(files))
+        else:
+            found = []
+            for lf in files:
+                found.extend(rule_obj.check(lf))
+        for diag in found:
+            lf = by_display.get(diag.path)
+            if lf is not None and lf.is_suppressed(diag.code, diag.line):
+                continue
+            diagnostics.append(diag)
     return sorted(diagnostics)

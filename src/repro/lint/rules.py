@@ -679,7 +679,6 @@ _R8_EXEMPT_SUFFIXES = (
     "search/bench_search.py",
     "perf/bench_check.py",
     "cluster/bench_churn.py",
-    "lint/flow/bench_flow.py",
 )
 
 

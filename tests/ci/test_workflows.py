@@ -9,6 +9,7 @@ PyYAML.
 """
 
 import os
+import shlex
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ pytestmark = pytest.mark.ci
 ROOT = Path(__file__).resolve().parents[2]
 CI = ROOT / ".github" / "workflows" / "ci.yml"
 NIGHTLY = ROOT / ".github" / "workflows" / "nightly.yml"
+PRE_COMMIT = ROOT / "scripts" / "pre-commit"
 
 #: The documented tier-1 / gate commands (ROADMAP.md, CONTRIBUTING.md).
 TIER1_CMD = "PYTHONPATH=src python -m pytest -x -q"
@@ -26,7 +28,6 @@ MYPY_CMD = "mypy --config-file pyproject.toml"
 PERF_SMOKE_CMD = "PYTHONPATH=src python -m pytest -q -m perf_smoke"
 BENCH_SMOKE_CMD = "python3 perfbench/smoke.py"
 DRIFT_CMD = "python scripts/check_bench_drift.py"
-FLOW_BENCH_CMD = "python -m repro.lint.flow.bench_flow"
 LINT_BENCH_CMD = (
     "PYTHONPATH=src python -m repro lint --bench-json fresh/BENCH_lint.json"
 )
@@ -77,37 +78,30 @@ def test_ci_guards_against_committed_bytecode():
     assert "__pycache__" in text
 
 
-def test_nightly_regenerates_lint_and_flow_benchmarks():
-    text = NIGHTLY.read_text()
-    assert LINT_BENCH_CMD in text
-    assert FLOW_BENCH_CMD in text
-    assert "--out fresh/BENCH_flow.json" in text
+def test_nightly_regenerates_lint_benchmark():
+    assert LINT_BENCH_CMD in NIGHTLY.read_text()
 
 
-def test_nightly_flow_params_match_committed_flow_config():
-    import json
+def test_pre_commit_hook_passes_only_flags_the_lint_cli_accepts():
+    # A hook naming a removed flag fails here, not on a developer's next
+    # commit.
+    from repro.lint.cli import build_parser
 
-    artifact = ROOT / "benchmarks" / "results" / "BENCH_flow.json"
-    if not artifact.is_file():
-        pytest.skip("no committed BENCH_flow.json")
-    config = json.loads(artifact.read_text())["config"]
-    flow_line = next(
-        line for line in NIGHTLY.read_text().splitlines()
-        if FLOW_BENCH_CMD in line
-    )
-    assert f"--repeats {config['repeats']}" in flow_line
-
-
-def test_committed_flow_benchmark_meets_the_speedup_contract():
-    import json
-
-    artifact = ROOT / "benchmarks" / "results" / "BENCH_flow.json"
-    if not artifact.is_file():
-        pytest.skip("no committed BENCH_flow.json")
-    payload = json.loads(artifact.read_text())
-    assert payload["warm_speedup_ok"] is True
-    assert payload["config"]["min_speedup"] >= 5.0
-    assert payload["warm"]["cache_misses"] == 0
+    invocations = []
+    for line in PRE_COMMIT.read_text().replace("\\\n", " ").splitlines():
+        if "python -m repro lint" not in line:
+            continue
+        tokens = shlex.split(line.split("python -m repro lint", 1)[1])
+        for stop in ("||", "&&", ";", "|"):
+            if stop in tokens:
+                tokens = tokens[: tokens.index(stop)]
+        invocations.append(tokens)
+    assert invocations, "scripts/pre-commit no longer runs repro lint"
+    for tokens in invocations:
+        try:
+            build_parser().parse_args(tokens)
+        except SystemExit:
+            pytest.fail(f"repro lint rejects the hook's arguments: {tokens}")
 
 
 def test_nightly_regenerates_benchmarks_with_baseline_parameters():

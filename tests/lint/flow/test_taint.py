@@ -1,14 +1,11 @@
-"""Taint-fact extraction, summary round-trips, and the incremental cache."""
+"""Taint-fact extraction and flow findings through ``lint_paths``."""
 
 import ast
-import json
 
 import pytest
 
-from repro.lint.flow import engine
-from repro.lint.flow.engine import flow_lint
-from repro.lint.flow.graph import build_graph
-from repro.lint.flow.summary import ModuleSummary, extract_module
+from repro.lint import lint_paths
+from repro.lint.flow.summary import extract_module
 
 pytestmark = pytest.mark.lint
 
@@ -77,35 +74,6 @@ class TestFactExtraction:
         assert set(fns["guard"].raises) == {"AssertionError", "ValueError"}
 
 
-class TestSummaryRoundTrip:
-    SOURCE = (
-        "import time\n"
-        "from concurrent.futures import ProcessPoolExecutor\n\n"
-        "REGISTRY = {'slow': None}\n\n"
-        "def slow():\n"
-        "    time.sleep(1)\n\n"
-        "async def handler():\n"
-        "    return slow()\n\n"
-        "def drive(items):\n"
-        "    pool = ProcessPoolExecutor()\n"
-        "    return pool.submit(slow, items)\n"
-    )
-
-    def test_json_round_trip_preserves_graph(self):
-        original = summarize("m", self.SOURCE)
-        # through real JSON so tuples/lists normalize like the store does
-        restored = ModuleSummary.from_json(
-            json.loads(json.dumps(original.to_json()))
-        )
-        g1 = build_graph([original], {"m": "m.py"})
-        g2 = build_graph([restored], {"m": "m.py"})
-        assert set(g1.functions) == set(g2.functions)
-        flat1 = {e for edges in g1.out_edges.values() for e in edges}
-        flat2 = {e for edges in g2.out_edges.values() for e in edges}
-        assert flat1 == flat2
-        assert g1.fork_roots() == g2.fork_roots()
-
-
 def _write_pkg(root):
     pkg = root / "svcpkg"
     pkg.mkdir()
@@ -129,54 +97,19 @@ def _write_pkg(root):
 
 
 class TestIncrementalCache:
-    def test_cold_then_warm_then_invalidation(self, tmp_path):
-        pkg = _write_pkg(tmp_path)
-        cache = str(tmp_path / "flow.db")
-
-        diags_cold, cold = flow_lint([str(pkg)], cache_path=cache)
-        assert cold.cache_misses == cold.files > 0
-        assert cold.cache_hits == 0
-        assert [d.code for d in diags_cold] == ["R9"]
-
-        engine._MEMO.clear()  # force the cache, not the in-run memo
-        diags_warm, warm = flow_lint([str(pkg)], cache_path=cache)
-        assert warm.cache_hits == warm.files == cold.files
-        assert warm.cache_misses == 0
-        assert diags_warm == diags_cold
-
-        # touching one file invalidates exactly that file's summary
-        (pkg / "helpers.py").write_text(
-            '"""Helpers."""\n\nimport time\n\n\n'
-            "def slow():\n    time.sleep(2)\n",
-            encoding="utf-8",
-        )
-        engine._MEMO.clear()
-        diags_edit, edit = flow_lint([str(pkg)], cache_path=cache)
-        assert edit.cache_misses == 1
-        assert edit.cache_hits == cold.files - 1
-        assert [d.code for d in diags_edit] == ["R9"]
+    """Flow findings through ``lint_paths``: suppressions and ``select``."""
 
     def test_suppression_filters_flow_findings(self, tmp_path):
         pkg = _write_pkg(tmp_path)
+        assert [d.code for d in lint_paths([str(pkg)])] == ["R9"]
         (pkg / "service" / "handlers.py").write_text(
             '"""Handlers."""\n\nfrom svcpkg.helpers import slow\n\n\n'
             "async def handler(request):\n"
             "    return slow()  # repro-lint: disable=R9\n",
             encoding="utf-8",
         )
-        diags, _stats = flow_lint([str(pkg)])
-        assert diags == []
+        assert lint_paths([str(pkg)]) == []
 
     def test_select_limits_rules(self, tmp_path):
         pkg = _write_pkg(tmp_path)
-        diags, _stats = flow_lint([str(pkg)], select=["R10"])
-        assert diags == []
-
-    def test_stats_report_graph_size(self, tmp_path):
-        pkg = _write_pkg(tmp_path)
-        _diags, stats = flow_lint([str(pkg)])
-        assert stats.functions > 0
-        assert stats.edges > 0
-        payload = stats.to_json()
-        assert payload["files"] == stats.files
-        assert payload["wall_seconds"] >= 0.0
+        assert lint_paths([str(pkg)], select=["R10"]) == []

@@ -153,6 +153,28 @@ def test_explain_reports_absence(clean_file, capsys):
     assert "no R9 findings" in capsys.readouterr().out
 
 
+def test_explain_a_code_that_select_excludes_is_a_usage_error(capsys):
+    # The fixture has an R9 finding; "no R9 findings" would hide it.
+    fixture = REPO_ROOT / "tests" / "lint" / "cases" / "flow_r9"
+    assert lint_main([str(fixture), "--explain", "R9", "--select", "R8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error:") == 1
+    assert "R9" in captured.err
+
+
+_R8_SOURCE = '"""New file."""\n\n\ndef report(x):\n    print(x)\n'
+
+
+def _commit_all(repo):
+    subprocess.run(["git", "-C", str(repo), "add", "."], check=True)
+    subprocess.run(
+        ["git", "-C", str(repo), "-c", "user.email=t@t",
+         "-c", "user.name=t", "commit", "-qm", "seed"],
+        check=True,
+    )
+
+
 def test_changed_outside_git_checkout_errors(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert lint_main(["--changed", str(tmp_path)]) == 2
@@ -164,15 +186,8 @@ def test_changed_lints_only_touched_files(tmp_path, monkeypatch, capsys):
     clean = tmp_path / "committed.py"
     clean.write_text('"""Committed and unchanged."""\n\ndef ok(x):\n'
                      "    print(x)\n", encoding="utf-8")
-    subprocess.run(["git", "-C", str(tmp_path), "add", "."], check=True)
-    subprocess.run(
-        ["git", "-C", str(tmp_path), "-c", "user.email=t@t",
-         "-c", "user.name=t", "commit", "-qm", "seed"],
-        check=True,
-    )
-    dirty = tmp_path / "touched.py"
-    dirty.write_text('"""New file."""\n\n\ndef report(x):\n    print(x)\n',
-                     encoding="utf-8")
+    _commit_all(tmp_path)
+    (tmp_path / "touched.py").write_text(_R8_SOURCE, encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     assert lint_main(["--changed", str(tmp_path)]) == 1
     out = capsys.readouterr().out
@@ -185,25 +200,59 @@ def test_changed_with_no_touched_files_is_clean(tmp_path, monkeypatch,
                                                 capsys):
     subprocess.run(["git", "init", "-q", str(tmp_path)], check=True)
     (tmp_path / "a.py").write_text('"""A."""\nX = 1\n', encoding="utf-8")
-    subprocess.run(["git", "-C", str(tmp_path), "add", "."], check=True)
-    subprocess.run(
-        ["git", "-C", str(tmp_path), "-c", "user.email=t@t",
-         "-c", "user.name=t", "commit", "-qm", "seed"],
-        check=True,
-    )
+    _commit_all(tmp_path)
     monkeypatch.chdir(tmp_path)
     assert lint_main(["--changed", str(tmp_path)]) == 0
     assert "no changed python files" in capsys.readouterr().out
 
 
-def test_cache_flag_threads_through_lint_paths(dirty_file, tmp_path, capsys):
-    cache = tmp_path / "flow.db"
-    assert lint_main([str(dirty_file), "--cache", str(cache)]) == 1
-    assert cache.exists()
-    capsys.readouterr()
-    # second run hits the summary cache; diagnostics are unchanged
-    assert lint_main([str(dirty_file), "--cache", str(cache)]) == 1
-    assert "R8[print-in-library]" in capsys.readouterr().out
+def test_changed_from_a_subdirectory_resolves_from_the_repo_root(
+    tmp_path, monkeypatch, capsys
+):
+    # git status reports paths relative to the repository root, not to
+    # the current directory.
+    subprocess.run(["git", "init", "-q", str(tmp_path)], check=True)
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text('"""Pkg."""\n', encoding="utf-8")
+    _commit_all(tmp_path)
+    (pkg / "touched.py").write_text(_R8_SOURCE, encoding="utf-8")
+    monkeypatch.chdir(pkg)
+    assert lint_main(["--changed", "."]) == 1
+    out = capsys.readouterr().out
+    assert "touched.py:5:" in out
+    assert "R8[print-in-library]" in out
+
+
+def test_changed_file_with_a_non_ascii_name_is_linted(
+    tmp_path, monkeypatch, capsys
+):
+    # Without -z, git quotes the name as "pkg/b\303\244.py".
+    subprocess.run(["git", "init", "-q", str(tmp_path)], check=True)
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text('"""Pkg."""\n', encoding="utf-8")
+    _commit_all(tmp_path)
+    (pkg / "b\u00e4.py").write_text(_R8_SOURCE, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert lint_main(["--changed", "."]) == 1
+    assert "b\u00e4.py:5:" in capsys.readouterr().out
+
+
+def test_changed_follows_a_rename_to_its_new_path(
+    tmp_path, monkeypatch, capsys
+):
+    subprocess.run(["git", "init", "-q", str(tmp_path)], check=True)
+    (tmp_path / "old.py").write_text(_R8_SOURCE, encoding="utf-8")
+    _commit_all(tmp_path)
+    subprocess.run(
+        ["git", "-C", str(tmp_path), "mv", "old.py", "new.py"], check=True
+    )
+    monkeypatch.chdir(tmp_path)
+    assert lint_main(["--changed", "."]) == 1
+    out = capsys.readouterr().out
+    assert "new.py:5:" in out
+    assert "old.py" not in out
 
 
 def test_python_dash_m_entry_point(dirty_file):
