@@ -162,15 +162,8 @@ def cmd_sweep(args) -> int:
 
     from repro.analysis.acceptance import acceptance_sweep
     from repro.analysis.algorithms import standard_algorithms
-    from repro.obs import metrics as obs_metrics
     from repro.obs import trace as obs_trace
-    from repro.obs import use_observability
-    from repro.obs.profile import (
-        SamplingProfiler,
-        profile_enabled_from_env,
-        profile_payload,
-    )
-    from repro.perf.telemetry import COUNTERS, StageTimes, write_bench_json
+    from repro.perf.telemetry import COUNTERS, write_bench_json
 
     u_min = as_finite_float("--u-min", args.u_min)
     u_max = as_finite_float("--u-max", args.u_max)
@@ -193,22 +186,11 @@ def cmd_sweep(args) -> int:
     if args.light:
         gen = gen.light()
     algorithms = standard_algorithms(include_light=args.light)
-    stages = StageTimes()
     before = COUNTERS.snapshot()
     progress: dict = {}
-    profiling = args.profile or profile_enabled_from_env()
-    trace_out = args.trace_out
-    obs_json = args.obs_json
-    if profiling:
-        trace_out = trace_out or "benchmarks/results/TRACE_sweep.jsonl"
-        obs_json = obs_json or "benchmarks/results/BENCH_obs.json"
-    profiler: Optional[SamplingProfiler] = None
-    hist_before = obs_metrics.snapshot()
     with ExitStack() as stack:
-        if profiling or trace_out:
-            stack.enter_context(use_observability(True))
-        if profiling:
-            profiler = stack.enter_context(SamplingProfiler())
+        if args.trace_out:
+            stack.enter_context(obs_trace.use_tracing(True))
         stack.enter_context(
             obs_trace.span(
                 "cli.sweep",
@@ -217,32 +199,31 @@ def cmd_sweep(args) -> int:
                 u_points=len(u_grid),
             )
         )
-        with stages.stage("sweep"):
-            if args.store:
-                from repro.store.checkpoint import run_sweep
+        if args.store:
+            from repro.store.checkpoint import run_sweep
 
-                sweep = run_sweep(
-                    algorithms,
-                    gen,
-                    processors=args.processors,
-                    u_grid=u_grid,
-                    samples=args.samples,
-                    seed=args.seed,
-                    jobs=args.jobs,
-                    store=args.store,
-                    resume=args.resume,
-                    progress=progress,
-                )
-            else:
-                sweep = acceptance_sweep(
-                    algorithms,
-                    gen,
-                    processors=args.processors,
-                    u_grid=u_grid,
-                    samples=args.samples,
-                    seed=args.seed,
-                    jobs=args.jobs,
-                )
+            sweep = run_sweep(
+                algorithms,
+                gen,
+                processors=args.processors,
+                u_grid=u_grid,
+                samples=args.samples,
+                seed=args.seed,
+                jobs=args.jobs,
+                store=args.store,
+                resume=args.resume,
+                progress=progress,
+            )
+        else:
+            sweep = acceptance_sweep(
+                algorithms,
+                gen,
+                processors=args.processors,
+                u_grid=u_grid,
+                samples=args.samples,
+                seed=args.seed,
+                jobs=args.jobs,
+            )
     title = (
         f"acceptance sweep: M={args.processors}, N={args.n}, "
         f"{args.periods} periods, samples={args.samples}, jobs={args.jobs}"
@@ -267,35 +248,15 @@ def cmd_sweep(args) -> int:
                     "seed": args.seed,
                     "jobs": args.jobs,
                 },
-                "stage_seconds": stages.as_dict(),
                 "counters": COUNTERS.delta_since(before),
                 "curves": sweep.curves,
             },
         )
-        print(f"perf telemetry written to {args.bench_json}")
-    if trace_out:
-        flushed = obs_trace.flush_jsonl(trace_out)
-        print(f"trace ({flushed} spans) written to {trace_out} — "
-              f"render with: python -m repro obs summarize {trace_out}")
-    if profiler is not None and obs_json:
-        payload = profile_payload(
-            profiler,
-            config={
-                "n": args.n,
-                "processors": args.processors,
-                "samples": args.samples,
-                "seed": args.seed,
-                "jobs": args.jobs,
-            },
-            extra={
-                "stage_seconds": stages.as_dict(),
-                "histograms": obs_metrics.delta_since(hist_before),
-            },
-        )
-        write_bench_json(obs_json, payload)
-        print(f"profile written to {obs_json}")
-        for line in profiler.top(5):
-            print(f"  {line}")
+        print(f"counters and curves written to {args.bench_json}")
+    if args.trace_out:
+        flushed = obs_trace.flush_jsonl(args.trace_out)
+        print(f"trace ({flushed} spans) written to {args.trace_out} — "
+              f"render with: python -m repro obs summarize {args.trace_out}")
     return 0
 
 
@@ -497,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument(
         "--bench-json", default=None,
-        help="write wall-time + RTA-counter telemetry to this JSON file",
+        help="write the config, RTA counters and curves to this JSON file",
     )
     p_sweep.add_argument(
         "--store", default=None,
@@ -510,20 +471,9 @@ def build_parser() -> argparse.ArgumentParser:
         "bit-identical to an uninterrupted run",
     )
     p_sweep.add_argument(
-        "--profile", action="store_true",
-        help="arm the observability layer: sampling profiler + span "
-        "trace + histograms (also via REPRO_PROFILE=1; see "
-        "docs/observability.md)",
-    )
-    p_sweep.add_argument(
         "--trace-out", default=None,
-        help="flush the span trace to this JSONL file (default with "
-        "--profile: benchmarks/results/TRACE_sweep.jsonl)",
-    )
-    p_sweep.add_argument(
-        "--obs-json", default=None,
-        help="write the profiler/histogram artifact here (default with "
-        "--profile: benchmarks/results/BENCH_obs.json)",
+        help="arm span tracing and flush the trace to this JSONL file "
+        "(see docs/observability.md)",
     )
     p_sweep.set_defaults(func=cmd_sweep)
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import os
 import tempfile
-import time
 from dataclasses import replace
 from typing import Dict, List, Optional
 
@@ -89,9 +88,7 @@ def run_bench_churn(
     rates = [float(r) for r in BENCH_RATES]
 
     before = COUNTERS.snapshot()
-    t0 = time.perf_counter()
     rows = run_churn_grid(base, policies, rates, jobs=jobs)
-    grid_seconds = time.perf_counter() - t0
     counter_delta = COUNTERS.delta_since(before)
 
     serial_rows = run_churn_grid(base, policies, rates, jobs=1)
@@ -104,7 +101,6 @@ def run_bench_churn(
         replace(base, policy="compact", arrival_rate=rates[-1])
     )
 
-    events_total = sum(int(row["events"]) for row in rows)
     report: Dict[str, object] = {
         "kind": "churn_bench",
         "config": {
@@ -124,12 +120,6 @@ def run_bench_churn(
         "determinism": {
             "jobs_invariant": True,  # enforced above
             "resume": resume,
-        },
-        "timing": {
-            "grid_wall_seconds": round(grid_seconds, 4),
-            "events_per_second": round(events_total / grid_seconds, 2)
-            if grid_seconds > 0
-            else None,
         },
         "counters": {
             name: value
@@ -174,13 +164,10 @@ def main(argv: Optional[list] = None) -> int:
     grid = report["grid"]
     for policy in sorted(grid):
         print(_policy_line(policy, grid[policy]))
-    timing = report["timing"]
     resume = report["determinism"]["resume"]
     print(
-        f"grid: {timing['grid_wall_seconds']}s "
-        f"({timing['events_per_second']} events/s); resume identical "
-        f"after {resume['events_resumed']}/{resume['events_total']} "
-        "journaled events"
+        f"resume identical after {resume['events_resumed']}/"
+        f"{resume['events_total']} journaled events"
     )
     if args.out:
         print(f"report written to {args.out}")

@@ -1,19 +1,17 @@
-"""Unified observability layer: tracing, histograms, profiler, export.
+"""Unified observability layer: tracing, histograms, export.
 
-Four pieces, all stdlib-only and off by default:
+Three pieces, all stdlib-only and off by default:
 
 * :mod:`repro.obs.trace` — span-based tracing with trace/span ids, an
   ambient-context tree, a bounded ring buffer, and JSONL flush;
 * :mod:`repro.obs.metrics` — fixed-bucket histograms with exact
   cross-worker merges plus the Prometheus text exposition;
-* :mod:`repro.obs.profile` — opt-in sampling profiler writing the
-  provenance-stamped ``BENCH_obs.json`` artifact;
 * :mod:`repro.obs.runtime` — the fork-pool protocol shipping spans and
   histogram deltas back with the telemetry counter-delta merge.
 
-Enable everything at once with :func:`use_observability` (what the sweep
-CLI's ``--profile`` does), or the individual switches with
-``REPRO_TRACE=1`` / ``REPRO_METRICS=1`` / ``REPRO_PROFILE=1``.
+Enable both at once with :func:`use_observability`, or the individual
+switches with
+``REPRO_TRACE=1`` / ``REPRO_METRICS=1``.
 
 ``python -m repro obs summarize TRACE.jsonl`` renders flushed traces;
 naming conventions and overhead numbers live in

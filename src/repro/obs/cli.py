@@ -1,7 +1,7 @@
 """``python -m repro obs`` — render flushed trace files.
 
 ``summarize TRACE.jsonl`` aggregates a JSONL span file (written by
-:func:`repro.obs.trace.flush_jsonl`, e.g. by ``repro sweep --profile``)
+:func:`repro.obs.trace.flush_jsonl`, e.g. by ``repro sweep --trace-out``)
 into a per-stage breakdown, the top-N slowest individual spans, and an
 indented tree of one trace.  Self-time is a span's duration minus the
 summed durations of its direct children, so a stage that merely wraps

@@ -15,7 +15,7 @@ a module-global registry, ``snapshot()`` / ``delta_since()`` /
 ``merge()`` for the fork-pool delta protocol, and a master ``ENABLED``
 switch so a disabled ``observe()`` costs one boolean check.  Hot paths
 guard with ``if metrics.ENABLED:`` before reading the clock so the
-disabled cost stays under the <2 % ``bench_sweep`` budget.
+disabled cost is one boolean check.
 
 :func:`render_prometheus` serializes every registered histogram plus
 arbitrary counter/gauge maps into the Prometheus text exposition format
@@ -70,7 +70,7 @@ def _env_flag(name: str) -> bool:
 
 
 #: Master switch — module global so the disabled fast path is one lookup.
-ENABLED: bool = _env_flag("REPRO_METRICS") or _env_flag("REPRO_PROFILE")
+ENABLED: bool = _env_flag("REPRO_METRICS")
 
 
 def metrics_enabled() -> bool:

@@ -10,8 +10,8 @@ Design constraints, mirroring :mod:`repro.perf.telemetry`:
 
 * **Off by default, ~free when off.**  The hot-path cost of a disabled
   span is one module-global boolean check; nothing is allocated into the
-  buffer, no clock is read.  Enable via ``REPRO_TRACE=1``, ``--profile``
-  on the sweep CLI, or :func:`use_tracing`.
+  buffer, no clock is read.  Enable via ``REPRO_TRACE=1``,
+  ``--trace-out`` on the sweep CLI, or :func:`use_tracing`.
 * **Bounded memory.**  Finished spans land in an in-process ring buffer
   (default 65536 spans, oldest dropped first); :func:`drain` empties it
   and :func:`flush_jsonl` persists it one JSON object per line.
@@ -70,7 +70,7 @@ def _env_flag(name: str) -> bool:
 
 
 #: Master switch — module global so the disabled fast path is one lookup.
-ENABLED: bool = _env_flag("REPRO_TRACE") or _env_flag("REPRO_PROFILE")
+ENABLED: bool = _env_flag("REPRO_TRACE")
 
 _DEFAULT_BUFFER_LIMIT = 65536
 _BUFFER: Deque[Dict[str, Any]] = deque(maxlen=_DEFAULT_BUFFER_LIMIT)

@@ -3,25 +3,25 @@
 The nightly pipeline regenerates every benchmark and calls this checker
 (``python -m repro bench check`` or ``scripts/check_bench_drift.py``) to
 classify each leaf value of the fresh artifact against the committed
-baseline under explicit, pattern-addressed tolerances:
+baseline:
 
-* ``equal`` / ``within_tolerance`` — fine;
-* ``drift`` — outside tolerance, or a baseline key the fresh run lost
+* ``equal`` — fine;
+* ``drift`` — a different value, or a baseline key the fresh run lost
   (exit code 1);
 * ``added`` — a key only the fresh run has: a *warning*, not drift, so
   schema growth in a newer branch does not break the nightly of an
   older one.
 
-Tolerances are first-match-wins ``PATTERN=VALUE`` rules over the dotted
-leaf path (``fnmatch`` globs; list items appear as ``[i]``).  A ``%``
-suffix means relative, otherwise absolute; ``0`` means exact.  The
-defaults are deliberately severe about counts and curves (exact — they
-are deterministic by construction) and deliberately loose about wall
-time (``*seconds*`` gets 100 % relative slack: shared CI runners are
-noisy, and an order-of-magnitude regression still trips it).
+Every leaf is compared exactly: the artifacts hold results only (curves,
+counters, verdicts, probe counts, witnesses), which are deterministic
+by construction.  Wall-clock timing belongs to ``perfbench/``, which
+scales it for host noise.  The one exception is a fixed ignore list
+(:data:`DEFAULT_IGNORES`, ``fnmatch`` globs over the dotted leaf path,
+list items as ``[i]``): machine identity, and the clock readings of the
+loadgen report, a user tool whose product is latency.
 
-Machine-identity noise is ignored outright: ``provenance.*``,
-``host.*``, per-repeat raw timings and derived speedups.
+A committed baseline with no fresh twin is drift too: a nightly step
+that stops writing its artifact must fail the gate, not skip it.
 """
 
 from __future__ import annotations
@@ -33,114 +33,32 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from typing import (
-    Any,
-    Dict,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "DEFAULT_IGNORES",
-    "DEFAULT_RULES",
     "Finding",
-    "Tolerance",
     "build_parser",
     "classify",
     "compare_values",
     "flatten",
     "main",
     "pair_artifacts",
-    "parse_tolerance",
-    "parse_tolerances",
 ]
 
-#: Leaf paths that never participate in the comparison: machine identity,
-#: per-repeat raw samples, and values derived from them.
+#: Leaf paths that never participate in the comparison.
 DEFAULT_IGNORES: Tuple[str, ...] = (
+    # machine identity
     "provenance.*",
     "host.*",
-    "*wall_seconds_all*",
-    "speedups_vs*",
-    "*.note",
-)
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """One tolerance: relative (fraction of baseline) or absolute."""
-
-    relative: Optional[float] = None
-    absolute: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if (self.relative is None) == (self.absolute is None):
-            raise ValueError(
-                "tolerance needs exactly one of relative/absolute"
-            )
-        value = self.relative if self.relative is not None else self.absolute
-        assert value is not None
-        if value < 0:
-            raise ValueError(f"tolerance must be >= 0, got {value}")
-
-    def allows(self, baseline: float, fresh: float) -> bool:
-        """Whether *fresh* is within this tolerance of *baseline*."""
-        diff = abs(fresh - baseline)
-        if self.absolute is not None:
-            return diff <= self.absolute
-        assert self.relative is not None
-        return diff <= self.relative * abs(baseline)
-
-    def describe(self) -> str:
-        if self.relative is not None:
-            return f"{self.relative * 100:g}%"
-        return f"{self.absolute:g}"
-
-
-def parse_tolerance(text: str) -> Tolerance:
-    """``"5%"`` → 5 % relative; ``"0.01"`` → absolute; ``"0"`` → exact."""
-    raw = text.strip()
-    if not raw:
-        raise ValueError("empty tolerance")
-    try:
-        if raw.endswith("%"):
-            return Tolerance(relative=float(raw[:-1]) / 100.0)
-        return Tolerance(absolute=float(raw))
-    except ValueError as exc:
-        raise ValueError(f"bad tolerance {text!r}: {exc}") from None
-
-
-def parse_tolerances(text: str) -> List[Tuple[str, Tolerance]]:
-    """Parse ``PATTERN=VALUE,PATTERN=VALUE`` first-match-wins rules."""
-    rules: List[Tuple[str, Tolerance]] = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            raise ValueError(
-                f"bad tolerance rule {part!r}: expected PATTERN=VALUE"
-            )
-        pattern, _, value = part.partition("=")
-        pattern = pattern.strip()
-        if not pattern:
-            raise ValueError(f"bad tolerance rule {part!r}: empty pattern")
-        rules.append((pattern, parse_tolerance(value)))
-    if not rules:
-        raise ValueError(f"no tolerance rules in {text!r}")
-    return rules
-
-
-#: Default rules: wall time and throughput are noisy (100 % relative),
-#: everything else — counters, curves, configs — must match exactly.
-DEFAULT_RULES: Tuple[Tuple[str, Tolerance], ...] = (
-    ("*seconds*", Tolerance(relative=1.0)),
-    ("*per_second*", Tolerance(relative=1.0)),
-    ("*", Tolerance(absolute=0.0)),
+    # loadgen (BENCH_service.json) clock readings
+    "client.rps",
+    "client.elapsed_seconds",
+    "*.latency_ms.p50",
+    "*.latency_ms.p90",
+    "*.latency_ms.p99",
+    "*.latency_ms.max",
+    "server_metrics.uptime_seconds",
 )
 
 
@@ -159,24 +77,14 @@ def flatten(value: Any, prefix: str = "") -> Dict[str, Any]:
     return out
 
 
-def _match_rule(
-    path: str, rules: Sequence[Tuple[str, Tolerance]]
-) -> Optional[Tolerance]:
-    for pattern, tolerance in rules:
-        if fnmatch.fnmatch(path, pattern):
-            return tolerance
-    return None
-
-
 @dataclass(frozen=True)
 class Finding:
     """Classification of one leaf path."""
 
     path: str
-    status: str  # equal | within_tolerance | drift | added | missing
+    status: str  # equal | drift | added | missing
     baseline: Any = None
     fresh: Any = None
-    tolerance: str = ""
 
     @property
     def is_drift(self) -> bool:
@@ -187,41 +95,22 @@ class Finding:
             return f"added    {self.path} = {self.fresh!r} (warning)"
         if self.status == "missing":
             return f"missing  {self.path} (baseline {self.baseline!r})"
-        detail = f"{self.baseline!r} -> {self.fresh!r}"
-        if self.tolerance:
-            detail += f" (tol {self.tolerance})"
-        return f"{self.status:<8} {self.path}: {detail}"
+        return f"{self.status:<8} {self.path}: {self.baseline!r} -> {self.fresh!r}"
 
 
-def compare_values(
-    path: str, baseline: Any, fresh: Any, tolerance: Tolerance
-) -> Finding:
-    """Classify one leaf pair under a tolerance.
+def compare_values(path: str, baseline: Any, fresh: Any) -> Finding:
+    """Classify one leaf pair: equal or drift, nothing in between.
 
-    Numeric pairs use the tolerance; everything else (strings, bools,
-    ``None``) must be identical.
+    A bool never equals a number, although Python's ``True == 1`` says so.
     """
-    numeric = (
-        isinstance(baseline, (int, float))
-        and isinstance(fresh, (int, float))
-        and not isinstance(baseline, bool)
-        and not isinstance(fresh, bool)
+    same = fresh == baseline and (
+        isinstance(fresh, bool) == isinstance(baseline, bool)
     )
-    if numeric:
-        if fresh == baseline:
-            status = "equal"
-        elif tolerance.allows(float(baseline), float(fresh)):
-            status = "within_tolerance"
-        else:
-            status = "drift"
-    else:
-        status = "equal" if fresh == baseline else "drift"
     return Finding(
         path=path,
-        status=status,
+        status="equal" if same else "drift",
         baseline=baseline,
         fresh=fresh,
-        tolerance=tolerance.describe(),
     )
 
 
@@ -229,23 +118,16 @@ def classify(
     baseline: Mapping[str, Any],
     fresh: Mapping[str, Any],
     *,
-    rules: Sequence[Tuple[str, Tolerance]] = DEFAULT_RULES,
     ignores: Sequence[str] = DEFAULT_IGNORES,
 ) -> List[Finding]:
-    """Classify every leaf of *fresh* against *baseline*.
-
-    Ignored paths are dropped entirely; paths no rule matches are
-    compared exactly.
-    """
+    """Classify every leaf of *fresh* against *baseline*; ignored paths
+    are dropped entirely."""
     flat_base = flatten(dict(baseline))
     flat_fresh = flatten(dict(fresh))
 
-    def ignored(path: str) -> bool:
-        return any(fnmatch.fnmatch(path, pat) for pat in ignores)
-
     findings: List[Finding] = []
     for path in sorted(set(flat_base) | set(flat_fresh)):
-        if ignored(path):
+        if any(fnmatch.fnmatch(path, pat) for pat in ignores):
             continue
         if path not in flat_fresh:
             findings.append(
@@ -257,11 +139,8 @@ def classify(
                 Finding(path=path, status="added", fresh=flat_fresh[path])
             )
         else:
-            tolerance = _match_rule(path, rules) or Tolerance(absolute=0.0)
             findings.append(
-                compare_values(
-                    path, flat_base[path], flat_fresh[path], tolerance
-                )
+                compare_values(path, flat_base[path], flat_fresh[path])
             )
     return findings
 
@@ -270,24 +149,30 @@ def _bench_files(path: str) -> List[str]:
     """Expand a file-or-directory argument to BENCH_*.json files."""
     if os.path.isdir(path):
         return sorted(glob.glob(os.path.join(path, "BENCH_*.json")))
+    if not os.path.exists(path):
+        raise FileNotFoundError(f"no such file or directory: {path!r}")
     return [path]
 
 
 def pair_artifacts(
     baseline: str, fresh: str
-) -> List[Tuple[str, str, str]]:
-    """Pair baseline/fresh artifacts as ``(name, base_path, fresh_path)``.
+) -> List[Tuple[str, str, Optional[str]]]:
+    """Pair each baseline artifact with its fresh twin.
 
-    Directory arguments pair by basename; only names present on *both*
-    sides are compared (one-sided artifacts are reported by the CLI as
-    skips, not failures — nightly may regenerate a subset).
+    Returns ``(name, base_path, fresh_path)`` per baseline artifact,
+    paired by basename; ``fresh_path`` is ``None`` when the fresh side
+    has no artifact of that name (the CLI reports it as drift).
+    Fresh-only artifacts have no baseline to compare against and are
+    left out.  Two file arguments always pair with each other.
     """
     base_files = {os.path.basename(p): p for p in _bench_files(baseline)}
     fresh_files = {os.path.basename(p): p for p in _bench_files(fresh)}
     if os.path.isfile(baseline) and os.path.isfile(fresh):
         return [(os.path.basename(fresh), baseline, fresh)]
-    names = sorted(set(base_files) & set(fresh_files))
-    return [(name, base_files[name], fresh_files[name]) for name in names]
+    return [
+        (name, base_files[name], fresh_files.get(name))
+        for name in sorted(base_files)
+    ]
 
 
 def _load(path: str) -> Mapping[str, Any]:
@@ -299,39 +184,37 @@ def _load(path: str) -> Mapping[str, Any]:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    rules: Sequence[Tuple[str, Tolerance]] = DEFAULT_RULES
-    if args.tol:
-        rules = parse_tolerances(args.tol) + list(DEFAULT_RULES)
     pairs = pair_artifacts(args.baseline, args.fresh)
     if not pairs:
         print(
-            f"error: no artifact pairs between {args.baseline!r} "
-            f"and {args.fresh!r}",
+            f"error: no baseline artifacts in {args.baseline!r}",
             file=sys.stderr,
         )
         return 2
     report: Dict[str, Any] = {"artifacts": {}, "drift": False}
     drifted = False
     for name, base_path, fresh_path in pairs:
-        findings = classify(_load(base_path), _load(fresh_path), rules=rules)
-        drift = [f for f in findings if f.is_drift]
+        if fresh_path is None:
+            drift_lines = [f"missing  artifact {name} (no fresh twin)"]
+            findings: List[Finding] = []
+        else:
+            findings = classify(_load(base_path), _load(fresh_path))
+            drift_lines = [f.describe() for f in findings if f.is_drift]
         added = [f for f in findings if f.status == "added"]
-        within = [f for f in findings if f.status == "within_tolerance"]
-        drifted = drifted or bool(drift)
+        drifted = drifted or bool(drift_lines)
         report["artifacts"][name] = {
             "baseline": base_path,
             "fresh": fresh_path,
             "leaves": len(findings),
-            "drift": [f.describe() for f in drift],
+            "drift": drift_lines,
             "added": [f.path for f in added],
-            "within_tolerance": [f.describe() for f in within],
         }
         if not args.json:
-            verdict = "DRIFT" if drift else "ok"
+            verdict = "DRIFT" if drift_lines else "ok"
             print(f"{name}: {verdict}  ({len(findings)} leaves, "
-                  f"{len(within)} within tolerance, {len(added)} added)")
-            for finding in drift:
-                print(f"  {finding.describe()}")
+                  f"{len(added)} added)")
+            for line in drift_lines:
+                print(f"  {line}")
             for finding in added:
                 print(f"  {finding.describe()}")
     report["drift"] = drifted
@@ -358,11 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument(
         "--fresh", required=True,
         help="freshly generated artifact file or directory",
-    )
-    p_check.add_argument(
-        "--tol", default=None,
-        help="extra first-match-wins rules, e.g. "
-        "'*seconds*=150%%,counters.*=0' (defaults still apply after)",
     )
     p_check.add_argument("--json", action="store_true",
                          help="machine-readable report on stdout")

@@ -1,26 +1,22 @@
 """E3-scale sweep benchmark: the ``BENCH_sweep.json`` artifact generator.
 
 Runs the paper's E3 acceptance sweep (general task sets, log-uniform
-periods, full utilization grid) in two modes and records wall times,
-hot-path counters and curve equality:
+periods, full utilization grid) in two modes and records the hot-path
+counters and curve equality:
 
 * ``incremental-serial`` — cached-context admission with warm-started
   fixed points, one process;
 * ``incremental-parallel`` — the same, fanned out over ``--jobs`` worker
   processes by :mod:`repro.runner`.
 
-Both must produce bit-identical curves; the run aborts loudly if they do
-not.  Usage::
+Both must produce bit-identical curves and counters; the run aborts
+loudly if the curves do not match.  The artifact holds results only:
+wall-clock timing of this sweep is ``perfbench``'s ``sweep-e3``
+workload.  Usage::
 
     PYTHONPATH=src python -m repro.perf.bench_sweep \
-        --samples 100 --jobs 4 --repeats 3 \
+        --samples 100 --jobs 4 \
         --out benchmarks/results/BENCH_sweep.json
-
-Interpretation caveat (also recorded inside the artifact): on a
-single-core container the parallel mode cannot beat the serial mode — it
-measures pool overhead plus the (verified) bit-identity of the fan-out
-path.  The parallel win multiplies the serial win only when
-``os.cpu_count() >= jobs``.
 """
 
 # repro-lint: disable-file=R8 -- this module IS a CLI entry point
@@ -30,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import time
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -41,19 +36,6 @@ from repro.perf.telemetry import COUNTERS, write_bench_json
 from repro.taskgen.generators import TaskSetGenerator
 
 __all__ = ["run_bench_sweep", "main"]
-
-#: Seed-revision wall time measured once (commit 7a7548e, samples=25,
-#: same host class) next to the rebuild-per-probe engine of that time
-#: (2.22 s, since removed) and the incremental engine (1.33 s).  Not
-#: reproducible from this tree alone, hence recorded as an annotation,
-#: not a measured mode.
-_SEED_REFERENCE = {
-    "commit": "7a7548e",
-    "samples": 25,
-    "wall_seconds_min": 2.87,
-    "in_repo_legacy_wall_seconds_min": 2.22,
-    "in_repo_incremental_wall_seconds_min": 1.33,
-}
 
 
 def _sweep_config(samples: int):
@@ -69,14 +51,20 @@ def run_bench_sweep(
     *,
     samples: int = 100,
     jobs: int = 4,
-    repeats: int = 3,
     seed: int = 0,
 ) -> Dict[str, object]:
-    """Measure the serial and parallel modes; return the artifact payload."""
+    """Run the serial and parallel modes; return the artifact payload."""
     gen, algorithms, m, u_grid = _sweep_config(samples)
 
-    def sweep(jobs_: int):
-        return acceptance_sweep(
+    modes = (
+        ("incremental-serial", 1),
+        ("incremental-parallel", jobs),
+    )
+    counters: Dict[str, Dict[str, object]] = {}
+    curves: Dict[str, Dict[str, List[float]]] = {}
+    for name, jobs_ in modes:
+        before = COUNTERS.snapshot()
+        result = acceptance_sweep(
             algorithms,
             gen,
             processors=m,
@@ -85,24 +73,8 @@ def run_bench_sweep(
             seed=seed,
             jobs=jobs_,
         )
-
-    modes = (
-        ("incremental-serial", 1),
-        ("incremental-parallel", jobs),
-    )
-    walls: Dict[str, List[float]] = {name: [] for name, _ in modes}
-    counters: Dict[str, Dict[str, object]] = {}
-    curves: Dict[str, Dict[str, List[float]]] = {}
-    # Interleave the modes across repeats so host-load drift hits all of
-    # them equally; report the minimum (the least-perturbed run).
-    for _ in range(repeats):
-        for name, jobs_ in modes:
-            before = COUNTERS.snapshot()
-            t0 = time.perf_counter()
-            result = sweep(jobs_)
-            walls[name].append(time.perf_counter() - t0)
-            counters[name] = COUNTERS.delta_since(before)
-            curves[name] = result.curves
+        counters[name] = COUNTERS.delta_since(before)
+        curves[name] = result.curves
 
     identical = all(
         c == curves["incremental-serial"] for c in curves.values()
@@ -112,15 +84,9 @@ def run_bench_sweep(
             "sweep modes disagree on curves — bit-identity broken"
         )
 
-    payload: Dict[str, object] = {
+    return {
         "kind": "bench_sweep",
-        "host": {
-            "cpu_count": os.cpu_count(),
-            "note": (
-                "parallel mode only beats serial when cpu_count >= jobs; "
-                "on a 1-core host it measures pool overhead + bit-identity"
-            ),
-        },
+        "host": {"cpu_count": os.cpu_count()},
         "config": {
             "experiment_shape": "E3 (general sets, log-uniform periods)",
             "processors": m,
@@ -130,52 +96,31 @@ def run_bench_sweep(
             "samples": samples,
             "seed": seed,
             "jobs": jobs,
-            "repeats": repeats,
         },
         "modes": {
-            name: {
-                "wall_seconds_min": round(min(walls[name]), 4),
-                "wall_seconds_all": [round(w, 4) for w in walls[name]],
-                "counters": counters[name],
-            }
-            for name, _ in modes
+            name: {"counters": counters[name]} for name, _ in modes
         },
         "curves_identical": identical,
-        "seed_reference": dict(
-            _SEED_REFERENCE,
-            note=(
-                "historical walls; the rebuild-per-probe engine they "
-                "compare against is no longer in the tree"
-            ),
-        ),
     }
-    return payload
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.perf.bench_sweep",
-        description="Measure the E3 sweep serially and in parallel and "
-        "write the BENCH_sweep.json perf artifact.",
+        description="Run the E3 sweep serially and in parallel and "
+        "write the BENCH_sweep.json results artifact.",
     )
     parser.add_argument("--samples", type=int, default=100)
     parser.add_argument("--jobs", type=int, default=4)
-    parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--out", default="benchmarks/results/BENCH_sweep.json"
     )
     args = parser.parse_args(argv)
     payload = run_bench_sweep(
-        samples=args.samples,
-        jobs=args.jobs,
-        repeats=args.repeats,
-        seed=args.seed,
+        samples=args.samples, jobs=args.jobs, seed=args.seed
     )
     write_bench_json(args.out, payload)
-    modes = payload["modes"]
-    for name, data in modes.items():  # type: ignore[union-attr]
-        print(f"{name:>22}: {data['wall_seconds_min']:.4f}s min")
     print(f"curves identical: {payload['curves_identical']}")
     print(f"written to {args.out}")
     return 0

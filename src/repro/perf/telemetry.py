@@ -1,4 +1,4 @@
-"""Structured perf telemetry: hot-path counters and per-stage wall times.
+"""Structured perf telemetry: hot-path counters.
 
 The counters are plain integer attributes on a module-global singleton —
 incrementing one costs ~100 ns, negligible next to the NumPy work in a
@@ -8,18 +8,17 @@ processes of the parallel runner return their deltas to the parent, which
 merges them so totals are meaningful at any ``jobs`` level.
 
 ``BENCH_sweep.json`` (see ``DESIGN.md`` §5 for the schema) is assembled
-from these snapshots plus :class:`StageTimes` wall-clock measurements.
+from these snapshots.  Wall-clock timing is not measured here: that is
+``perfbench``'s job.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import time
-from contextlib import contextmanager
-from typing import Dict, Iterator
+from typing import Dict
 
-__all__ = ["PerfCounters", "COUNTERS", "StageTimes", "write_bench_json"]
+__all__ = ["PerfCounters", "COUNTERS", "write_bench_json"]
 
 #: Counter attribute names, in reporting order.
 _FIELDS = (
@@ -115,28 +114,6 @@ class PerfCounters:
 
 #: The process-global counter singleton the hot paths increment.
 COUNTERS = PerfCounters()
-
-
-class StageTimes:
-    """Named wall-clock accumulators for the phases of a sweep."""
-
-    def __init__(self) -> None:
-        self._seconds: Dict[str, float] = {}
-
-    @contextmanager
-    def stage(self, name: str) -> Iterator[None]:
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            self._seconds[name] = self._seconds.get(name, 0.0) + elapsed
-
-    def record(self, name: str, seconds: float) -> None:
-        self._seconds[name] = self._seconds.get(name, 0.0) + float(seconds)
-
-    def as_dict(self) -> Dict[str, float]:
-        return {name: round(sec, 6) for name, sec in self._seconds.items()}
 
 
 def write_bench_json(path: str, payload: Dict[str, object]) -> None:

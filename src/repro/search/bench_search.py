@@ -28,7 +28,6 @@ from __future__ import annotations
 import argparse
 import os
 import tempfile
-import time
 from typing import Dict, Optional
 
 from repro.perf.telemetry import COUNTERS, write_bench_json
@@ -124,9 +123,7 @@ def run_bench_search(
     config = bench_search_config(seed=seed)
 
     before = COUNTERS.snapshot()
-    t0 = time.perf_counter()
     frontier = map_frontier(config, jobs=jobs)
-    frontier_seconds = time.perf_counter() - t0
 
     if frontier.efficiency_vs_grid < MIN_EFFICIENCY:
         raise RuntimeError(
@@ -152,9 +149,7 @@ def run_bench_search(
         rounds=BENCH_ADVERSARIAL_ROUNDS,
         population=BENCH_ADVERSARIAL_POPULATION,
     )
-    t1 = time.perf_counter()
     adversarial = adversarial_search(adv_config, jobs=jobs)
-    adversarial_seconds = time.perf_counter() - t1
     if not adversarial.found:
         raise RuntimeError(
             "benchmark adversarial search found no verified rejection"
@@ -208,15 +203,6 @@ def run_bench_search(
                 }
                 for entry in adversarial.history
             ],
-        },
-        "timing": {
-            "frontier_wall_seconds": round(frontier_seconds, 4),
-            "adversarial_wall_seconds": round(adversarial_seconds, 4),
-            "probes_per_second": round(
-                frontier.probes_total / frontier_seconds, 2
-            )
-            if frontier_seconds > 0
-            else None,
         },
         "counters": {
             name: value

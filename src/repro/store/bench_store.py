@@ -1,6 +1,6 @@
 """Storage-layer benchmark: the ``BENCH_store.json`` artifact generator.
 
-Measures the two wins the persistent store exists for:
+Records the two wins the persistent store exists for, as counts:
 
 * **Restart warmth** — a loadgen pass against a freshly spawned
   ``python -m repro serve --store PATH`` (cold file), then an identical
@@ -8,11 +8,14 @@ Measures the two wins the persistent store exists for:
   pass must reach at least the cold pass's cache-hit rate: results
   computed before the "restart" are served from sqlite instead of being
   recomputed.
-* **Resume speedup** — an acceptance sweep run to completion, then the
+* **Resume savings** — an acceptance sweep run to completion, then the
   same sweep interrupted at a cell budget and resumed.  The resumed leg
-  recomputes only the unfinished cells (verified via the ``rta_calls``
-  counter delta) and its curves are asserted bit-identical to the
-  uninterrupted run's.
+  recomputes only the unfinished cells (``resume_rta_calls`` is its
+  ``rta_calls`` counter delta) and its curves are asserted
+  bit-identical to the uninterrupted run's.
+
+The artifact holds results only; serving latency and throughput are
+``perfbench``'s ``serve-mix`` workload.
 
 Usage::
 
@@ -25,7 +28,6 @@ from __future__ import annotations
 import argparse
 import os
 import tempfile
-import time
 from typing import Dict, Optional
 
 from repro.analysis.acceptance import acceptance_sweep
@@ -55,10 +57,8 @@ def _loadgen_pass(store_path: str, *, requests: int, distinct: int,
     return {
         "requests": requests,
         "distinct_tasksets": min(distinct, requests),
-        "rps": client["rps"],
         "cache_hit_responses": client["cache_hit_responses"],
         "cache_hit_rate": round(client["cache_hit_responses"] / requests, 6),
-        "latency_ms": client["latency_ms"],
         "status_counts": client["status_counts"],
     }
 
@@ -99,9 +99,7 @@ def _bench_resume(store_path: str, *, samples: int, seed: int,
     cells_total = len(sweep_kwargs["u_grid"]) * samples
     cutoff = cells_total // 2
 
-    t0 = time.perf_counter()
     full = acceptance_sweep(algorithms, gen, **sweep_kwargs)
-    full_seconds = time.perf_counter() - t0
 
     try:
         run_sweep(
@@ -115,12 +113,10 @@ def _bench_resume(store_path: str, *, samples: int, seed: int,
 
     progress: Dict[str, int] = {}
     before = COUNTERS.snapshot()
-    t0 = time.perf_counter()
     resumed = run_sweep(
         algorithms, gen, store=store_path, resume=True, progress=progress,
         **sweep_kwargs
     )
-    resume_seconds = time.perf_counter() - t0
     resume_rta = COUNTERS.delta_since(before)["rta_calls"]
 
     if resumed.curves != full.curves:
@@ -131,10 +127,6 @@ def _bench_resume(store_path: str, *, samples: int, seed: int,
         "cells_total": cells_total,
         "cells_resumed": progress["cells_resumed"],
         "cells_recomputed": progress["cells_computed"],
-        "full_run_seconds": round(full_seconds, 4),
-        "resume_seconds": round(resume_seconds, 4),
-        "resume_speedup": round(full_seconds / resume_seconds, 2)
-        if resume_seconds else None,
         "resume_rta_calls": resume_rta,
         "curves_bit_identical": True,  # enforced above
     }
@@ -203,10 +195,9 @@ def main(argv: Optional[list] = None) -> int:
         f"({serving['durable_entries']} durable entries)"
     )
     print(
-        f"sweep:   full {resume['full_run_seconds']}s, resume "
-        f"{resume['resume_seconds']}s after {resume['cells_resumed']}/"
-        f"{resume['cells_total']} cells journaled "
-        f"(speedup {resume['resume_speedup']}x, curves identical)"
+        f"sweep:   resume recomputed {resume['cells_recomputed']}/"
+        f"{resume['cells_total']} cells ({resume['resume_rta_calls']} "
+        "RTA calls), curves identical"
     )
     if args.out:
         print(f"report written to {args.out}")

@@ -107,9 +107,9 @@ def test_pre_commit_hook_passes_only_flags_the_lint_cli_accepts():
 def test_nightly_regenerates_benchmarks_with_baseline_parameters():
     text = NIGHTLY.read_text()
     assert PERF_SMOKE_CMD in text
-    # committed BENCH_sweep.json config: samples=100, jobs=4, repeats=3
+    # committed BENCH_sweep.json config: samples=100, jobs=4
     assert ("python -m repro.perf.bench_sweep "
-            "--samples 100 --jobs 4 --repeats 3 --seed 0") in text
+            "--samples 100 --jobs 4 --seed 0") in text
     # committed BENCH_store.json uses the module defaults
     assert "python -m repro.store.bench_store" in text
     assert "python -m repro.service.loadgen" in text
@@ -158,8 +158,8 @@ def test_committed_search_benchmark_meets_the_efficiency_contract():
 
 def test_every_committed_bench_artifact_is_regenerated_nightly():
     # The drift gate pairs baseline and fresh artifacts by file name and
-    # skips one-sided ones, so a committed baseline that no nightly step
-    # regenerates would never be gated.
+    # fails on a baseline with no fresh twin, so a committed baseline that
+    # no nightly step regenerates would turn the nightly red.
     run_lines = [
         line.strip() for line in NIGHTLY.read_text().splitlines()
         if line.strip().startswith("run:")
@@ -187,8 +187,10 @@ def test_nightly_gates_on_bench_drift_and_uploads_artifacts():
 
 def test_nightly_exercises_the_observability_layer():
     text = NIGHTLY.read_text()
-    assert "python -m repro sweep" in text and "--profile" in text
-    assert "python -m repro obs summarize" in text
+    assert ("python -m repro sweep --samples 10 --jobs 2 "
+            "--trace-out fresh/TRACE_sweep.jsonl") in text
+    assert ("python -m repro obs summarize fresh/TRACE_sweep.jsonl"
+            in text)
 
 
 def test_nightly_sweep_params_match_committed_sweep_config():
@@ -203,7 +205,6 @@ def test_nightly_sweep_params_match_committed_sweep_config():
     text = NIGHTLY.read_text()
     assert f"--samples {config['samples']}" in text
     assert f"--jobs {config['jobs']}" in text
-    assert f"--repeats {config['repeats']}" in text
     assert f"--seed {config['seed']}" in text
 
 

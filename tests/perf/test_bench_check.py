@@ -1,4 +1,4 @@
-"""Bench-drift gate: tolerance parsing, classification, CLI exit codes."""
+"""Bench-drift gate: exact classification, ignores, CLI exit codes."""
 
 import json
 
@@ -6,74 +6,14 @@ import pytest
 
 from repro.perf.bench_check import (
     DEFAULT_IGNORES,
-    DEFAULT_RULES,
-    Tolerance,
     classify,
     compare_values,
     flatten,
     main,
     pair_artifacts,
-    parse_tolerance,
-    parse_tolerances,
 )
 
 pytestmark = pytest.mark.ci
-
-
-# -- tolerance parsing ------------------------------------------------------
-
-
-def test_parse_percent_is_relative():
-    tol = parse_tolerance("5%")
-    assert tol.relative == pytest.approx(0.05)
-    assert tol.absolute is None
-    assert tol.describe() == "5%"
-
-
-def test_parse_number_is_absolute():
-    tol = parse_tolerance("0.01")
-    assert tol.absolute == 0.01
-    assert tol.relative is None
-
-
-def test_parse_zero_means_exact():
-    tol = parse_tolerance("0")
-    assert tol.absolute == 0.0
-    assert tol.allows(1.0, 1.0)
-    assert not tol.allows(1.0, 1.0000001)
-
-
-@pytest.mark.parametrize("bad", ["", "abc", "5%%", "-1", "-2%"])
-def test_parse_rejects_garbage(bad):
-    with pytest.raises(ValueError):
-        parse_tolerance(bad)
-
-
-def test_tolerance_needs_exactly_one_kind():
-    with pytest.raises(ValueError):
-        Tolerance()
-    with pytest.raises(ValueError):
-        Tolerance(relative=0.1, absolute=0.1)
-
-
-def test_relative_allows_scales_with_baseline():
-    tol = Tolerance(relative=0.10)
-    assert tol.allows(100.0, 109.9)
-    assert not tol.allows(100.0, 111.0)
-    assert tol.allows(0.5, 0.54)
-
-
-def test_parse_tolerances_rules_first_match_wins():
-    rules = parse_tolerances("*seconds*=50%, counters.*=0")
-    assert rules[0][0] == "*seconds*"
-    assert rules[0][1].relative == pytest.approx(0.5)
-    assert rules[1][1].absolute == 0.0
-    with pytest.raises(ValueError, match="PATTERN=VALUE"):
-        parse_tolerances("just-a-pattern")
-    with pytest.raises(ValueError, match="empty pattern"):
-        parse_tolerances("=5%")
-    with pytest.raises(ValueError):
-        parse_tolerances(" , ")
 
 
 # -- flatten + classification ----------------------------------------------
@@ -92,14 +32,14 @@ def test_classify_statuses():
         "curves": {"RM-TS": [1.0, 0.5]},
     }
     fresh = {
-        "counters": {"rta_calls": 101},          # drift (exact rule)
-        "wall_seconds_min": 1.8,                 # within 100% seconds rule
+        "counters": {"rta_calls": 101},          # drift
+        "wall_seconds_min": 1.8,                 # drift: no slack for time
         "new_key": "hello",                      # added → warning
         "curves": {"RM-TS": [1.0, 0.5]},         # equal
     }
     findings = {f.path: f for f in classify(baseline, fresh)}
     assert findings["counters.rta_calls"].status == "drift"
-    assert findings["wall_seconds_min"].status == "within_tolerance"
+    assert findings["wall_seconds_min"].status == "drift"
     assert findings["gone"].status == "missing"
     assert findings["gone"].is_drift
     assert findings["new_key"].status == "added"
@@ -110,16 +50,12 @@ def test_classify_statuses():
 def test_classify_ignores_noise_paths():
     baseline = {
         "provenance": {"code_version": "a"},
-        "host": {"cpu_count": 1, "note": "x"},
-        "modes": {"serial": {"wall_seconds_all": [1.0, 2.0]}},
-        "speedups_vs_legacy": {"parallel": 2.0},
+        "host": {"cpu_count": 1},
         "real": 1,
     }
     fresh = {
         "provenance": {"code_version": "b"},
-        "host": {"cpu_count": 64, "note": "y"},
-        "modes": {"serial": {"wall_seconds_all": [9.0]}},
-        "speedups_vs_legacy": {"parallel": 99.0},
+        "host": {"cpu_count": 64},
         "real": 1,
     }
     findings = classify(baseline, fresh)
@@ -127,30 +63,47 @@ def test_classify_ignores_noise_paths():
     assert findings[0].status == "equal"
 
 
-def test_non_numeric_leaves_compare_exactly():
-    assert compare_values(
-        "kind", "bench_sweep", "bench_sweep", Tolerance(absolute=0.0)
-    ).status == "equal"
-    assert compare_values(
-        "kind", "bench_sweep", "bench_store", Tolerance(relative=10.0)
-    ).status == "drift"
-    # booleans are not numbers: True must not be "within 100%" of 0
-    assert compare_values(
-        "flag", True, False, Tolerance(relative=1.0)
-    ).status == "drift"
+def test_loadgen_clock_leaves_are_ignored_and_its_counts_are_not():
+    def report(rps, p50, uptime, count):
+        return {
+            "client": {
+                "elapsed_seconds": 1.0 / rps,
+                "rps": rps,
+                "latency_ms": {"p50": p50, "p90": p50, "p99": p50,
+                               "max": p50},
+                "cache_hit_responses": 25,
+            },
+            "server_metrics": {
+                "uptime_seconds": uptime,
+                "latency_ms": {"count": count, "p50": p50, "p90": p50,
+                               "p99": p50, "max": p50},
+            },
+        }
 
-
-def test_custom_rules_precede_defaults():
-    rules = parse_tolerances("counters.*=5%") + list(DEFAULT_RULES)
-    findings = {
-        f.path: f
-        for f in classify(
-            {"counters": {"rta_calls": 100}},
-            {"counters": {"rta_calls": 103}},
-            rules=rules,
-        )
+    findings = classify(report(100.0, 2.5, 0.1, 50),
+                        report(900.0, 7.5, 0.4, 50))
+    assert {f.path for f in findings} == {
+        "client.cache_hit_responses", "server_metrics.latency_ms.count",
     }
-    assert findings["counters.rta_calls"].status == "within_tolerance"
+    assert all(f.status == "equal" for f in findings)
+    drifted = classify(report(100.0, 2.5, 0.1, 50),
+                       report(100.0, 2.5, 0.1, 51))
+    assert [f.path for f in drifted if f.is_drift] == [
+        "server_metrics.latency_ms.count"
+    ]
+
+
+def test_non_numeric_leaves_compare_exactly():
+    assert compare_values("kind", "bench_sweep", "bench_sweep").status == (
+        "equal"
+    )
+    assert compare_values("kind", "bench_sweep", "bench_store").status == (
+        "drift"
+    )
+    assert compare_values("flag", True, False).status == "drift"
+    # booleans are not numbers, although Python says True == 1
+    assert compare_values("flag", True, 1).status == "drift"
+    assert compare_values("n", 1, 1.0).status == "equal"
 
 
 def test_default_ignores_are_stable():
@@ -169,15 +122,15 @@ def _write(path, payload):
 
 def test_cli_ok_and_drift_exit_codes(tmp_path, capsys):
     base = _write(tmp_path / "BENCH_x.json",
-                  {"kind": "x", "counters": {"calls": 5}, "seconds": 1.0})
+                  {"kind": "x", "counters": {"calls": 5}})
     same = _write(tmp_path / "BENCH_same.json",
-                  {"kind": "x", "counters": {"calls": 5}, "seconds": 1.9})
+                  {"kind": "x", "counters": {"calls": 5}})
     assert main(["check", "--baseline", base, "--fresh", same]) == 0
     out = capsys.readouterr().out
     assert "ok" in out
 
     drifted = _write(tmp_path / "BENCH_drift.json",
-                     {"kind": "x", "counters": {"calls": 6}, "seconds": 1.0})
+                     {"kind": "x", "counters": {"calls": 6}})
     assert main(["check", "--baseline", base, "--fresh", drifted]) == 1
     out = capsys.readouterr().out
     assert "DRIFT" in out and "counters.calls" in out
@@ -189,7 +142,6 @@ def test_cli_directory_pairing_and_json_report(tmp_path, capsys):
     basedir.mkdir()
     freshdir.mkdir()
     _write(basedir / "BENCH_a.json", {"v": 1})
-    _write(basedir / "BENCH_only_base.json", {"v": 1})
     _write(freshdir / "BENCH_a.json", {"v": 1, "extra": 2})
     _write(freshdir / "BENCH_only_fresh.json", {"v": 9})
     code = main(["check", "--baseline", str(basedir),
@@ -206,7 +158,9 @@ def test_cli_errors_exit_2(tmp_path, capsys):
     empty.mkdir()
     assert main(["check", "--baseline", str(empty),
                  "--fresh", str(empty)]) == 2
-    assert "no artifact pairs" in capsys.readouterr().err
+    assert "no baseline artifacts" in capsys.readouterr().err
+    assert main(["check", "--baseline", str(empty),
+                 "--fresh", str(tmp_path / "nowhere")]) == 2
 
     bad = tmp_path / "BENCH_bad.json"
     bad.write_text("{broken")
@@ -229,10 +183,39 @@ def test_pair_artifacts_by_basename(tmp_path):
     assert [p[0] for p in pairs] == ["BENCH_sweep.json"]
 
 
+def test_missing_fresh_artifact_is_drift(tmp_path, capsys):
+    # A nightly step that stops writing its artifact must turn the gate
+    # red, not leave the committed baseline silently unchecked.
+    basedir = tmp_path / "base"
+    freshdir = tmp_path / "fresh"
+    basedir.mkdir()
+    freshdir.mkdir()
+    _write(basedir / "BENCH_a.json", {"v": 1})
+    _write(basedir / "BENCH_gone.json", {"v": 1})
+    _write(freshdir / "BENCH_a.json", {"v": 1})
+    pairs = pair_artifacts(str(basedir), str(freshdir))
+    assert [(name, fresh) for name, _, fresh in pairs] == [
+        ("BENCH_a.json", str(freshdir / "BENCH_a.json")),
+        ("BENCH_gone.json", None),
+    ]
+    assert main(["check", "--baseline", str(basedir),
+                 "--fresh", str(freshdir)]) == 1
+    out = capsys.readouterr().out
+    assert "BENCH_gone.json: DRIFT" in out
+    assert "BENCH_a.json: ok" in out
+
+    assert main(["check", "--baseline", str(basedir),
+                 "--fresh", str(freshdir), "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["drift"] is True
+    assert report["artifacts"]["BENCH_gone.json"]["fresh"] is None
+    assert report["artifacts"]["BENCH_gone.json"]["drift"]
+
+
 def test_committed_baselines_self_compare_clean():
     # The real committed artifacts compared against themselves must be
-    # drift-free — guards the ignore/tolerance defaults against the
-    # actual nightly inputs.
+    # drift-free — guards the ignore list against the actual nightly
+    # inputs.
     import os
 
     results = os.path.join(
