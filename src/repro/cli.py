@@ -21,22 +21,19 @@ import json
 import sys
 from typing import List, Optional
 
-from repro._util.floats import approx_le
 from repro._util.validation import (
     as_finite_float,
     check_nonnegative,
     check_positive,
 )
 from repro.core.bounds import (
-    ALL_BOUNDS,
     HarmonicChainBound,
     LiuLaylandBound,
     RBound,
     TBound,
-    best_bound_value,
-    harmonic_chain_count,
+    evaluate_bounds,
     light_task_threshold,
-    ll_bound,
+    rmts_guaranteed,
 )
 from repro.analysis.algorithms import PARTITIONERS
 from repro.core.rmts_light import is_light_task_set
@@ -87,23 +84,25 @@ def cmd_bounds(args) -> int:
     check_nonnegative("--processors", args.processors)
     ts = load_taskset(args.taskfile)
     n = len(ts)
+    ev = evaluate_bounds(ts)
     print(f"N={n}, U={ts.total_utilization:.4f}, "
           f"max U_i={ts.max_utilization:.4f}, "
-          f"harmonic chains K={harmonic_chain_count([t.period for t in ts])}")
+          f"harmonic chains K={ev.chains}")
     print(f"light task set (all U_i <= {light_task_threshold(n):.4f}): "
           f"{is_light_task_set(ts)}")
-    for bound in ALL_BOUNDS:
-        print(f"  {bound.name:>8}: {bound.value(ts):.4f} "
-              f"(capped for RM-TS: {bound.capped_value(ts):.4f})")
-    print(f"  best D-PUB: {best_bound_value(ts):.4f}")
+    for name, value in ev.values.items():
+        print(f"  {name:>8}: {value:.4f} "
+              f"(capped for RM-TS: {ev.capped(name):.4f})")
+    print(f"  best D-PUB: {ev.best:.4f}")
     if args.processors:
         u_norm = ts.normalized_utilization(args.processors)
-        lam = min(best_bound_value(ts), 2 * ll_bound(n) / (1 + ll_bound(n)))
         verdict = (
-            "GUARANTEED schedulable" if approx_le(u_norm, lam) else "not covered"
+            "GUARANTEED schedulable"
+            if rmts_guaranteed(u_norm, ev.lam)
+            else "not covered"
         )
         print(f"on M={args.processors}: U_M={u_norm:.4f} vs bound "
-              f"{lam:.4f} -> {verdict} by the RM-TS bound")
+              f"{ev.lam:.4f} -> {verdict} by the RM-TS bound")
     return 0
 
 

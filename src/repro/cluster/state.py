@@ -183,18 +183,22 @@ class ClusterState:
         self.residents[tenant] = tasks
 
     def apply_withdraw(self, tenant: int) -> int:
-        """Remove every piece of *tenant* (the departure path)."""
+        """Remove every piece of *tenant* (the departure path).
+
+        Live processors are asked only where ``hosts`` records a piece;
+        every other processor holds none of the tenant's tasks.
+        """
         tasks = self.residents.pop(tenant, None)
         if tasks is None:
             return 0
         removed = 0
         for local, task in enumerate(tasks):
+            hosts = self.hosts.pop((tenant, local), ())
             if self.processors is not None:
-                for proc in self.processors:
-                    removed += proc.remove_parent(task.tid)
+                for index in hosts:
+                    removed += self.processors[index].remove_parent(task.tid)
             else:
                 removed += 1
-            self.hosts.pop((tenant, local), None)
         return removed
 
     def apply_migrate(

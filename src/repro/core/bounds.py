@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
-import networkx as nx
 import numpy as np
 
 from repro._util.floats import EPS, is_integer_multiple
@@ -39,6 +39,7 @@ __all__ = [
     "ll_bound",
     "light_task_threshold",
     "rmts_bound_cap",
+    "rmts_guaranteed",
     "scaled_periods",
     "harmonic_chain_count",
     "harmonic_chains",
@@ -51,6 +52,8 @@ __all__ = [
     "SpecializationBound",
     "harmonize_periods",
     "best_bound_value",
+    "BoundEvaluation",
+    "evaluate_bounds",
     "theoretical_limits",
     "ALL_BOUNDS",
 ]
@@ -77,6 +80,15 @@ def light_task_threshold(n: int) -> float:
     """
     theta = ll_bound(n)
     return theta / (1.0 + theta)
+
+
+def rmts_guaranteed(u_norm: float, lam: float) -> bool:
+    """The RM-TS guarantee verdict ``U_M <= Lambda`` (Theorem 8).
+
+    *lam* is the capped bound ``min(Lambda(tau), 2Theta/(1+Theta))``;
+    the comparison allows the package's absolute tolerance ``EPS``.
+    """
+    return bool(u_norm <= lam + EPS)
 
 
 def rmts_bound_cap(n: int) -> float:
@@ -131,34 +143,88 @@ def harmonic_chains(
     if n == 0:
         return []
     order = sorted(range(n), key=lambda i: ps[i])
-    graph = nx.Graph()
-    left = [("L", i) for i in range(n)]
-    right = [("R", i) for i in range(n)]
-    graph.add_nodes_from(left, bipartite=0)
-    graph.add_nodes_from(right, bipartite=1)
-    for a in range(n):
-        for b in range(a + 1, n):
-            i, j = order[a], order[b]
-            if is_integer_multiple(ps[i], ps[j], rel=rel):
-                graph.add_edge(("L", a), ("R", b))
-    matching = nx.bipartite.hopcroft_karp_matching(graph, top_nodes=left)
+    # adj[a]: sorted positions b > a whose period is a multiple of a's.
+    adj: List[List[int]] = [
+        [
+            b
+            for b in range(a + 1, n)
+            if is_integer_multiple(ps[order[a]], ps[order[b]], rel=rel)
+        ]
+        for a in range(n)
+    ]
+    succ = _max_matching(adj)
     # Follow successor links to reconstruct the chains.
-    succ: Dict[int, int] = {}
-    for node, mate in matching.items():
-        if node[0] == "L":
-            succ[node[1]] = mate[1]
-    has_pred = set(succ.values())
+    has_pred = set(v for v in succ if v >= 0)
     chains: List[List[int]] = []
     for start in range(n):
         if start in has_pred:
             continue
         chain = [order[start]]
         cur = start
-        while cur in succ:
+        while succ[cur] >= 0:
             cur = succ[cur]
             chain.append(order[cur])
         chains.append(chain)
     return chains
+
+
+def _max_matching(adj: List[List[int]]) -> List[int]:
+    """Hopcroft-Karp maximum matching of ``n`` left onto ``n`` right vertices.
+
+    ``adj[u]`` lists the right vertices adjacent to left vertex ``u``.
+    Returns ``mate[u]``, the right vertex matched to ``u`` or ``-1``.
+    Both searches are iterative: the augmenting paths of a fully harmonic
+    set are as long as the set, deeper than Python's recursion limit.
+    """
+    n = len(adj)
+    mate = [-1] * n
+    owner = [-1] * n  # right vertex -> matched left vertex
+    for left in range(n):  # greedy start: most sets need no augmentation
+        for right in adj[left]:
+            if owner[right] < 0:
+                mate[left], owner[right] = right, left
+                break
+    while True:
+        # BFS: layer the left vertices by alternating distance from the
+        # free ones; stop when no free right vertex is reachable.
+        layer = [-1] * n
+        queue = [left for left in range(n) if mate[left] < 0]
+        for left in queue:
+            layer[left] = 0
+        reachable = False
+        for left in queue:  # the list grows while it is walked
+            for right in adj[left]:
+                nxt = owner[right]
+                if nxt < 0:
+                    reachable = True
+                elif layer[nxt] < 0:
+                    layer[nxt] = layer[left] + 1
+                    queue.append(nxt)
+        if not reachable:
+            return mate
+        # DFS along the layers from each free left vertex, augmenting
+        # the first path found; dead ends leave the layering.
+        cursor = [0] * n
+        for root in range(n):
+            if mate[root] >= 0:
+                continue
+            stack = [root]
+            while stack:
+                left = stack[-1]
+                if cursor[left] >= len(adj[left]):
+                    layer[left] = -1
+                    stack.pop()
+                    continue
+                right = adj[left][cursor[left]]
+                cursor[left] += 1
+                nxt = owner[right]
+                if nxt < 0:
+                    for node in stack:
+                        matched = adj[node][cursor[node] - 1]
+                        mate[node], owner[matched] = matched, node
+                    break
+                if layer[nxt] == layer[left] + 1:
+                    stack.append(nxt)
 
 
 def harmonic_chain_count(periods: Sequence[float], *, rel: float = 1e-6) -> int:
@@ -214,14 +280,9 @@ class HarmonicChainBound(ParametricUtilizationBound):
 
     name = "HC"
 
-    def __init__(self, *, rel: float = 1e-6) -> None:
-        self._rel = rel
-
     def value(self, taskset: TaskSet) -> float:
-        if len(taskset) == 0:
-            return 1.0
-        k = harmonic_chain_count([t.period for t in taskset], rel=self._rel)
-        return ll_bound(k)
+        # K = 0 for the empty set, and Theta(0) = 1.
+        return ll_bound(harmonic_chain_count([t.period for t in taskset]))
 
 
 class TBound(ParametricUtilizationBound):
@@ -381,6 +442,51 @@ def best_bound_value(
     if not menu:
         raise ValueError("need at least one bound")
     return max(b.value(taskset) for b in menu)
+
+
+@dataclass(frozen=True)
+class BoundEvaluation:
+    """Every bound of :data:`ALL_BOUNDS` evaluated once for one task set."""
+
+    #: ``K``, the minimum number of harmonic chains.
+    chains: int
+    #: ``Lambda(tau)`` per bound name, in menu order.
+    values: Dict[str, float]
+    #: ``2 Theta/(1+Theta)`` for the set's task count.
+    cap: float
+
+    def capped(self, name: str) -> float:
+        """What RM-TS can achieve with bound *name* (its ``capped_value``)."""
+        return min(self.values[name], self.cap)
+
+    @property
+    def best(self) -> float:
+        """The largest D-PUB value (:func:`best_bound_value`)."""
+        return max(self.values.values())
+
+    @property
+    def lam(self) -> float:
+        """``min(best D-PUB, 2Theta/(1+Theta))``, the RM-TS guarantee."""
+        return min(self.best, self.cap)
+
+
+def evaluate_bounds(taskset: TaskSet) -> BoundEvaluation:
+    """One pass over :data:`ALL_BOUNDS` that computes ``K`` once.
+
+    The menu's harmonic-chain bound reuses the chain count instead of
+    covering the periods a second time; every value equals the bound's
+    own ``value(taskset)``.
+    """
+    chains = harmonic_chain_count([t.period for t in taskset])
+    values: Dict[str, float] = {}
+    for bound in ALL_BOUNDS:
+        if isinstance(bound, HarmonicChainBound):
+            values[bound.name] = ll_bound(chains)
+        else:
+            values[bound.name] = bound.value(taskset)
+    return BoundEvaluation(
+        chains=chains, values=values, cap=rmts_bound_cap(len(taskset))
+    )
 
 
 def theoretical_limits() -> Dict[str, float]:

@@ -27,15 +27,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro._util.floats import EPS
 from repro._util.validation import as_int
 from repro.analysis.algorithms import PARTITIONERS
 from repro.core.bounds import (
-    ALL_BOUNDS,
-    best_bound_value,
-    harmonic_chain_count,
+    evaluate_bounds,
     light_task_threshold,
-    rmts_bound_cap,
+    rmts_guaranteed,
 )
 from repro.core.rmts_light import is_light_task_set
 from repro.core.serialization import partition_to_dict
@@ -151,10 +148,10 @@ def degraded_admit_body(
     guarantee of Section V.  Sufficient-only: a ``false`` here means
     "not provably schedulable in time", not "unschedulable".
     """
-    lam = min(best_bound_value(taskset), rmts_bound_cap(len(taskset)))
+    lam = evaluate_bounds(taskset).lam
     u_norm = taskset.normalized_utilization(processors)
     return {
-        "admitted": bool(u_norm <= lam + EPS),
+        "admitted": rmts_guaranteed(u_norm, lam),
         "degraded": True,
         "decided_by": "utilization-bound",
         "bound": lam,
@@ -180,26 +177,26 @@ def compute_bounds_body(
 def _bounds_body(
     taskset: TaskSet, processors: Optional[int], n: int
 ) -> Dict[str, object]:
+    ev = evaluate_bounds(taskset)
     body: Dict[str, object] = {
         "n": n,
         "utilization": taskset.total_utilization,
         "max_task_utilization": taskset.max_utilization,
-        "harmonic_chains": harmonic_chain_count([t.period for t in taskset]),
+        "harmonic_chains": ev.chains,
         "light_threshold": light_task_threshold(n),
         "is_light": bool(is_light_task_set(taskset)),
         "bounds": {
-            b.name: {"value": b.value(taskset), "capped": b.capped_value(taskset)}
-            for b in ALL_BOUNDS
+            name: {"value": value, "capped": ev.capped(name)}
+            for name, value in ev.values.items()
         },
-        "best_bound": best_bound_value(taskset),
-        "rmts_cap": rmts_bound_cap(n),
+        "best_bound": ev.best,
+        "rmts_cap": ev.cap,
     }
     if processors:
-        lam = min(best_bound_value(taskset), rmts_bound_cap(n))
         u_norm = taskset.normalized_utilization(processors)
         body["processors"] = processors
         body["normalized_utilization"] = u_norm
-        body["guaranteed_schedulable"] = bool(u_norm <= lam + EPS)
+        body["guaranteed_schedulable"] = rmts_guaranteed(u_norm, ev.lam)
     return body
 
 

@@ -67,6 +67,24 @@ class TestClusterStateOps:
         assert state.utilization() == 0.0
         assert not state.hosts
 
+    def test_withdraw_asks_only_recorded_hosts(self, monkeypatch):
+        from repro.core.partition import ProcessorState
+
+        state = self._live(processors=4)
+        tasks = state.tasks_of(0)
+        state.apply_place(0, [[1] for _ in tasks])
+        asked = []
+        real = ProcessorState.remove_parent
+
+        def spy(proc, tid):
+            asked.append(proc.index)
+            return real(proc, tid)
+
+        monkeypatch.setattr(ProcessorState, "remove_parent", spy)
+        assert state.apply_withdraw(0) == len(tasks)
+        assert asked == [1] * len(tasks)
+        assert all(not p.subtasks for p in state.processors)
+
     def test_withdraw_unknown_tenant_is_noop(self):
         state = self._live()
         assert state.apply_withdraw(77) == 0

@@ -150,6 +150,68 @@ class TestHarmonicChains:
         assert harmonic_chain_count(periods) == 1
 
 
+def _brute_force_chain_cover(periods):
+    """Fewest chains of pairwise-dividing integer periods, by search."""
+    best = [len(periods)]
+
+    def place(i, chains):
+        if len(chains) >= best[0]:
+            return
+        if i == len(periods):
+            best[0] = len(chains)
+            return
+        p = periods[i]
+        for chain in chains:
+            if all(p % q == 0 or q % p == 0 for q in chain):
+                chain.append(p)
+                place(i + 1, chains)
+                chain.pop()
+        chains.append([p])
+        place(i + 1, chains)
+        chains.pop()
+
+    place(0, [])
+    return best[0]
+
+
+#: Harmonic-rich period strategy: small divisor-dense integers.
+_rich_periods = st.lists(
+    st.sampled_from([2, 3, 4, 5, 6, 8, 9, 12, 16, 18, 24, 27, 36, 48]),
+    min_size=1,
+    max_size=8,
+)
+
+
+class TestChainCoverOracle:
+    @given(_rich_periods)
+    @settings(max_examples=200, deadline=None)
+    def test_count_matches_brute_force(self, periods):
+        assert harmonic_chain_count(periods) == _brute_force_chain_cover(
+            periods
+        )
+
+    @given(_rich_periods)
+    @settings(max_examples=200, deadline=None)
+    def test_chains_partition_into_harmonic_chains(self, periods):
+        chains = harmonic_chains(periods)
+        flat = sorted(i for chain in chains for i in chain)
+        assert flat == list(range(len(periods)))
+        for chain in chains:
+            vals = sorted(periods[i] for i in chain)
+            for a, b in zip(vals, vals[1:]):
+                assert b % a == 0
+
+    def test_1024_harmonic_tasks_do_not_recurse(self):
+        from repro.service.handlers import compute_bounds_body
+
+        ts = TaskSet.from_pairs(
+            [(0.001, float(2 ** (i % 11))) for i in range(1024)]
+        )
+        body = compute_bounds_body(ts, 4)
+        assert body["harmonic_chains"] == 1
+        assert body["bounds"]["HC"]["value"] == 1.0
+
+
 class TestBoundObjects:
     def test_ll_bound_object(self, general_set):
         assert LiuLaylandBound().value(general_set) == pytest.approx(
