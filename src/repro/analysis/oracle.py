@@ -18,7 +18,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from repro.core.partition import PartitionResult, ProcessorState
-from repro.core.task import Subtask, Task, TaskSet
+from repro.core.task import Task, TaskSet
 from repro.sim.engine import simulate_partition
 
 __all__ = [
@@ -44,7 +44,7 @@ def oracle_schedulable(
         return None
     proc = ProcessorState(index=0)
     for t in taskset:
-        proc.add(Subtask.whole(t))
+        proc.add(t)
     partition = PartitionResult(
         algorithm="oracle",
         taskset=taskset,

@@ -127,7 +127,7 @@ def partition_scaling_factor(partition: PartitionResult, **kwargs) -> float:
     factors = [
         critical_scaling_factor(p.subtasks, **kwargs)
         for p in partition.processors
-        if p.subtasks
+        if p.rows
     ]
     return min(factors) if factors else float("inf")
 

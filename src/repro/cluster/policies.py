@@ -34,7 +34,7 @@ from repro.analysis.algorithms import PARTITIONERS
 from repro.cluster.events import ChurnConfig
 from repro.cluster.state import ClusterState, decode_tid
 from repro.core.partition import PartitionResult, ProcessorState
-from repro.core.task import Subtask, Task, TaskSet
+from repro.core.task import Task, TaskSet
 
 __all__ = [
     "AdmitOutcome",
@@ -149,17 +149,16 @@ class FitPolicy(ChurnPolicy):
         placed: List[Tuple[int, Task]] = []
         host_lists: List[List[int]] = []
         for task in tasks:
-            candidate = Subtask.whole(task)
             target: Optional[ProcessorState] = None
             for proc in sorted(state.processors, key=key):
-                if proc.schedulable_with(candidate):
+                if proc.schedulable_with(task):
                     target = proc
                     break
             if target is None:
                 for index, done in placed:
                     state.processors[index].remove_parent(done.tid)
                 return None
-            target.add(candidate)
+            target.add(task)
             placed.append((target.index, task))
             host_lists.append([target.index])
         # Trial adds already happened; record residency + the journal op.
@@ -185,12 +184,14 @@ class CompactPolicy(FitPolicy):
         budget = self.config.k
         if budget == 0:
             return AdmitOutcome(ops=ops)
-        non_empty = [p for p in state.processors if p.subtasks]
+        non_empty = [p for p in state.processors if p.rows]
         if len(non_empty) <= 1:
             return AdmitOutcome(ops=ops)
         source = min(non_empty, key=lambda p: (p.utilization, p.index))
-        movable = sorted(source.subtasks, key=lambda s: s.priority)
-        for sub in movable:
+        # Fit policies place whole tasks only, so each row's parent is the
+        # candidate a destination probes.
+        movable = sorted(source.rows, key=lambda row: row.priority)
+        for row in movable:
             if len(ops) >= budget:
                 break
             destinations = sorted(
@@ -198,8 +199,8 @@ class CompactPolicy(FitPolicy):
                 key=_best_fit_key,
             )
             for dst in destinations:
-                if dst.schedulable_with(sub):
-                    tenant, local = decode_tid(sub.parent.tid)
+                if dst.schedulable_with(row.parent):
+                    tenant, local = decode_tid(row.parent.tid)
                     state.apply_migrate(tenant, local, source.index, dst.index)
                     ops.append(
                         ["migrate", tenant, local, source.index, dst.index]

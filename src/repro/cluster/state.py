@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.events import ChurnConfig, tenant_taskset
 from repro.core.partition import ProcessorState
-from repro.core.task import Subtask, Task
+from repro.core.task import Task
 
 __all__ = [
     "ClusterState",
@@ -178,7 +178,7 @@ class ClusterState:
         for local, (task, hosts) in enumerate(zip(tasks, host_lists)):
             if self.processors is not None:
                 (index,) = hosts
-                self.processors[index].add(Subtask.whole(task))
+                self.processors[index].add(task)
             self.hosts[(tenant, local)] = tuple(int(h) for h in hosts)
         self.residents[tenant] = tasks
 
@@ -209,7 +209,7 @@ class ClusterState:
             raise ValueError("migrate op needs live processors")
         task = self.residents[tenant][local]
         self.processors[src].remove_parent(task.tid)
-        self.processors[dst].add(Subtask.whole(task))
+        self.processors[dst].add(task)
         self.hosts[(tenant, local)] = (dst,)
 
     def apply_install(

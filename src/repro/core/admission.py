@@ -14,10 +14,12 @@ free.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import Union
 
 from repro._util.floats import EPS, approx_le
 from repro.core.maxsplit import max_split
-from repro.core.partition import Candidate, PendingPiece, ProcessorState
+from repro.core.partition import PendingPiece, ProcessorState
+from repro.core.task import Task
 
 __all__ = ["AdmissionPolicy", "ExactRTAAdmission", "ThresholdAdmission"]
 
@@ -26,8 +28,8 @@ class AdmissionPolicy(ABC):
     """Strategy deciding fits/splits during partitioning."""
 
     @abstractmethod
-    def fits(self, proc: ProcessorState, candidate: Candidate) -> bool:
-        """Whether *candidate* (a subtask, or a pending piece's whole
+    def fits(self, proc: ProcessorState, candidate: Union[Task, PendingPiece]) -> bool:
+        """Whether *candidate* (a whole task, or a pending piece's whole
         remainder) can be assigned entirely to *proc*."""
 
     @abstractmethod
@@ -61,12 +63,13 @@ class ExactRTAAdmission(AdmissionPolicy):
             raise ValueError(f"unknown MaxSplit method: {method!r}")
         self.method = method
 
-    def fits(self, proc: ProcessorState, candidate: Candidate) -> bool:
+    def fits(self, proc: ProcessorState, candidate: Union[Task, PendingPiece]) -> bool:
         return proc.schedulable_with(candidate)
 
     def split_cost(self, proc: ProcessorState, piece: PendingPiece) -> float:
+        # The context stands for the contents (``existing`` goes unread).
         return max_split(
-            proc.subtasks, piece, method=self.method, context=proc.rta_context()
+            (), piece, method=self.method, context=proc.rta_context()
         )
 
     def describe(self) -> str:
@@ -89,7 +92,7 @@ class ThresholdAdmission(AdmissionPolicy):
             raise ValueError("threshold must lie in (0, 1]")
         self.threshold = float(threshold)
 
-    def fits(self, proc: ProcessorState, candidate: Candidate) -> bool:
+    def fits(self, proc: ProcessorState, candidate: Union[Task, PendingPiece]) -> bool:
         return approx_le(proc.utilization + candidate.utilization, self.threshold)
 
     def split_cost(self, proc: ProcessorState, piece: PendingPiece) -> float:

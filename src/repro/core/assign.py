@@ -33,13 +33,14 @@ def _body_response(
     only happens under threshold admission (the SPA baselines), whose
     analysis ([16]) keeps its own accounting.
     """
-    hp = [s for s in proc.subtasks if s.priority < piece.task.tid]
+    # The rows in append order: the interference sum adds in that order.
+    hp = [row for row in proc.rows if row.priority < piece.task.tid]
     if not hp:
         return cost
     r = response_time(
         cost,
-        [float(s.cost) for s in hp],
-        [float(s.period) for s in hp],
+        [float(row.cost) for row in hp],
+        [float(row.period) for row in hp],
         piece.deadline,
     )
     return r if r is not None else cost
@@ -71,7 +72,7 @@ def assign_piece(
     inconsistent state:
 
     * entire fit  -> piece consumed, processor unchanged otherwise;
-    * split       -> body subtask (maximal front part) added, processor
+    * split       -> body piece (maximal front part) added, processor
       full, piece keeps the remainder with an updated synthetic deadline;
     * nothing fits -> processor full, piece untouched.
 
@@ -87,25 +88,19 @@ def assign_piece(
         return AssignOutcome(
             completed=False, filled=False, placed_cost=0.0, infeasible=True
         )
-    # The piece is its own admission candidate; a Subtask is built only
-    # when it is committed.
+    # The piece is its own admission candidate and commits by value.
     if policy.fits(proc, piece):
-        placed = piece.cost
-        proc.add(piece.finalize())
+        placed = piece.commit(proc)
         return AssignOutcome(completed=True, filled=False, placed_cost=placed)
 
     cost = policy.split_cost(proc, piece)
     proc.full = True
     if cost >= piece.cost - max(EPS, 1e-9 * piece.cost):
         # Boundary case: MaxSplit admits the entire remainder.
-        placed = piece.cost
-        proc.add(piece.finalize())
+        placed = piece.commit(proc)
         return AssignOutcome(completed=True, filled=True, placed_cost=placed)
     if cost <= EPS:
         return AssignOutcome(completed=False, filled=True, placed_cost=0.0)
     response = _body_response(proc, piece, cost)
-    body = piece.split_off(cost, response)
-    if body is None:
-        return AssignOutcome(completed=False, filled=True, placed_cost=0.0)
-    proc.add(body)
-    return AssignOutcome(completed=False, filled=True, placed_cost=body.cost)
+    placed = piece.split_off(proc, cost, response)
+    return AssignOutcome(completed=False, filled=True, placed_cost=placed)

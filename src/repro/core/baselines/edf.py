@@ -179,11 +179,10 @@ def partition_edf(
 
     unassigned: List[int] = []
     for task in tasks:
-        candidate = Subtask.whole(task)
         feasible = [
             p
             for p in procs
-            if p.utilization + candidate.utilization <= 1.0 + EPS
+            if p.utilization + task.utilization <= 1.0 + EPS
         ]
         if not feasible:
             unassigned.append(task.tid)
@@ -194,7 +193,7 @@ def partition_edf(
             target = min(feasible, key=lambda p: (p.utilization, p.index))
         else:
             target = max(feasible, key=lambda p: (p.utilization, -p.index))
-        target.add(candidate)
+        target.add(task)
 
     return PartitionResult(
         algorithm=f"P-EDF-{heuristic.value.upper()}"

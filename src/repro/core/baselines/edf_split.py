@@ -146,7 +146,7 @@ def partition_edf_split(
             None,
         )
         if target is not None:
-            target.add(whole)
+            target.add(task)
             continue
         placed = False
         for k in range(2, min(limit, processors) + 1):
@@ -160,16 +160,7 @@ def partition_edf_split(
                     if j == len(assignment)
                     else SubtaskKind.BODY
                 )
-                proc.add(
-                    Subtask(
-                        cost=cost,
-                        period=task.period,
-                        deadline=window,
-                        parent=task,
-                        index=j,
-                        kind=kind,
-                    )
-                )
+                proc.add(task, cost, window, j, kind)
             split_tids.append(task.tid)
             placed = True
             break

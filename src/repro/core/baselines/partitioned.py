@@ -21,7 +21,7 @@ from repro.core.partition import (
     least_utilized,
 )
 from repro.core.rta import liu_layland_test_holds
-from repro.core.task import Subtask, TaskSet
+from repro.core.task import Subtask, Task, TaskSet
 
 __all__ = ["FitHeuristic", "partition_no_split"]
 
@@ -37,9 +37,9 @@ class FitHeuristic(enum.Enum):
     BEST_FIT = "bf"
 
 
-def _ll_admits(proc: ProcessorState, candidate: Subtask) -> bool:
+def _ll_admits(proc: ProcessorState, candidate: Task) -> bool:
     """L&L utilization test of *proc* with *candidate* added."""
-    return liu_layland_test_holds(proc.subtasks + [candidate])
+    return liu_layland_test_holds(proc.subtasks + [Subtask.whole(candidate)])
 
 
 def partition_no_split(
@@ -69,7 +69,7 @@ def partition_no_split(
         raise ValueError("need at least one processor")
     # Resolved per call, not at import, so the lookup sees the class
     # attribute as it is now.
-    admits: Callable[[ProcessorState, Subtask], bool]
+    admits: Callable[[ProcessorState, Task], bool]
     if admission == "rta":
         admits = ProcessorState.schedulable_with
     elif admission == "ll":
@@ -85,17 +85,16 @@ def partition_no_split(
     first_fit = heuristic is FitHeuristic.FIRST_FIT
     unassigned: List[int] = []
     for task in tasks:
-        candidate = Subtask.whole(task)
         target: Optional[ProcessorState] = None
         if first_fit:
             # First-fit only needs the first feasible processor, so stop
             # probing at the first admit.
             for proc in procs:
-                if admits(proc, candidate):
+                if admits(proc, task):
                     target = proc
                     break
         else:
-            feasible = [p for p in procs if admits(p, candidate)]
+            feasible = [p for p in procs if admits(p, task)]
             if feasible:
                 if heuristic is FitHeuristic.WORST_FIT:
                     target = least_utilized(feasible)  # index order
@@ -106,7 +105,7 @@ def partition_no_split(
         if target is None:
             unassigned.append(task.tid)
         else:
-            target.add(candidate)
+            target.add(task)
 
     name = f"P-RM-{heuristic.value.upper()}D" if decreasing_utilization else (
         f"P-RM-{heuristic.value.upper()}"

@@ -59,23 +59,6 @@ __all__ = ["max_split_binary", "max_split_points", "max_split"]
 _BINARY_REL_TOL = 1e-10
 
 
-def _candidate(piece: PendingPiece, cost: float) -> Subtask:
-    """The piece's front part with the given cost, for admission testing.
-
-    The RTA outcome does not depend on the subtask *kind*, so reusing the
-    tail-flavored candidate with an overridden cost is exact.
-    """
-    base = piece.as_candidate()
-    return Subtask(
-        cost=cost,
-        period=base.period,
-        deadline=base.deadline,
-        parent=base.parent,
-        index=base.index,
-        kind=base.kind,
-    )
-
-
 def max_split_binary(
     existing: Sequence[Subtask],
     piece: PendingPiece,
@@ -110,7 +93,11 @@ def max_split_binary(
             return 0.0
 
         def admit(cost: float) -> bool:
-            return is_schedulable(list(existing) + [_candidate(piece, cost)])
+            # The piece's front part (RTA does not read the kind).
+            front = Subtask(
+                cost, piece.period, piece.deadline, piece.task, piece.index, piece.kind
+            )
+            return is_schedulable(list(existing) + [front])
 
     hi = piece.cost
     if admit(hi):
@@ -295,7 +282,8 @@ def max_split(
     ``"points"`` is the default: exact and much faster on processors with
     many scheduling points (benchmarked in E10).  *context* (optional) is a
     pre-built analysis context of *existing* enabling the prefix-reusing
-    fast path in either variant.
+    fast path in either variant; with it, *existing* is not read
+    (partitioning passes ``()``).
     """
     if method == "points":
         return max_split_points(existing, piece, context=context)

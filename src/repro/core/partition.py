@@ -8,7 +8,7 @@ This module owns the bookkeeping that all concrete algorithms
 (:mod:`repro.core.rmts_light`, :mod:`repro.core.rmts`, the SPA baselines)
 share:
 
-* :class:`ProcessorState` — the subtasks assigned to one processor, its
+* :class:`ProcessorState` — the pieces assigned to one processor, its
   assigned utilization and full/role flags;
 * :class:`PendingPiece` — the not-yet-assigned remainder of a task as it
   travels across processors during splitting, tracking the accumulated body
@@ -17,6 +17,11 @@ share:
 * :class:`PartitionResult` — the outcome, with a :meth:`~PartitionResult.validate`
   method that re-checks every structural invariant from the paper
   independently of the algorithm that produced the partition.
+
+Partitioning builds no :class:`~repro.core.task.Subtask`: it probes tasks
+and pending pieces as they are and commits by value into processor rows.
+Subtasks are built (and validated) when :attr:`ProcessorState.subtasks` is
+read: validation, serialization, simulation, service bodies.
 """
 
 from __future__ import annotations
@@ -24,22 +29,20 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Dict, List, Optional, Sequence, Tuple, Union, cast
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union, cast
 
 from repro._util.floats import EPS, is_close
 from repro._util.invariants import check_partition
 from repro.core.rta import RTAContext, is_schedulable, response_times
-from repro.core.task import SplitTaskView, Subtask, SubtaskKind, Task, TaskSet
+from repro.core.task import SplitTaskView, Subtask, SubtaskKind, SubtaskRow, Task, TaskSet
 from repro.perf import config as perf_config
 from repro.perf.telemetry import COUNTERS
 
 __all__ = [
-    "Candidate",
     "ProcessorRole",
     "ProcessorState",
     "PendingPiece",
     "PartitionResult",
-    "build_split_views",
     "least_utilized",
 ]
 
@@ -64,85 +67,109 @@ class ProcessorRole(enum.Enum):
 _UTIL_REJECT = 1.0 + EPS + 2e-10
 
 _UTIL = attrgetter("_util")
+#: Builds a ``SubtaskRow`` from a tuple in C, skipping the namedtuple's
+#: Python-level ``__new__``: that call would cost :meth:`ProcessorState.add`,
+#: run once per commit, more than the rest of its body.
+_new_row = cast(Callable[[type, Tuple[object, ...]], SubtaskRow], tuple.__new__)
 
 
 @dataclass
 class ProcessorState:
     """Mutable assignment state of one processor during partitioning.
 
-    The processor owns one :class:`~repro.core.rta.RTAContext`, built on
+    The pieces live in one store, :attr:`rows` (append order); the
+    processor's :class:`~repro.core.rta.RTAContext` is built from them on
     first demand and from then on updated in place by :meth:`add`.
-    Mutate the subtask list only through :meth:`add` and
-    :meth:`remove_parent` (or call :meth:`invalidate_analysis` after
-    editing it): the context is not re-checked against ``subtasks``, so
-    an edit behind its back leaves admission answering for the old
-    contents.  :meth:`PartitionResult.validate` re-runs exact RTA from
-    scratch and so still reports such a processor.
+    Mutate the contents only through :meth:`add`, :meth:`remove_parent`
+    or the :attr:`subtasks` setter: the context is not re-checked against
+    the rows, so an edit of :attr:`rows` behind its back leaves admission
+    answering for the old contents.  :meth:`PartitionResult.validate`
+    re-runs exact RTA from scratch and so still reports such a processor.
     """
 
     index: int
-    subtasks: List[Subtask] = field(default_factory=list)
     full: bool = False
     role: ProcessorRole = ProcessorRole.NORMAL
     #: tid of the pre-assigned task, if any (RM-TS phase 1).
     pre_assigned_tid: Optional[int] = None
+    rows: List[SubtaskRow] = field(default_factory=list, init=False)
     #: Lazily built analysis cache; never compared or serialized.
     _ctx: Optional[RTAContext] = field(
         default=None, init=False, repr=False, compare=False
     )
-    #: Running utilization sum, maintained append-order so it is
+    #: Running utilization sum, maintained in row order so it is
     #: float-identical to ``sum(s.utilization for s in subtasks)``.
     _util: float = field(default=0.0, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self._util = float(sum(s.utilization for s in self.subtasks))
 
     @property
     def utilization(self) -> float:
         """``U(P_q)`` — sum of assigned subtask utilizations."""
         return self._util
 
-    def add(self, subtask: Subtask) -> None:
-        """Assign *subtask* to this processor.
+    @property
+    def subtasks(self) -> List[Subtask]:
+        """The pieces as (validated) subtasks: a new list per read."""
+        return [Subtask(c, t, d, p, i, k) for c, t, d, _, p, i, k in self.rows]
+
+    @subtasks.setter
+    def subtasks(self, subtasks: Sequence[Subtask]) -> None:
+        self._reset([
+            SubtaskRow(s.cost, s.period, s.deadline, s.priority, s.parent, s.index, s.kind)
+            for s in subtasks
+        ])
+
+    def add(
+        self,
+        parent: Task,
+        cost: Optional[float] = None,
+        deadline: Optional[float] = None,
+        index: int = 1,
+        kind: SubtaskKind = SubtaskKind.WHOLE,
+    ) -> None:
+        """Assign piece *index* ``<cost, T, deadline>`` of *parent*
+        (default: the whole task) to this processor.
 
         An existing analysis context is updated in place (prefix responses
         kept, suffix settled by the probe memo or deferred) rather than
         discarded, so the admission cache survives the mutation at O(n)
         cost.
         """
-        if subtask.cost <= 0:
+        cost = parent.cost if cost is None else cost
+        deadline = parent.period if deadline is None else deadline
+        if cost <= 0:
             raise ValueError("cannot assign a zero-cost subtask")
+        period = parent.period
+        priority = parent.tid
         ctx = self._ctx
         if ctx is not None:
-            ctx.insert(subtask)
-        self.subtasks.append(subtask)
-        self._util += subtask.utilization
+            ctx.insert(cost, period, deadline, priority)
+        self.rows.append(
+            _new_row(SubtaskRow, (cost, period, deadline, priority, parent, index, kind))
+        )
+        self._util += cost / period
 
-    def invalidate_analysis(self) -> None:
-        """Drop the analysis context after out-of-band mutation of
-        ``subtasks`` (normal code only mutates via :meth:`add` and
-        :meth:`remove_parent`)."""
+    def _reset(self, rows: List[SubtaskRow]) -> None:
+        # Re-summed in row order, the accumulation order of :meth:`add`.
+        self.rows = rows
         self._ctx = None
-        self._util = float(sum(s.utilization for s in self.subtasks))
+        self._util = float(sum(row.cost / row.period for row in rows))
 
     def remove_parent(self, tid: int) -> int:
         """Withdraw every piece of task *tid* from this processor.
 
         This is the departure path of the churn simulator
         (:mod:`repro.cluster`).  The cached analysis context is dropped
-        and the running utilization recomputed over the survivors in list
-        order — the same left-to-right float accumulation :meth:`add`
-        performs — so subsequent admission probes are bit-identical to a
+        and the running utilization recomputed over the survivors in row
+        order, so subsequent admission probes are bit-identical to a
         processor that admitted only the survivors, in the same order,
         and never hosted *tid* (see ``tests/core/test_removal.py``).
 
         Returns the number of subtask pieces removed.
         """
-        kept = [s for s in self.subtasks if s.parent.tid != tid]
-        removed = len(self.subtasks) - len(kept)
+        kept = [row for row in self.rows if row.priority != tid]
+        removed = len(self.rows) - len(kept)
         if removed == 0:
             return 0
-        self.subtasks = kept
         if self.pre_assigned_tid == tid:
             self.pre_assigned_tid = None
             if self.role is ProcessorRole.PRE_ASSIGNED:
@@ -151,9 +178,9 @@ class ProcessorState:
             self.role = ProcessorRole.NORMAL
         # "full" marks a processor filled by a body subtask during
         # splitting; once no body remains the capacity is reclaimable.
-        if not any(s.kind is SubtaskKind.BODY for s in kept):
+        if not any(row.kind is SubtaskKind.BODY for row in kept):
             self.full = False
-        self.invalidate_analysis()
+        self._reset(kept)
         return removed
 
     def rta_context(self) -> RTAContext:
@@ -162,19 +189,19 @@ class ProcessorState:
         ctx = self._ctx
         if ctx is None:
             COUNTERS.ctx_builds += 1
-            ctx = self._ctx = RTAContext(self.subtasks)
+            ctx = self._ctx = RTAContext.from_rows(self.rows)
         return ctx
 
-    def schedulable_with(self, candidate: Candidate) -> bool:
+    def schedulable_with(self, candidate: Union[Task, PendingPiece]) -> bool:
         """Exact-RTA admission: does everything still meet its deadline if
         *candidate* joins this processor? (Assign routine, Algorithm 2).
 
-        *candidate* is a :class:`~repro.core.task.Subtask` or a
+        *candidate* is a whole :class:`~repro.core.task.Task` or a
         :class:`PendingPiece` (its remainder assigned whole).  Candidates
         that overflow the running utilization are rejected before the
         context is fetched; the rest are answered by the context.  Every
         call is one admission probe, decision-identical to
-        ``is_schedulable(self.subtasks + [candidate])``.
+        ``is_schedulable(self.subtasks + [candidate as a subtask])``.
         """
         cost = candidate.cost
         period = candidate.period
@@ -197,7 +224,7 @@ class ProcessorState:
 
     def highest_priority_subtask(self) -> Optional[Subtask]:
         """The hosted subtask with the smallest priority value."""
-        if not self.subtasks:
+        if not self.rows:
             return None
         return min(self.subtasks, key=lambda s: s.priority)
 
@@ -207,9 +234,9 @@ class PendingPiece:
     """The unassigned remainder of a task while splitting is in progress.
 
     Starts as the whole task (``index=1``, ``body_cost=0``).  Each call to
-    :meth:`split_off` peels a body subtask off the front; :meth:`finalize`
-    turns the remainder into a tail (or whole) subtask once a processor
-    accepts it entirely.
+    :meth:`split_off` peels a body piece off the front; :meth:`commit`
+    assigns the remainder as a tail (or whole) piece once a processor
+    accepts it entirely.  Both commit by value (:meth:`ProcessorState.add`).
 
     The synthetic deadline follows the paper's Eq. 1 exactly:
     ``Delta^k = T - sum of preceding body *response times*``.  When a body
@@ -253,39 +280,30 @@ class PendingPiece:
         ``T - sum of preceding body response times``."""
         return self.task.period - self.body_response
 
-    def as_candidate(self) -> Subtask:
-        """The remainder as the subtask it would become if assigned
-        entirely now: WHOLE when the task was never split, TAIL otherwise.
+    @property
+    def kind(self) -> SubtaskKind:
+        """The remainder's kind if assigned entirely: WHOLE or TAIL."""
+        return SubtaskKind.WHOLE if self.index == 1 else SubtaskKind.TAIL
 
-        Admission tests take the piece itself (it offers the same
-        ``cost``/``period``/``deadline``/``priority``), so this is built
-        only when a piece is committed.
-        """
-        kind = SubtaskKind.WHOLE if self.index == 1 else SubtaskKind.TAIL
-        return Subtask(
-            cost=self.cost,
-            period=self.task.period,
-            deadline=self.deadline,
-            parent=self.task,
-            index=self.index,
-            kind=kind,
-        )
-
-    def finalize(self) -> Subtask:
-        """Consume the piece: the remainder is assigned entirely."""
-        sub = self.as_candidate()
+    def commit(self, proc: ProcessorState) -> float:
+        """Assign the entire remainder to *proc* and consume the piece;
+        returns the cost placed."""
+        cost = self.cost
+        proc.add(self.task, cost, self.deadline, self.index, self.kind)
         self.cost = 0.0
-        return sub
+        return cost
 
     def split_off(
-        self, first_cost: float, response: Optional[float] = None
-    ) -> Optional[Subtask]:
-        """Peel a body subtask of cost *first_cost* off the front.
+        self, proc: ProcessorState, first_cost: float,
+        response: Optional[float] = None,
+    ) -> float:
+        """Peel a body piece of cost *first_cost* off the front and assign
+        it to *proc*.
 
-        Returns the body subtask (or ``None`` when *first_cost* is ~0, in
-        which case nothing is assigned and the piece is unchanged).  The
-        remainder keeps the leftover cost with an incremented index and an
-        accordingly shortened synthetic deadline.
+        Returns the body's cost, or 0.0 when *first_cost* is ~0 (nothing
+        is assigned and the piece is unchanged).  The remainder keeps the
+        leftover cost with an incremented index and an accordingly
+        shortened synthetic deadline.
 
         *response* is the body's worst-case response time on its host
         processor (Eq. 1); it defaults to *first_cost*, which is exact
@@ -299,34 +317,22 @@ class PendingPiece:
             )
         first_cost = min(max(first_cost, 0.0), self.cost)
         if first_cost <= EPS:
-            return None
+            return 0.0
         if first_cost >= self.cost - EPS:
             raise ValueError(
                 "split must leave a non-empty remainder; "
-                "use finalize() for an entire assignment"
+                "use commit() for an entire assignment"
             )
         if response is None:
             response = first_cost
         if response < first_cost - EPS:
             raise ValueError("a body's response cannot undercut its cost")
-        body = Subtask(
-            cost=first_cost,
-            period=self.task.period,
-            deadline=self.deadline,
-            parent=self.task,
-            index=self.index,
-            kind=SubtaskKind.BODY,
-        )
+        proc.add(self.task, first_cost, self.deadline, self.index, SubtaskKind.BODY)
         self.cost -= first_cost
         self.index += 1
         self.body_cost += first_cost
         self.body_response += response
-        return body
-
-
-#: What an admission test probes: a subtask, or a pending piece standing
-#: for its remainder assigned whole (no ``Subtask`` built per probe).
-Candidate = Union[Subtask, PendingPiece]
+        return first_cost
 
 
 def least_utilized(procs: Sequence[ProcessorState]) -> ProcessorState:
@@ -336,16 +342,6 @@ def least_utilized(procs: Sequence[ProcessorState]) -> ProcessorState:
     minimum, without building a key tuple per processor.
     """
     return min(procs, key=_UTIL)
-
-
-def build_split_views(processors: Sequence[ProcessorState]) -> Dict[int, SplitTaskView]:
-    """Group assigned subtasks by parent task id."""
-    views: Dict[int, SplitTaskView] = {}
-    for proc in processors:
-        for sub in proc.subtasks:
-            view = views.setdefault(sub.parent.tid, SplitTaskView(task=sub.parent))
-            view.pieces.append(sub)
-    return views
 
 
 @dataclass
@@ -388,14 +384,19 @@ class PartitionResult:
         index order (the migration path of a split task)."""
         hits: List[Tuple[int, int]] = []
         for proc in self.processors:
-            for sub in proc.subtasks:
-                if sub.parent.tid == tid:
-                    hits.append((sub.index, proc.index))
+            for row in proc.rows:
+                if row.priority == tid:
+                    hits.append((row.index, proc.index))
         return [p for _, p in sorted(hits)]
 
     def split_views(self) -> Dict[int, SplitTaskView]:
         """Per-task grouping of assigned pieces."""
-        return build_split_views(self.processors)
+        views: Dict[int, SplitTaskView] = {}
+        for proc in self.processors:
+            for sub in proc.subtasks:
+                view = views.setdefault(sub.parent.tid, SplitTaskView(task=sub.parent))
+                view.pieces.append(sub)
+        return views
 
     def split_tids(self) -> List[int]:
         """tids of tasks that were actually split (>= 2 pieces)."""
@@ -517,8 +518,9 @@ class PartitionResult:
                     errors.append(f"task {tid}: inconsistent split pieces")
 
         for proc in self.processors:
+            subtasks = proc.subtasks
             seen: Dict[int, int] = {}
-            for sub in proc.subtasks:
+            for sub in subtasks:
                 seen[sub.parent.tid] = seen.get(sub.parent.tid, 0) + 1
             dupes = [tid for tid, cnt in seen.items() if cnt > 1]
             if dupes:
@@ -527,7 +529,7 @@ class PartitionResult:
                 )
 
             if not edf and not structural_only:
-                bodies = proc.body_subtasks()
+                bodies = [s for s in subtasks if s.kind is SubtaskKind.BODY]
                 if len(bodies) > 1:
                     errors.append(
                         f"processor {proc.index}: {len(bodies)} body subtasks"
@@ -536,7 +538,7 @@ class PartitionResult:
                     body = bodies[0]
                     others = [
                         s
-                        for s in proc.subtasks
+                        for s in subtasks
                         if s is not body
                         and s.parent.tid != proc.pre_assigned_tid
                     ]
@@ -550,13 +552,13 @@ class PartitionResult:
                 if edf:
                     from repro.core.baselines.edf import edf_schedulable
 
-                    if not edf_schedulable(proc.subtasks):
+                    if not edf_schedulable(subtasks):
                         errors.append(
                             f"processor {proc.index}: fails exact DBF test"
                         )
-                elif not is_schedulable(proc.subtasks):
+                elif not is_schedulable(subtasks):
                     # From scratch, not the processor's context: the
-                    # context trusts that ``subtasks`` changed only via
+                    # context trusts that ``rows`` changed only via
                     # ``add``, which is what this rule must not assume.
                     errors.append(f"processor {proc.index}: fails exact RTA")
 
@@ -580,14 +582,13 @@ class PartitionResult:
         response computed against its host processor's actual contents.
         Reduces to Lemma 3 when bodies are highest-priority on their hosts.
         """
-        from repro.core.rta import response_times
-
         errors: List[str] = []
         # Per-processor RTA once.
         responses: Dict[tuple, float] = {}
         for proc in self.processors:
-            result = response_times(proc.subtasks)
-            ordered = sorted(proc.subtasks, key=lambda s: s.priority)
+            subtasks = proc.subtasks
+            result = response_times(subtasks)
+            ordered = sorted(subtasks, key=lambda s: s.priority)
             for sub, resp in zip(ordered, result.responses):
                 responses[(sub.parent.tid, sub.index)] = float(resp)
         for tid, view in views.items():

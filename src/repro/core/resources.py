@@ -188,7 +188,7 @@ def partition_no_split_with_resources(
             target = min(feasible, key=lambda p: (p.utilization, p.index))
         else:
             target = max(feasible, key=lambda p: (p.utilization, -p.index))
-        target.add(candidate)
+        target.add(task)
 
     return PartitionResult(
         algorithm=f"P-RM-{heuristic.value.upper()}D+PCP",

@@ -52,7 +52,7 @@ from repro.core.partition import (
     ProcessorState,
     least_utilized,
 )
-from repro.core.task import Subtask, Task, TaskSet
+from repro.core.task import Task, TaskSet
 
 __all__ = [
     "partition_rmts",
@@ -122,14 +122,13 @@ def readmit_task(
     take the task back.
     """
     policy = policy or ExactRTAAdmission()
-    candidate = Subtask.whole(task)
     for proc in sorted(result.processors, key=lambda p: p.index):
         if proc.full or proc.role is ProcessorRole.DEDICATED:
             continue
         if any(task.tid < body.priority for body in proc.body_subtasks()):
             continue
-        if policy.fits(proc, candidate):
-            proc.add(candidate)
+        if policy.fits(proc, task):
+            proc.add(task)
             result.restore_task(task.tid)
             return proc.index
     return None
@@ -190,7 +189,7 @@ def partition_rmts(
             procs[q].role = ProcessorRole.DEDICATED
             procs[q].full = True
             procs[q].pre_assigned_tid = task.tid
-            procs[q].add(Subtask.whole(task))
+            procs[q].add(task)
             dedicated_tids.append(task.tid)
 
     placed = set(dedicated_tids)
@@ -217,7 +216,7 @@ def partition_rmts(
             target = min(normal_procs, key=lambda p: p.index)
             target.role = ProcessorRole.PRE_ASSIGNED
             target.pre_assigned_tid = task.tid
-            target.add(Subtask.whole(task))
+            target.add(task)
             pre_assigned_tids.append(task.tid)
             placed.add(task.tid)
 

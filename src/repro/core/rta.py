@@ -32,13 +32,13 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from math import ceil, isnan
 from operator import attrgetter
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
 from repro._util.floats import EPS, pairwise_sum
 from repro._util.invariants import check_response_monotonicity, invariants_enabled
-from repro.core.task import Subtask
+from repro.core.task import Subtask, SubtaskRow
 from repro.obs import metrics as _obs_metrics
 from repro.perf.telemetry import COUNTERS
 
@@ -60,6 +60,9 @@ _MAX_ITER = 10_000
 
 _NAN = float("nan")
 _PRIORITY = attrgetter("priority")
+
+#: What the analysis reads: ``cost``, ``period``, ``deadline``, ``priority``.
+_Piece = TypeVar("_Piece", Subtask, SubtaskRow)
 
 
 def response_time(
@@ -145,10 +148,10 @@ def _fluid_start(cost: float, hp_cost: float, hp_util: float) -> Optional[float]
 
 
 def _sorted_columns(
-    subtasks: Sequence[Subtask],
-) -> Tuple[List[Subtask], List[float], List[float], List[float]]:
-    """*subtasks* stably sorted by priority (highest first), with their
-    ``(costs, periods, deadlines)`` as float lists in that order."""
+    subtasks: Sequence[_Piece],
+) -> Tuple[List[_Piece], List[float], List[float], List[float]]:
+    """*subtasks* (or rows) stably sorted by priority (highest first), with
+    their ``(costs, periods, deadlines)`` as float lists in that order."""
     ordered = sorted(subtasks, key=_PRIORITY)
     return (
         ordered,
@@ -271,7 +274,7 @@ class RTAContext:
     #: admitted probe, consumed by :meth:`insert`.
     _memo: Optional[Tuple[float, float, float, int, List[float]]]
 
-    def __init__(self, subtasks: Sequence[Subtask]) -> None:
+    def __init__(self, subtasks: Sequence[_Piece]) -> None:
         ordered, costs, periods, deadlines = _sorted_columns(subtasks)
         self.costs = costs
         self.periods = periods
@@ -310,6 +313,11 @@ class RTAContext:
                 self.first_fail = i
                 break
             responses[i] = r
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[SubtaskRow]) -> "RTAContext":
+        """The context of a processor's rows (as built from their subtasks)."""
+        return cls(rows)
 
     def _resolve(self) -> int:
         """Run the deferred exact RTA of any NaN response slots.
@@ -560,18 +568,12 @@ class RTAContext:
         self._memo = (cost, period, float(deadline), priority, merged)
         return True
 
-    def admits_subtask(self, candidate: Subtask) -> bool:
-        """:meth:`admits` for a :class:`~repro.core.task.Subtask`."""
-        return self.admits(
-            candidate.cost,
-            candidate.period,
-            candidate.deadline,
-            candidate.priority,
-        )
-
-    def insert(self, candidate: Subtask) -> None:
-        """Insert *candidate* in place — the incremental counterpart of
-        rebuilding the context from the extended subtask list.
+    def insert(
+        self, cost: float, period: float, deadline: float, priority: int
+    ) -> None:
+        """Insert the piece ``<cost, period, deadline>`` at *priority* in
+        place — the incremental counterpart of rebuilding the context from
+        the extended subtask list.
 
         The unchanged higher-priority prefix keeps its cached responses
         verbatim; the candidate and the lower-priority suffix are settled
@@ -582,11 +584,10 @@ class RTAContext:
         :meth:`ProcessorState.add <repro.core.partition.ProcessorState.add>`
         maintains its context in O(n) instead of O(n^2) per mutation.
         """
-        priority = candidate.priority
         pos = bisect_right(self.prio_list, priority)
-        cost = float(candidate.cost)
-        period = float(candidate.period)
-        deadline = float(candidate.deadline)
+        cost = float(cost)
+        period = float(period)
+        deadline = float(deadline)
         u_c = cost / period
         periods = self.periods
         old_hyper = self.hyper_prod

@@ -130,18 +130,18 @@ def partition_from_dict(data: Dict) -> PartitionResult:
             role=ProcessorRole(row["role"]),
             pre_assigned_tid=row.get("pre_assigned_tid"),
         )
-        for sub in row["subtasks"]:
-            parent = by_tid[int(sub["tid"])]
-            proc.add(
-                Subtask(
-                    cost=float(sub["cost"]),
-                    period=parent.period,
-                    deadline=float(sub["deadline"]),
-                    parent=parent,
-                    index=int(sub["index"]),
-                    kind=SubtaskKind(sub["kind"]),
-                )
+        for piece in row["subtasks"]:
+            parent = by_tid[int(piece["tid"])]
+            # Built as a subtask first, so a malformed piece fails the load.
+            sub = Subtask(
+                cost=float(piece["cost"]),
+                period=parent.period,
+                deadline=float(piece["deadline"]),
+                parent=parent,
+                index=int(piece["index"]),
+                kind=SubtaskKind(piece["kind"]),
             )
+            proc.add(parent, sub.cost, sub.deadline, sub.index, sub.kind)
         processors.append(proc)
     info = dict(data.get("info", {}))
     if scheduler != "fixed":

@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -84,6 +84,11 @@ class Task:
     def deadline(self) -> float:
         """Relative deadline; equals the period in the L&L model."""
         return self.period
+
+    @property
+    def priority(self) -> int:
+        """Priority key (the tid), so a task is its own admission candidate."""
+        return self.tid
 
     def is_light(self, threshold: float) -> bool:
         """Whether ``U <= threshold`` (Definition 1 uses ``Theta/(1+Theta)``)."""
@@ -154,11 +159,6 @@ class Subtask:
         """``U^k = C^k / T``."""
         return self.cost / self.period
 
-    @property
-    def is_split_piece(self) -> bool:
-        """Whether this subtask comes from a split task."""
-        return self.kind is not SubtaskKind.WHOLE
-
     def label(self) -> str:
         """Human-readable identifier, e.g. ``tau3^2(body)``."""
         base = self.parent.name or f"tau{self.parent.tid}"
@@ -177,6 +177,19 @@ class Subtask:
             index=1,
             kind=SubtaskKind.WHOLE,
         )
+
+
+class SubtaskRow(NamedTuple):
+    """A :class:`Subtask` by value (unvalidated), with its priority key:
+    how a :class:`~repro.core.partition.ProcessorState` stores a piece."""
+
+    cost: float
+    period: float
+    deadline: float
+    priority: int
+    parent: Task
+    index: int
+    kind: SubtaskKind
 
 
 class TaskSet:

@@ -22,7 +22,7 @@ from repro.core.bounds import light_task_threshold
 from repro.core.maxsplit import max_split_binary, max_split_points
 from repro.core.partition import PendingPiece, ProcessorState
 from repro.core.rmts import partition_rmts
-from repro.core.task import Subtask, Task
+from repro.core.task import Task
 from repro.experiments.base import ExperimentReport, register
 from repro.taskgen.generators import TaskSetGenerator
 
@@ -70,11 +70,11 @@ def run_e9(quick: bool = True, seed: int = 0) -> ExperimentReport:
                 # Lemma 11: the pre-assigned task is lowest-priority on its
                 # processor in a successful partition.
                 for proc in part.processors:
-                    if proc.pre_assigned_tid is None or not proc.subtasks:
+                    if proc.pre_assigned_tid is None or not proc.rows:
                         continue
                     if proc.role.value != "pre-assigned":
                         continue
-                    lowest = max(s.priority for s in proc.subtasks)
+                    lowest = max(row.priority for row in proc.rows)
                     if proc.pre_assigned_tid != lowest:
                         lowest_prio_ok = False
         table.add_row(
@@ -98,7 +98,7 @@ def _random_processor(rng: np.random.Generator, n_tasks: int) -> ProcessorState:
     ts = gen.generate(u_norm=0.55, processors=1, seed=rng)
     proc = ProcessorState(index=0)
     for t in ts:
-        proc.add(Subtask.whole(t))
+        proc.add(t)
     return proc
 
 
@@ -124,10 +124,11 @@ def run_e10(quick: bool = True, seed: int = 0) -> ExperimentReport:
         piece = PendingPiece.of(
             Task(cost=cost, period=period, tid=10_000)
         )
+        existing = proc.subtasks
         t0 = time.perf_counter()
-        c_bin = max_split_binary(proc.subtasks, piece)
+        c_bin = max_split_binary(existing, piece)
         t1 = time.perf_counter()
-        c_pts = max_split_points(proc.subtasks, piece)
+        c_pts = max_split_points(existing, piece)
         t2 = time.perf_counter()
         t_binary += t1 - t0
         t_points += t2 - t1

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import threading
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
@@ -56,9 +57,11 @@ def admit_cache_key(taskset: TaskSet, processors: int, algorithm: str,
 class LRUCache:
     """Bounded mapping with least-recently-used eviction and hit counters.
 
-    The server is single-threaded asyncio (analyses run in worker threads,
-    but cache access stays on the event loop), so no locking is needed.
-    Hits and misses are mirrored into the global perf
+    The server offloads every cache touch (``get``, ``put``, ``stats``) to
+    its worker threads, so one lock serializes the mapping and the
+    counters: without it a ``put`` evicting a key between ``get``'s
+    membership test and its ``move_to_end`` raises ``KeyError``.  Hits
+    and misses are mirrored into the global perf
     :data:`~repro.perf.telemetry.COUNTERS` for ``/metrics``.
     """
 
@@ -73,6 +76,7 @@ class LRUCache:
         #: the entry still lives in the durable back tier.
         self.mirror_counters = mirror_counters
         self._data: "OrderedDict[str, object]" = OrderedDict()
+        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -82,31 +86,34 @@ class LRUCache:
 
     def get(self, key: str) -> Tuple[bool, Optional[object]]:
         """Return ``(found, value)``; refreshes recency on hit."""
-        if key in self._data:
-            self._data.move_to_end(key)
-            self.hits += 1
+        with self._lock:
+            if key in self._data:
+                self._data.move_to_end(key)
+                self.hits += 1
+                if self.mirror_counters:
+                    COUNTERS.svc_cache_hits += 1
+                return True, self._data[key]
+            self.misses += 1
             if self.mirror_counters:
-                COUNTERS.svc_cache_hits += 1
-            return True, self._data[key]
-        self.misses += 1
-        if self.mirror_counters:
-            COUNTERS.svc_cache_misses += 1
-        return False, None
+                COUNTERS.svc_cache_misses += 1
+            return False, None
 
     def put(self, key: str, value: object) -> None:
         if self.capacity == 0:
             return
-        if key in self._data:
-            self._data.move_to_end(key)
-        self._data[key] = value
-        while len(self._data) > self.capacity:
-            self._data.popitem(last=False)
-            self.evictions += 1
-            if self.mirror_counters:
-                COUNTERS.svc_cache_evictions += 1
+        with self._lock:
+            if key in self._data:
+                self._data.move_to_end(key)
+            self._data[key] = value
+            while len(self._data) > self.capacity:
+                self._data.popitem(last=False)
+                self.evictions += 1
+                if self.mirror_counters:
+                    COUNTERS.svc_cache_evictions += 1
 
     def clear(self) -> None:
-        self._data.clear()
+        with self._lock:
+            self._data.clear()
 
     @property
     def hit_rate(self) -> float:
@@ -115,11 +122,12 @@ class LRUCache:
 
     def stats(self) -> Dict[str, object]:
         """Snapshot for ``/metrics``."""
-        return {
-            "size": len(self._data),
-            "capacity": self.capacity,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "hit_rate": round(self.hit_rate, 6),
-        }
+        with self._lock:
+            return {
+                "size": len(self._data),
+                "capacity": self.capacity,
+                "hits": self.hits,
+                "misses": self.misses,
+                "evictions": self.evictions,
+                "hit_rate": round(self.hit_rate, 6),
+            }

@@ -26,7 +26,7 @@ def simulate_uniprocessor(
     """Simulate *taskset* under RMS on a single processor."""
     proc = ProcessorState(index=0)
     for task in taskset:
-        proc.add(Subtask.whole(task))
+        proc.add(task)
     partition = PartitionResult(
         algorithm="uniprocessor-RMS",
         taskset=taskset,
@@ -56,8 +56,7 @@ def simulate_subtasks(
     ``max_piece_response`` for comparison against per-subtask RTA.
     """
     proc = ProcessorState(index=0)
-    for sub in subtasks:
-        proc.add(sub)
+    proc.subtasks = subtasks
     partition = PartitionResult(
         algorithm="uniprocessor-subtasks",
         taskset=taskset,

@@ -5,13 +5,13 @@ import pytest
 from repro.core.admission import ExactRTAAdmission, ThresholdAdmission
 from repro.core.assign import assign_piece
 from repro.core.partition import PendingPiece, ProcessorState
-from repro.core.task import Subtask, SubtaskKind, Task
+from repro.core.task import SubtaskKind, Task
 
 
 def proc_with(pairs, start_tid=10):
     proc = ProcessorState(index=0)
     for i, (c, t) in enumerate(pairs):
-        proc.add(Subtask.whole(Task(cost=c, period=t, tid=start_tid + i)))
+        proc.add(Task(cost=c, period=t, tid=start_tid + i))
     return proc
 
 
@@ -19,8 +19,8 @@ class TestExactRTAAdmission:
     def test_fits_uses_rta(self):
         policy = ExactRTAAdmission()
         proc = proc_with([(2, 4)])
-        assert policy.fits(proc, Subtask.whole(Task(cost=2, period=8, tid=0)))
-        assert not policy.fits(proc, Subtask.whole(Task(cost=5, period=8, tid=0)))
+        assert policy.fits(proc, Task(cost=2, period=8, tid=0))
+        assert not policy.fits(proc, Task(cost=5, period=8, tid=0))
 
     def test_split_cost_positive_on_partial_room(self):
         policy = ExactRTAAdmission()
@@ -42,13 +42,13 @@ class TestThresholdAdmission:
     def test_fits_below_threshold(self):
         policy = ThresholdAdmission(0.7)
         proc = proc_with([(2, 10)])  # U = 0.2
-        assert policy.fits(proc, Subtask.whole(Task(cost=4, period=10, tid=0)))
-        assert not policy.fits(proc, Subtask.whole(Task(cost=6, period=10, tid=0)))
+        assert policy.fits(proc, Task(cost=4, period=10, tid=0))
+        assert not policy.fits(proc, Task(cost=6, period=10, tid=0))
 
     def test_boundary_counts_as_fit(self):
         policy = ThresholdAdmission(0.5)
         proc = proc_with([(2, 10)])
-        assert policy.fits(proc, Subtask.whole(Task(cost=3, period=10, tid=0)))
+        assert policy.fits(proc, Task(cost=3, period=10, tid=0))
 
     def test_split_fills_exactly_to_threshold(self):
         policy = ThresholdAdmission(0.6)

@@ -5,13 +5,13 @@ import pytest
 from repro.core.admission import ExactRTAAdmission, ThresholdAdmission
 from repro.core.assign import AssignOutcome, assign_piece
 from repro.core.partition import PendingPiece, ProcessorState
-from repro.core.task import Subtask, SubtaskKind, Task
+from repro.core.task import SubtaskKind, Task
 
 
 def proc_with(pairs, start_tid=10):
     proc = ProcessorState(index=0)
     for i, (c, t) in enumerate(pairs):
-        proc.add(Subtask.whole(Task(cost=c, period=t, tid=start_tid + i)))
+        proc.add(Task(cost=c, period=t, tid=start_tid + i))
     return proc
 
 

@@ -24,7 +24,7 @@ from repro.core.partition import (
     ProcessorState,
 )
 from repro.core.rta import response_time
-from repro.core.task import Subtask, SubtaskKind, Task, TaskSet
+from repro.core.task import SubtaskKind, Task, TaskSet
 from repro.sim.engine import simulate_partition
 
 import numpy as np
@@ -33,12 +33,12 @@ import numpy as np
 class TestPendingPieceResponses:
     def test_default_response_is_cost(self):
         piece = PendingPiece.of(Task(cost=6.0, period=12.0, tid=0))
-        piece.split_off(2.0)
+        piece.split_off(ProcessorState(index=1), 2.0)
         assert piece.deadline == pytest.approx(10.0)
 
     def test_explicit_response_shrinks_deadline(self):
         piece = PendingPiece.of(Task(cost=6.0, period=12.0, tid=5))
-        piece.split_off(2.0, response=3.5)
+        piece.split_off(ProcessorState(index=1), 2.0, response=3.5)
         assert piece.body_cost == pytest.approx(2.0)
         assert piece.body_response == pytest.approx(3.5)
         assert piece.deadline == pytest.approx(12.0 - 3.5)
@@ -46,7 +46,7 @@ class TestPendingPieceResponses:
     def test_response_below_cost_rejected(self):
         piece = PendingPiece.of(Task(cost=6.0, period=12.0, tid=5))
         with pytest.raises(ValueError):
-            piece.split_off(2.0, response=1.0)
+            piece.split_off(ProcessorState(index=1), 2.0, response=1.0)
 
 
 class TestAssignWithHigherPriorityResident:
@@ -58,7 +58,7 @@ class TestAssignWithHigherPriorityResident:
         resident = Task(cost=3.0, period=9.0, tid=0)
         proc = ProcessorState(index=0)
         proc.pre_assigned_tid = 0  # the phase-3 shape
-        proc.add(Subtask.whole(resident))
+        proc.add(resident)
         # the piece being split has LOWER priority (longer period)
         piece = PendingPiece.of(Task(cost=14.0, period=20.0, tid=1))
         return proc, piece
@@ -117,7 +117,7 @@ class TestAssignWithHigherPriorityResident:
         assert tail_cost <= optimistic  # would look fine under Lemma 3
         # true feasibility on an empty processor requires cost <= deadline
         assert (tail_cost <= true_deadline) == (
-            piece.as_candidate().cost <= piece.deadline
+            piece.cost <= piece.deadline
         )
 
 
@@ -127,10 +127,10 @@ class TestConsumedWindowExhaustion:
         report infeasibility instead of crashing or looping."""
         resident = Task(cost=6.0, period=9.0, tid=0)  # hog
         proc = ProcessorState(index=0)
-        proc.add(Subtask.whole(resident))
+        proc.add(resident)
         piece = PendingPiece.of(Task(cost=8.0, period=20.0, tid=1))
         # consume the entire window artificially
-        piece.split_off(0.5, response=20.0)
+        piece.split_off(ProcessorState(index=1), 0.5, response=20.0)
         assert piece.deadline <= 1e-9
         outcome = assign_piece(piece, proc, ExactRTAAdmission())
         assert outcome.infeasible

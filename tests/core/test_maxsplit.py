@@ -14,7 +14,7 @@ from repro.taskgen.generators import TaskSetGenerator
 def loaded_processor(pairs, start_tid=0):
     proc = ProcessorState(index=0)
     for i, (c, t) in enumerate(pairs):
-        proc.add(Subtask.whole(Task(cost=c, period=t, tid=start_tid + i)))
+        proc.add(Task(cost=c, period=t, tid=start_tid + i))
     return proc
 
 
@@ -53,13 +53,13 @@ class TestMaxSplitBasics:
     def test_respects_own_synthetic_deadline(self):
         # No existing tasks, but the piece has a shortened deadline.
         piece = piece_for(8.0, 10.0)
-        piece.split_off(3.0)  # deadline now 7, remaining 5
+        piece.split_off(ProcessorState(index=1), 3.0)  # deadline now 7, remaining 5
         c = max_split_points([], piece)
         assert c == pytest.approx(5.0)  # still fits: cost 5 <= deadline 7
 
     def test_deadline_binds_before_cost(self):
         piece = piece_for(9.0, 10.0)
-        piece.split_off(4.0)  # deadline 6, remaining 5
+        piece.split_off(ProcessorState(index=1), 4.0)  # deadline 6, remaining 5
         proc = loaded_processor([(3, 6)], start_tid=200)  # lower priority
         # newcomer (tid=100) outranks (3,6); its own deadline is 6.
         c = max_split_points(proc.subtasks, piece)
@@ -82,12 +82,11 @@ class TestMaxSplitDefinition:
 
     def _assert_definition(self, proc, piece):
         c = max_split_points(proc.subtasks, piece)
-        base = piece.as_candidate()
 
         def with_cost(x):
             return proc.subtasks + [
-                Subtask(cost=x, period=base.period, deadline=base.deadline,
-                        parent=base.parent, index=base.index, kind=base.kind)
+                Subtask(cost=x, period=piece.period, deadline=piece.deadline,
+                        parent=piece.task, index=piece.index, kind=piece.kind)
             ]
 
         if c > 0:
@@ -119,8 +118,7 @@ class TestMaxSplitDefinition:
         proc = ProcessorState(index=0)
         for t in ts:
             # shift tids so the incoming piece (tid=0) has top priority
-            proc.add(Subtask.whole(Task(cost=t.cost, period=t.period,
-                                        tid=t.tid + 1)))
+            proc.add(Task(cost=t.cost, period=t.period, tid=t.tid + 1))
         period = float(rng.uniform(20, 2000))
         piece = piece_for(float(rng.uniform(0.2, 0.95)) * period, period, tid=0)
         self._assert_definition(proc, piece)
@@ -136,7 +134,7 @@ class TestMaxSplitAgreement:
         ts = gen.generate(u_norm=0.6, processors=1, seed=rng)
         proc = ProcessorState(index=0)
         for t in ts:
-            proc.add(Subtask.whole(t))
+            proc.add(t)
         period = float(rng.uniform(20, 2000))
         # tid below / above the existing range exercises both priority
         # cases (tids must be unique — they are priorities).
@@ -156,11 +154,10 @@ class TestMaxSplitLowPriorityNewcomer:
         c = max_split_points(proc.subtasks, piece)
         # feasibility: with cost c, R = c + interference of (3,10) <= 40.
         assert c > 0
-        base = piece.as_candidate()
         assert is_schedulable(
             proc.subtasks
-            + [Subtask(cost=c, period=40.0, deadline=40.0, parent=base.parent,
-                       index=1, kind=base.kind)]
+            + [Subtask(cost=c, period=40.0, deadline=40.0, parent=piece.task,
+                       index=1, kind=piece.kind)]
         )
 
     def test_harmonic_fill_through_lower_priority_constraint(self):
@@ -168,15 +165,15 @@ class TestMaxSplitLowPriorityNewcomer:
         # exactly C=2: the processor then runs at U=1 with harmonic
         # periods, and (2,8)'s response hits its deadline exactly.
         proc = ProcessorState(index=0)
-        proc.add(Subtask.whole(Task(cost=2.0, period=4.0, tid=1)))
-        proc.add(Subtask.whole(Task(cost=2.0, period=8.0, tid=2)))
+        proc.add(Task(cost=2.0, period=4.0, tid=1))
+        proc.add(Task(cost=2.0, period=8.0, tid=2))
         piece = piece_for(4.0, 8.0, tid=0)
         assert max_split_points(proc.subtasks, piece) == pytest.approx(2.0)
 
     def test_saturated_lower_priority_task_gives_zero(self):
         # (2,4) + (4,8) already uses U=1; any newcomer cost breaks (4,8).
         proc = ProcessorState(index=0)
-        proc.add(Subtask.whole(Task(cost=2.0, period=4.0, tid=1)))
-        proc.add(Subtask.whole(Task(cost=4.0, period=8.0, tid=2)))
+        proc.add(Task(cost=2.0, period=4.0, tid=1))
+        proc.add(Task(cost=4.0, period=8.0, tid=2))
         piece = piece_for(4.0, 8.0, tid=0)
         assert max_split_points(proc.subtasks, piece) == pytest.approx(0.0)

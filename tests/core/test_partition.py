@@ -16,35 +16,34 @@ class TestProcessorState:
     def test_utilization_sums_subtasks(self):
         proc = ProcessorState(index=0)
         t = Task(cost=2, period=8, tid=0)
-        proc.add(Subtask.whole(t))
+        proc.add(t)
         assert proc.utilization == pytest.approx(0.25)
 
     def test_rejects_zero_cost(self):
         proc = ProcessorState(index=0)
         t = Task(cost=2, period=8, tid=0)
         with pytest.raises(ValueError):
-            proc.add(Subtask(cost=0.0, period=8, deadline=8, parent=t))
+            proc.add(t, 0.0)
 
     def test_schedulable_with(self):
         proc = ProcessorState(index=0)
-        proc.add(Subtask.whole(Task(cost=2, period=4, tid=0)))
-        ok = Subtask.whole(Task(cost=2, period=8, tid=1))
-        too_big = Subtask.whole(Task(cost=5, period=8, tid=1))
+        proc.add(Task(cost=2, period=4, tid=0))
+        ok = Task(cost=2, period=8, tid=1)
+        too_big = Task(cost=5, period=8, tid=1)
         assert proc.schedulable_with(ok)
         assert not proc.schedulable_with(too_big)
 
     def test_body_subtasks_listing(self):
         proc = ProcessorState(index=0)
         t = Task(cost=4, period=8, tid=0)
-        proc.add(Subtask(cost=1, period=8, deadline=8, parent=t,
-                         index=1, kind=SubtaskKind.BODY))
+        proc.add(t, 1, 8, 1, SubtaskKind.BODY)
         assert len(proc.body_subtasks()) == 1
 
     def test_highest_priority_subtask(self):
         proc = ProcessorState(index=0)
         assert proc.highest_priority_subtask() is None
-        proc.add(Subtask.whole(Task(cost=1, period=8, tid=5)))
-        proc.add(Subtask.whole(Task(cost=1, period=4, tid=2)))
+        proc.add(Task(cost=1, period=8, tid=5))
+        proc.add(Task(cost=1, period=4, tid=2))
         assert proc.highest_priority_subtask().priority == 2
 
 
@@ -60,54 +59,64 @@ class TestPendingPiece:
         assert p.utilization == pytest.approx(0.5)
 
     def test_candidate_whole_when_unsplit(self):
-        assert self._piece().as_candidate().kind is SubtaskKind.WHOLE
+        assert self._piece().kind is SubtaskKind.WHOLE
 
-    def test_finalize_consumes(self):
+    def test_commit_consumes(self):
         p = self._piece()
-        sub = p.finalize()
-        assert sub.cost == 6.0
+        proc = ProcessorState(index=0)
+        assert p.commit(proc) == 6.0
         assert p.cost == 0.0
+        assert proc.subtasks == [Subtask.whole(p.task)]
 
     def test_split_off_body(self):
         p = self._piece()
-        body = p.split_off(2.0)
+        proc = ProcessorState(index=0)
+        assert p.split_off(proc, 2.0) == 2.0
+        (body,) = proc.subtasks
         assert body.kind is SubtaskKind.BODY
         assert body.cost == 2.0
         assert body.index == 1
+        assert body.deadline == 12.0
         assert p.cost == 4.0
         assert p.index == 2
         assert p.deadline == pytest.approx(10.0)  # Lemma 3: T - C_body
 
     def test_tail_candidate_after_split(self):
         p = self._piece()
-        p.split_off(2.0)
-        cand = p.as_candidate()
-        assert cand.kind is SubtaskKind.TAIL
-        assert cand.deadline == pytest.approx(10.0)
+        p.split_off(ProcessorState(index=1), 2.0)
+        assert p.kind is SubtaskKind.TAIL
+        proc = ProcessorState(index=0)
+        p.commit(proc)
+        (tail,) = proc.subtasks
+        assert tail.kind is SubtaskKind.TAIL
+        assert tail.index == 2
+        assert tail.deadline == pytest.approx(10.0)
 
     def test_multi_split_accumulates_body_cost(self):
         p = self._piece()
-        p.split_off(1.0)
-        p.split_off(2.0)
+        p.split_off(ProcessorState(index=1), 1.0)
+        p.split_off(ProcessorState(index=1), 2.0)
         assert p.index == 3
         assert p.body_cost == pytest.approx(3.0)
         assert p.deadline == pytest.approx(9.0)
 
-    def test_zero_split_returns_none(self):
+    def test_zero_split_places_nothing(self):
         p = self._piece()
-        assert p.split_off(0.0) is None
+        proc = ProcessorState(index=0)
+        assert p.split_off(proc, 0.0) == 0.0
+        assert proc.rows == []
         assert p.cost == 6.0
         assert p.index == 1
 
     def test_split_entire_cost_rejected(self):
         p = self._piece()
         with pytest.raises(ValueError):
-            p.split_off(6.0)
+            p.split_off(ProcessorState(index=1), 6.0)
 
     def test_split_above_cost_rejected(self):
         p = self._piece()
         with pytest.raises(ValueError):
-            p.split_off(7.0)
+            p.split_off(ProcessorState(index=1), 7.0)
 
 
 def _partition_of(taskset, assignments):
@@ -121,8 +130,7 @@ def _partition_of(taskset, assignments):
     procs = []
     for q, subs in assignments.items():
         proc = ProcessorState(index=q)
-        for s in subs:
-            proc.add(s)
+        proc.subtasks = subs
         procs.append(proc)
     with use_debug_invariants(False):
         return PartitionResult(

@@ -10,7 +10,7 @@ from repro.core.partition import (
     ProcessorState,
 )
 from repro.core.rmts import partition_rmts, readmit_task
-from repro.core.task import Subtask, SubtaskKind, Task, TaskSet
+from repro.core.task import SubtaskKind, Task, TaskSet
 from repro.taskgen.generators import TaskSetGenerator
 
 
@@ -25,7 +25,7 @@ def _fresh_from_survivors(proc):
     in the same list order."""
     fresh = ProcessorState(index=proc.index)
     for sub in proc.subtasks:
-        fresh.add(sub)
+        fresh.add(sub.parent, sub.cost, sub.deadline, sub.index, sub.kind)
     return fresh
 
 
@@ -48,7 +48,7 @@ class TestProcessorRemoveParent:
         ts = _taskset(seed=11)
         result = partition_rmts(ts, 4)
         victim = ts[0].tid
-        probe = Subtask.whole(Task(cost=5.0, period=100.0, tid=9999))
+        probe = Task(cost=5.0, period=100.0, tid=9999)
         for proc in result.processors:
             proc.remove_parent(victim)
             fresh = _fresh_from_survivors(proc)
@@ -71,9 +71,8 @@ class TestProcessorRemoveParent:
         task = Task(cost=30.0, period=100.0, tid=1)
         other = Task(cost=10.0, period=200.0, tid=2)
         proc = ProcessorState(index=0, full=True)
-        proc.add(Subtask(cost=20.0, period=100.0, deadline=40.0,
-                         parent=task, index=1, kind=SubtaskKind.BODY))
-        proc.add(Subtask.whole(other))
+        proc.add(task, 20.0, 40.0, 1, SubtaskKind.BODY)
+        proc.add(other)
         assert proc.remove_parent(1) == 1
         assert not proc.full
         assert [s.parent.tid for s in proc.subtasks] == [2]
@@ -85,7 +84,7 @@ class TestProcessorRemoveParent:
             role=ProcessorRole.PRE_ASSIGNED,
             pre_assigned_tid=3,
         )
-        proc.add(Subtask.whole(task))
+        proc.add(task)
         proc.remove_parent(3)
         assert proc.role is ProcessorRole.NORMAL
         assert proc.pre_assigned_tid is None

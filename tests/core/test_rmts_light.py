@@ -75,7 +75,7 @@ class TestAssignmentOrderInvariants:
             for proc in result.processors:
                 for body in proc.body_subtasks():
                     top = proc.highest_priority_subtask()
-                    assert top is body
+                    assert top == body
 
     def test_at_most_one_body_per_processor(self):
         gen = TaskSetGenerator(n=16, period_model="loguniform").light()

@@ -110,6 +110,28 @@ def merged(subtasks, candidate):
     return sorted(subtasks + [candidate], key=lambda s: s.priority)
 
 
+def admits(ctx, sub):
+    """``RTAContext.admits`` on a subtask's values."""
+    return ctx.admits(sub.cost, sub.period, sub.deadline, sub.priority)
+
+
+def insert(ctx, sub):
+    """``RTAContext.insert`` of a subtask's values."""
+    ctx.insert(sub.cost, sub.period, sub.deadline, sub.priority)
+
+
+def as_subtask(candidate):
+    """The subtask an admission candidate (a whole task or a pending
+    piece's remainder) becomes when committed."""
+    if isinstance(candidate, PendingPiece):
+        return Subtask(
+            cost=candidate.cost, period=candidate.period,
+            deadline=candidate.deadline, parent=candidate.task,
+            index=candidate.index, kind=candidate.kind,
+        )
+    return Subtask.whole(candidate)
+
+
 def same_floats(got, want):
     """Element-wise bit equality with NaN matching NaN."""
     assert len(got) == len(want)
@@ -162,7 +184,7 @@ class TestContextMatchesOneShot:
         candidate = random_candidate(seed, len(subs))
         ctx = RTAContext(subs)
         expected = is_schedulable(merged(subs, candidate))
-        assert ctx.admits_subtask(candidate) == expected
+        assert admits(ctx, candidate) == expected
 
     @given(seed=seeds)
     @settings(max_examples=150, deadline=None)
@@ -170,7 +192,7 @@ class TestContextMatchesOneShot:
         subs = random_subtasks(seed)
         candidate = random_candidate(seed, len(subs))
         grown = RTAContext(subs)
-        grown.insert(candidate)
+        insert(grown, candidate)
         fresh = RTAContext(merged(subs, candidate))
         same_columns(grown, fresh)
         assert grown.schedulable == fresh.schedulable
@@ -186,9 +208,9 @@ class TestContextMatchesOneShot:
         subs = random_subtasks(seed)
         candidate = random_candidate(seed, len(subs))
         ctx = RTAContext(subs)
-        if not ctx.admits_subtask(candidate):
+        if not admits(ctx, candidate):
             return
-        ctx.insert(candidate)
+        insert(ctx, candidate)
         assert ctx._memo is None
         fresh = RTAContext(merged(subs, candidate))
         assert fresh.schedulable and ctx.schedulable
@@ -206,8 +228,8 @@ class TestContextMatchesOneShot:
         ctx = RTAContext(subs[:2])
         for i, sub in enumerate(subs[2:]):
             if i % 2:
-                ctx.admits_subtask(sub)  # may arm the probe memo
-            ctx.insert(sub)
+                admits(ctx, sub)  # may arm the probe memo
+            insert(ctx, sub)
         fresh = RTAContext(subs)
         same_columns(ctx, fresh)
         assert ctx.schedulable == fresh.schedulable
@@ -242,7 +264,7 @@ class TestLargeProcessors:
         subs = many_subtasks(seed)
         candidate = small_candidate(seed, len(subs))
         ctx = RTAContext(subs)
-        assert ctx.admits_subtask(candidate) == is_schedulable(
+        assert admits(ctx, candidate) == is_schedulable(
             merged(subs, candidate)
         )
 
@@ -252,8 +274,8 @@ class TestLargeProcessors:
         subs = many_subtasks(seed)
         candidate = small_candidate(seed, len(subs))
         grown = RTAContext(subs)
-        grown.admits_subtask(candidate)  # may arm the probe memo
-        grown.insert(candidate)
+        admits(grown, candidate)  # may arm the probe memo
+        insert(grown, candidate)
         fresh = RTAContext(merged(subs, candidate))
         same_columns(grown, fresh)
         assert grown.schedulable == fresh.schedulable
@@ -286,12 +308,12 @@ class TestLargeProcessors:
                 parent=Task(cost=cost, period=period, tid=tid),
             )
             expected = is_schedulable(merged(subs, candidate))
-            assert ctx.admits_subtask(candidate) == expected
+            assert admits(ctx, candidate) == expected
             assert probe(cost) == expected
 
 
 def _scratch_schedulable_with(self, candidate):
-    return is_schedulable(self.subtasks + [candidate])
+    return is_schedulable(self.subtasks + [as_subtask(candidate)])
 
 
 def _scratch_is_schedulable(self):
@@ -348,10 +370,15 @@ class TestEndToEndPartitionEquality:
                     ]
 
 
+def add(proc, sub):
+    """``ProcessorState.add`` of a subtask's values."""
+    proc.add(sub.parent, sub.cost, sub.deadline, sub.index, sub.kind)
+
+
 def loaded_processor(subs):
     proc = ProcessorState(index=0)
     for sub in subs:
-        proc.add(sub)
+        add(proc, sub)
     return proc
 
 
@@ -362,7 +389,8 @@ def random_piece(seed: int, n_existing: int) -> PendingPiece:
     piece = PendingPiece.of(candidate.parent)
     rng = np.random.default_rng(seed + 313)
     if rng.random() < 0.5:
-        piece.split_off(float(rng.uniform(0.1, 0.6)) * piece.cost)
+        cost = float(rng.uniform(0.1, 0.6)) * piece.cost
+        piece.split_off(ProcessorState(index=1), cost)
     return piece
 
 
@@ -373,32 +401,28 @@ class TestLeanAdmissionPath:
     @given(seed=seeds)
     @settings(max_examples=150, deadline=None)
     def test_piece_probe_equals_subtask_probe(self, seed):
-        """A pending piece probes like the subtask it would become: same
-        decision, same counter increments, and committing it leaves the
-        same context."""
+        """A pending piece probes like the subtask it would become: the
+        same decision as the context's value probe and the from-scratch
+        oracle, one probe counted, and committing it leaves the context a
+        fresh build of the grown contents gives."""
         subs = random_subtasks(seed)
         piece = random_piece(seed, len(subs))
-        by_piece, by_subtask = loaded_processor(subs), loaded_processor(subs)
-        if seed % 2:  # half the time the contexts are warm already
-            by_piece.rta_context()
-            by_subtask.rta_context()
+        sub = as_subtask(piece)
+        proc = loaded_processor(subs)
+        if seed % 2:  # half the time the context is warm already
+            proc.rta_context()
         before = COUNTERS.snapshot()
-        got = by_piece.schedulable_with(piece)
-        piece_delta = COUNTERS.delta_since(before)
-        before = COUNTERS.snapshot()
-        want = by_subtask.schedulable_with(piece.as_candidate())
-        assert COUNTERS.delta_since(before) == piece_delta
-        assert got == want
-        assert got == is_schedulable(merged(subs, piece.as_candidate()))
+        got = proc.schedulable_with(piece)
+        assert COUNTERS.delta_since(before)["admission_probes"] == 1
+        assert got == admits(RTAContext(subs), sub)
+        assert got == is_schedulable(merged(subs, sub))
         if got:
-            sub = piece.finalize()
-            by_piece.add(sub)
-            by_subtask.add(sub)
-            same_columns(by_piece.rta_context(), by_subtask.rta_context())
-            same_floats(
-                by_piece.rta_context().responses,
-                by_subtask.rta_context().responses,
-            )
+            piece.commit(proc)
+            assert proc.subtasks == subs + [sub]
+            ctx, fresh = proc.rta_context(), RTAContext(subs + [sub])
+            same_columns(ctx, fresh)
+            ctx._resolve()
+            same_floats(ctx.responses, fresh.responses)
 
     @given(seed=seeds)
     @settings(max_examples=60, deadline=None)
@@ -421,8 +445,8 @@ class TestLeanAdmissionPath:
                 cost=cost, period=period, deadline=period,
                 parent=Task(cost=cost, period=period, tid=tid),
             )
-            got = proc.schedulable_with(candidate)
-            assert got == RTAContext(subs).admits_subtask(candidate)
+            got = proc.schedulable_with(candidate.parent)
+            assert got == admits(RTAContext(subs), candidate)
             assert got == is_schedulable(merged(subs, candidate))
             early = proc.utilization + cost / period > 1.0 + EPS + 2e-10
             # The early reject never fetches (or builds) the context.
@@ -439,8 +463,8 @@ class TestLeanAdmissionPath:
         proc = ProcessorState(index=0)
         ctx = proc.rta_context()
         for sub in subs:
-            proc.schedulable_with(sub)
-            proc.add(sub)
+            admits(ctx, sub)  # may arm the probe memo
+            add(proc, sub)
             assert proc.rta_context() is ctx
         same_columns(ctx, RTAContext(subs))
 

@@ -78,7 +78,7 @@ def _corrupt_partition(**kwargs):
     """Partition claiming success while a whole task is unassigned."""
     ts = TaskSet.from_pairs([(1, 4), (2, 8)])
     proc = ProcessorState(index=0)
-    proc.add(Subtask.whole(ts[0]))  # ts[1] is silently dropped
+    proc.add(ts[0])  # ts[1] is silently dropped
     return dict(
         algorithm="corrupt",
         taskset=ts,
@@ -108,7 +108,7 @@ class TestCheckPartition:
         with use_debug_invariants(True):
             ts = TaskSet.from_pairs([(1, 4), (2, 8)])
             proc = ProcessorState(index=0)
-            proc.add(Subtask.whole(ts[0]))
+            proc.add(ts[0])
             PartitionResult(
                 algorithm="gave-up",
                 taskset=ts,
@@ -125,8 +125,8 @@ class TestCheckPartition:
         with use_debug_invariants(True):
             ts = TaskSet.from_pairs([(1, 4), (2, 8)])
             p0, p1 = ProcessorState(index=0), ProcessorState(index=1)
-            p0.add(Subtask.whole(ts[0]))
-            p1.add(Subtask.whole(ts[1]))
+            p0.add(ts[0])
+            p1.add(ts[1])
             part = PartitionResult(
                 algorithm="manual",
                 taskset=ts,

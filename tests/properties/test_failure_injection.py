@@ -36,6 +36,14 @@ def rebuild_subtask(sub, **overrides):
     return Subtask(**fields)
 
 
+def replace_piece(proc, i, sub):
+    """Swap piece *i* of *proc* for *sub* through the ``subtasks`` setter
+    (reads return a fresh list, so in-place edits would be lost)."""
+    subs = proc.subtasks
+    subs[i] = sub
+    proc.subtasks = subs
+
+
 def find_split_pieces(part):
     tid = part.split_tids()[0]
     locs = []
@@ -50,14 +58,14 @@ class TestCostCorruption:
     def test_inflated_piece_cost_detected(self, good_partition):
         locs = find_split_pieces(good_partition)
         proc, i, sub = locs[0]
-        proc.subtasks[i] = rebuild_subtask(sub, cost=sub.cost + 0.5)
+        replace_piece(proc, i, rebuild_subtask(sub, cost=sub.cost + 0.5))
         errors = good_partition.validate()
         assert any("inconsistent" in e for e in errors)
 
     def test_deflated_piece_cost_detected(self, good_partition):
         locs = find_split_pieces(good_partition)
         proc, i, sub = locs[-1]
-        proc.subtasks[i] = rebuild_subtask(sub, cost=sub.cost * 0.5)
+        replace_piece(proc, i, rebuild_subtask(sub, cost=sub.cost * 0.5))
         errors = good_partition.validate()
         assert any("inconsistent" in e for e in errors)
 
@@ -67,7 +75,7 @@ class TestDeadlineCorruption:
         locs = find_split_pieces(good_partition)
         proc, i, sub = locs[-1]
         assert sub.kind is SubtaskKind.TAIL
-        proc.subtasks[i] = rebuild_subtask(sub, deadline=sub.period)
+        replace_piece(proc, i, rebuild_subtask(sub, deadline=sub.period))
         errors = good_partition.validate()
         assert any("inconsistent" in e for e in errors)
 
@@ -80,7 +88,7 @@ class TestPlacementCorruption:
                 if sub.kind is SubtaskKind.WHOLE:
                     victim = (proc, sub)
         proc, sub = victim
-        proc.subtasks.remove(sub)
+        proc.subtasks = [s for s in proc.subtasks if s != sub]
         errors = good_partition.validate()
         assert any("unassigned" in e for e in errors)
 
@@ -89,8 +97,8 @@ class TestPlacementCorruption:
         proc_a, _, sub_a = locs[0]
         proc_b, _, sub_b = locs[1]
         # move the second piece onto the first piece's processor
-        proc_b.subtasks.remove(sub_b)
-        proc_a.subtasks.append(sub_b)
+        proc_b.subtasks = [s for s in proc_b.subtasks if s != sub_b]
+        proc_a.subtasks = proc_a.subtasks + [sub_b]
         errors = good_partition.validate()
         assert any("multiple pieces" in e for e in errors)
 
@@ -99,14 +107,14 @@ class TestScheduleCorruption:
     def test_overloaded_processor_detected(self, good_partition):
         proc = good_partition.processors[0]
         intruder = Task(cost=3.0, period=4.0, tid=999)
-        proc.subtasks.append(Subtask.whole(intruder))
+        proc.subtasks = proc.subtasks + [Subtask.whole(intruder)]
         errors = good_partition.validate()
         assert any("RTA" in e for e in errors)
 
     def test_in_place_replacement_behind_a_warm_context_detected(
         self, good_partition
     ):
-        """Rule 5 re-runs exact RTA from scratch: replacing a subtask in
+        """Rule 5 re-runs exact RTA from scratch: replacing a row in
         place leaves the processor's warm context describing the old
         contents, and validation must not trust it."""
         proc, i = next(
@@ -116,8 +124,8 @@ class TestScheduleCorruption:
             if sub.kind is SubtaskKind.WHOLE
         )
         assert proc.is_schedulable()  # warms the cached context
-        sub = proc.subtasks[i]
-        proc.subtasks[i] = rebuild_subtask(sub, cost=0.99 * sub.period)
+        row = proc.rows[i]
+        proc.rows[i] = row._replace(cost=0.99 * row.period)
         assert proc.is_schedulable()  # the stale context still says yes
         assert not is_schedulable(proc.subtasks)
         errors = good_partition.validate()
@@ -129,12 +137,10 @@ class TestScheduleCorruption:
         ts = TaskSet.from_pairs([(1, 4), (6, 12)])
         hi, lo = ts[0], ts[1]
         p0 = ProcessorState(index=0)
-        p0.add(Subtask.whole(hi))
-        p0.add(Subtask(cost=2, period=12, deadline=12, parent=lo,
-                       index=1, kind=SubtaskKind.BODY))
+        p0.add(hi)
+        p0.add(lo, 2, 12, 1, SubtaskKind.BODY)
         p1 = ProcessorState(index=1)
-        p1.add(Subtask(cost=4, period=12, deadline=10, parent=lo,
-                       index=2, kind=SubtaskKind.TAIL))
+        p1.add(lo, 4, 10, 2, SubtaskKind.TAIL)
         part = PartitionResult(
             algorithm="corrupt", taskset=ts, processors=[p0, p1],
             success=True,
@@ -149,9 +155,9 @@ class TestSuccessFlagIntegrity:
         # claim success while secretly dropping a whole task
         victim_proc = None
         for proc in part.processors:
-            for sub in list(proc.subtasks):
+            for i, sub in enumerate(proc.subtasks):
                 if sub.kind is SubtaskKind.WHOLE:
-                    proc.subtasks.remove(sub)
+                    proc.subtasks = proc.subtasks[:i] + proc.subtasks[i + 1:]
                     victim_proc = proc
                     break
             if victim_proc:

@@ -1,5 +1,10 @@
 """Canonical hashing and LRU behaviour of the service result cache."""
 
+import sys
+import threading
+import time
+from collections import OrderedDict
+
 import pytest
 
 from repro.core.task import TaskSet
@@ -89,3 +94,53 @@ class TestLRUCache:
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
             LRUCache(capacity=-1)
+
+
+class _PreemptingDict(OrderedDict):
+    """An ``OrderedDict`` that hands the GIL to another thread after every
+    membership test: the point where an unlocked ``get`` is exposed to a
+    concurrent eviction.  Without it the race needs about a million
+    operations to show."""
+
+    def __contains__(self, key):
+        found = super().__contains__(key)
+        time.sleep(0)
+        return found
+
+
+class TestThreadSafety:
+    def test_concurrent_get_put_stats_never_raise(self):
+        """The server runs ``get``/``put``/``stats`` on its worker
+        threads: a ``put`` that evicts a key between ``get``'s membership
+        test and its read must not surface as ``KeyError``."""
+        cache = LRUCache(capacity=8)
+        cache._data = _PreemptingDict()
+        keys = [f"k{i}" for i in range(12)]
+        errors = []
+        rounds = 1_000
+
+        def worker(offset):
+            try:
+                for i in range(rounds):
+                    key = keys[(i * 7 + offset) % len(keys)]
+                    cache.get(key)
+                    cache.put(key, i)
+                    if i % 16 == 0:
+                        cache.stats()
+            except Exception as exc:  # collected and asserted below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(j,)) for j in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(cache) == cache.capacity
+        assert cache.hits + cache.misses == 8 * rounds

@@ -18,7 +18,7 @@ from tests.conftest import integer_taskset_strategy
 def uni_partition(taskset):
     proc = ProcessorState(index=0)
     for t in taskset:
-        proc.add(Subtask.whole(t))
+        proc.add(t)
     return PartitionResult(
         algorithm="test", taskset=taskset, processors=[proc], success=True
     )
@@ -88,12 +88,10 @@ class TestSplitTaskExecution:
         ts = TaskSet.from_pairs([(2, 4), (6, 12)])
         t0, t1 = ts[0], ts[1]
         p0 = ProcessorState(index=0)
-        p0.add(Subtask.whole(t0))
-        p0.add(Subtask(cost=4, period=12, deadline=10, parent=t1,
-                       index=2, kind=SubtaskKind.TAIL))
+        p0.add(t0)
+        p0.add(t1, 4, 10, 2, SubtaskKind.TAIL)
         p1 = ProcessorState(index=1)
-        p1.add(Subtask(cost=2, period=12, deadline=12, parent=t1,
-                       index=1, kind=SubtaskKind.BODY))
+        p1.add(t1, 2, 12, 1, SubtaskKind.BODY)
         return PartitionResult(
             algorithm="test", taskset=ts, processors=[p0, p1], success=True
         )

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.partition import PartitionResult, ProcessorState
 from repro.core.rmts import partition_rmts
-from repro.core.task import Subtask, SubtaskKind, Task, TaskSet
+from repro.core.task import SubtaskKind, Task, TaskSet
 from repro.sim.engine import simulate_partition
 
 from tests.sim.test_engine import uni_partition
@@ -27,7 +27,7 @@ class TestDegenerateInputs:
     def test_empty_processor_in_partition(self):
         ts = TaskSet.from_pairs([(1, 4)])
         p0 = ProcessorState(index=0)
-        p0.add(Subtask.whole(ts[0]))
+        p0.add(ts[0])
         p1 = ProcessorState(index=1)  # idle processor
         part = PartitionResult(
             algorithm="t", taskset=ts, processors=[p0, p1], success=True
@@ -55,16 +55,13 @@ class TestThreeWaySplitExecution:
         ts = TaskSet.from_pairs([(3, 4), (3, 4), (9, 12)])
         t_hi1, t_hi2, t_split = ts[0], ts[1], ts[2]
         p0 = ProcessorState(index=0)
-        p0.add(Subtask.whole(t_hi1))
-        p0.add(Subtask(cost=1, period=12, deadline=12, parent=t_split,
-                       index=1, kind=SubtaskKind.BODY))
+        p0.add(t_hi1)
+        p0.add(t_split, 1, 12, 1, SubtaskKind.BODY)
         p1 = ProcessorState(index=1)
-        p1.add(Subtask.whole(t_hi2))
-        p1.add(Subtask(cost=1, period=12, deadline=11, parent=t_split,
-                       index=2, kind=SubtaskKind.BODY))
+        p1.add(t_hi2)
+        p1.add(t_split, 1, 11, 2, SubtaskKind.BODY)
         p2 = ProcessorState(index=2)
-        p2.add(Subtask(cost=7, period=12, deadline=10, parent=t_split,
-                       index=3, kind=SubtaskKind.TAIL))
+        p2.add(t_split, 7, 10, 3, SubtaskKind.TAIL)
         return PartitionResult(
             algorithm="t", taskset=ts, processors=[p0, p1, p2], success=True,
             # Deliberately non-Lemma-2 structure (bodies are not highest
