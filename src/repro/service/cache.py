@@ -57,8 +57,10 @@ def admit_cache_key(taskset: TaskSet, processors: int, algorithm: str,
 class LRUCache:
     """Bounded mapping with least-recently-used eviction and hit counters.
 
-    The server offloads every cache touch (``get``, ``put``, ``stats``) to
-    its worker threads, so one lock serializes the mapping and the
+    The server touches the cache only from its worker threads, several
+    at once: ``AdmissionService.answer`` (``get`` then ``put``, also in
+    workers the deadline has orphaned), batch planning and the
+    ``/metrics`` stats read.  One lock serializes the mapping and the
     counters: without it a ``put`` evicting a key between ``get``'s
     membership test and its ``move_to_end`` raises ``KeyError``.  Hits
     and misses are mirrored into the global perf

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro._util.validation import as_int
 from repro.analysis.algorithms import PARTITIONERS
@@ -43,6 +43,7 @@ from repro.perf.telemetry import COUNTERS
 from repro.runner import chunked_map
 from repro.service.cache import LRUCache, admit_cache_key
 from repro.service.validation import (
+    MAX_PROCESSORS,
     AdmitRequest,
     RequestValidationError,
     parse_admit_request,
@@ -242,10 +243,11 @@ class _BatchPlan:
 class AdmissionService:
     """Validation + cache + analysis, independent of the HTTP transport.
 
-    The HTTP server calls ``prepare_*`` / cache methods on the event loop
-    (they are fast) and pushes ``compute_*`` into a worker thread under
-    ``config.analysis_timeout``, falling back to
-    :func:`degraded_admit_body` on deadline.
+    The HTTP server calls ``prepare_*`` on the event loop (pure parsing,
+    no cache touch) and then makes one worker-thread call,
+    :meth:`answer`, that probes the cache, runs ``compute_*`` on a miss
+    and stores the body, all under ``config.analysis_timeout``.  On
+    deadline the loop answers with :func:`degraded_admit_body` instead.
     """
 
     def __init__(self, config: Optional[ServiceConfig] = None) -> None:
@@ -268,6 +270,24 @@ class AdmissionService:
         closer = getattr(self.cache, "close", None)
         if closer is not None:
             closer()
+
+    def answer(
+        self, key: str, compute: Callable[[], Dict[str, object]]
+    ) -> Tuple[bool, Dict[str, object]]:
+        """``(hit, body)``: the cached body for *key*, else ``compute()``
+        stored under *key*.
+
+        One worker-thread call per request.  A worker orphaned by the
+        deadline still stores its exact body, so a later repeat hits;
+        the loop-side degraded fallback never passes through here and so
+        is never stored.
+        """
+        found, body = self.cache.get(key)
+        if found:
+            return True, body
+        body = compute()
+        self.cache.put(key, body)
+        return False, body
 
     # -- admit -------------------------------------------------------------
 
@@ -303,7 +323,10 @@ class AdmissionService:
         processors = 0
         if payload.get("processors") is not None:
             try:
-                processors = as_int("processors", payload["processors"], low=1)
+                processors = as_int(
+                    "processors", payload["processors"],
+                    low=1, high=MAX_PROCESSORS,
+                )
             except ValueError as exc:
                 raise RequestValidationError(
                     [{"field": "processors", "message": str(exc)}]

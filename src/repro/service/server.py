@@ -21,18 +21,24 @@ Production behaviours, in the order a request meets them:
 2. **Validation** — structured 400 bodies listing every bad field
    (:mod:`repro.service.validation`); malformed JSON never raises past the
    handler.
-3. **Deadline + degradation** — analyses run in a worker thread under
+3. **One worker call** — an admit or bounds request is parsed and
+   validated on the loop, then makes one worker-thread call
+   (:meth:`~repro.service.handlers.AdmissionService.answer`): probe the
+   canonical-hash cache, analyse on a miss, store the body.  Repeat
+   requests are served byte-identically with ``X-Repro-Cache: hit``.
+4. **Deadline + degradation** — that call runs under
    ``analysis_timeout``; on deadline the admit verdict falls back to the
    paper's utilization-bound test and the body is marked
    ``"degraded": true`` (a sound sufficient-only answer beats a 504).
-4. **Caching** — computed bodies are stored in the canonical-hash LRU;
-   repeat requests are served byte-identically with ``X-Repro-Cache: hit``.
+   The degraded body is never cached; the orphaned worker still stores
+   the exact body it computes, so a later repeat hits.
 5. **Clean drain** — SIGTERM/SIGINT stop the listener, finish in-flight
    work, then exit 0.
 
 The HTTP surface is deliberately minimal (HTTP/1.1, ``Content-Length``
-bodies, keep-alive) — enough for load balancers, ``curl`` and the bundled
-:mod:`repro.service.loadgen`, with zero dependencies.
+bodies, keep-alive, one transport write per response) — enough for load
+balancers, ``curl`` and the bundled :mod:`repro.service.loadgen`, with
+zero dependencies.
 """
 
 from __future__ import annotations
@@ -82,6 +88,10 @@ def _split_target(target: str) -> Tuple[str, Dict[str, str]]:
             key, _, value = pair.partition("=")
             params[unquote(key)] = unquote(value)
     return path, params
+
+
+#: Longest wait for a client to stop sending after a protocol error.
+_LINGER_S = 1.0
 
 
 class _HTTPError(Exception):
@@ -248,8 +258,15 @@ class AdmissionServer:
 
     # -- connection / protocol plumbing ------------------------------------
 
+    @staticmethod
+    async def _read_line(reader: asyncio.StreamReader) -> bytes:
+        try:
+            return await reader.readline()
+        except ValueError:  # longer than the StreamReader limit (64 KiB)
+            raise _HTTPError(431, "request line or header too long") from None
+
     async def _read_request(self, reader: asyncio.StreamReader) -> Optional[_Request]:
-        line = await reader.readline()
+        line = await self._read_line(reader)
         if not line:
             return None
         parts = line.decode("latin-1").strip().split()
@@ -258,7 +275,7 @@ class AdmissionServer:
         method, path, version = parts
         headers: Dict[str, str] = {}
         while True:
-            raw = await reader.readline()
+            raw = await self._read_line(reader)
             if raw in (b"\r\n", b"\n", b""):
                 break
             name, sep, value = raw.decode("latin-1").partition(":")
@@ -292,7 +309,9 @@ class AdmissionServer:
         reason = {
             200: "OK", 400: "Bad Request", 404: "Not Found",
             405: "Method Not Allowed", 413: "Payload Too Large",
-            429: "Too Many Requests", 500: "Internal Server Error",
+            429: "Too Many Requests",
+            431: "Request Header Fields Too Large",
+            500: "Internal Server Error",
             503: "Service Unavailable",
         }.get(status, "Unknown")
         if isinstance(body, str):  # pre-rendered text (Prometheus)
@@ -307,9 +326,30 @@ class AdmissionServer:
             headers.update(extra_headers)
         head = [f"HTTP/1.1 {status} {reason}"]
         head.extend(f"{k}: {v}" for k, v in headers.items())
-        writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1"))
-        writer.write(payload)
+        writer.write(
+            ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + payload
+        )
         await writer.drain()
+
+    @staticmethod
+    async def _linger(
+        reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """Half-close, then discard what the client is still sending.
+
+        After a protocol error part of the request may be unread; closing
+        on unread bytes resets the connection, and the reset can reach
+        the client before it has read the error response.
+        """
+        async def discard() -> None:
+            while await reader.read(1 << 16):
+                pass
+
+        writer.write_eof()
+        try:
+            await asyncio.wait_for(discard(), timeout=_LINGER_S)
+        except asyncio.TimeoutError:
+            pass
 
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -324,6 +364,7 @@ class AdmissionServer:
                         {"error": "protocol", "message": exc.message},
                         keep_alive=False,
                     )
+                    await self._linger(reader, writer)
                     break
                 except (asyncio.IncompleteReadError, ConnectionResetError):
                     break
@@ -443,8 +484,10 @@ class AdmissionServer:
         """Run *fn* in a worker thread under the analysis deadline.
 
         Returns ``(result, degraded)``.  On deadline the (cheap, loop-side)
-        *fallback* supplies the answer; the orphaned worker thread finishes
-        in the background and its result is discarded.
+        *fallback* supplies the answer.  The orphaned worker thread runs
+        *fn* to the end in the background: its return value is dropped,
+        but its side effects (the cache store in
+        :meth:`AdmissionService.answer`) still happen.
 
         ``run_in_executor`` does not propagate :mod:`contextvars`, so the
         ambient trace context is captured here and re-entered inside the
@@ -472,41 +515,41 @@ class AdmissionServer:
 
         The tiered cache's back store is sqlite: ``get``/``put``/``stats``
         do point reads and commits that stall every open connection when
-        run on the event loop.  Every handler-side cache touch goes
-        through this hop; only pure in-memory state may stay loop-side.
+        run on the event loop.  Admit and bounds touch the cache inside
+        their one :meth:`_run_with_deadline` call; ``/metrics`` stats and
+        batch planning come through this hop.  Only pure in-memory state
+        may stay loop-side.
         """
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(
             self._executor, lambda: fn(*args)
         )
 
+    async def _answer(self, key: str, compute, fallback):
+        """One worker call: cache probe, *compute* on a miss, store."""
+        (hit, body), _ = await self._run_with_deadline(
+            lambda: self.service.answer(key, compute),
+            lambda: (False, fallback()),
+        )
+        return 200, body, {"X-Repro-Cache": "hit" if hit else "miss"}
+
     async def _handle_admit(self, request: _Request):
         payload = self._parse_json(request)
         admit_request, key = self.service.prepare_admit(payload)
-        found, cached = await self._offload(self.service.cache.get, key)
-        if found:
-            return 200, cached, {"X-Repro-Cache": "hit"}
-        body, degraded = await self._run_with_deadline(
+        return await self._answer(
+            key,
             lambda: self.service.compute_admit(admit_request),
             lambda: self.service.degraded_admit(admit_request),
         )
-        if not degraded:
-            await self._offload(self.service.cache.put, key, body)
-        return 200, body, {"X-Repro-Cache": "miss"}
 
     async def _handle_bounds(self, request: _Request):
         payload = self._parse_json(request)
         bounds_request, key = self.service.prepare_bounds(payload)
-        found, cached = await self._offload(self.service.cache.get, key)
-        if found:
-            return 200, cached, {"X-Repro-Cache": "hit"}
-        body, degraded = await self._run_with_deadline(
+        return await self._answer(
+            key,
             lambda: self.service.compute_bounds(bounds_request),
             lambda: {"error": "deadline", "degraded": True},
         )
-        if not degraded:
-            await self._offload(self.service.cache.put, key, body)
-        return 200, body, {"X-Repro-Cache": "miss"}
 
     async def _handle_batch(self, request: _Request):
         payload = self._parse_json(request)

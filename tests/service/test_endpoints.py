@@ -290,6 +290,45 @@ class TestIntrospection:
         assert run_async(scenario()) == (404, 405)
 
 
+class TestProtocolLimits:
+    @pytest.mark.parametrize("where,size", [
+        ("line", 70_000), ("header", 70_000), ("header", 1_000_000),
+    ])
+    def test_oversize_line_is_431_and_close(self, caplog, where, size):
+        # Over the StreamReader's 64 KiB line limit: the client must get
+        # a 431 and a clean close, not an empty reply and a logged
+        # traceback.
+        filler = "a" * size
+        if where == "line":
+            head = f"GET /{filler} HTTP/1.1\r\n\r\n"
+        else:
+            head = f"GET /healthz HTTP/1.1\r\nX-Big: {filler}\r\n\r\n"
+
+        async def scenario():
+            async with running_server() as server:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                writer.write(head.encode())
+                await writer.drain()
+                reply = await reader.read()  # up to the server's close
+                writer.close()
+                await writer.wait_closed()
+                # the server still answers on a fresh connection
+                status, _, _ = await http_request(
+                    server.port, "GET", "/healthz"
+                )
+                return reply, status
+
+        reply, status = run_async(scenario())
+        assert reply.startswith(b"HTTP/1.1 431 ")
+        assert b"Connection: close" in reply
+        assert b'"error": "protocol"' in reply
+        assert status == 200
+        assert "longer than limit" not in caplog.text
+        assert "exceed the limit" not in caplog.text
+
+
 class TestDrain:
     def test_shutdown_finishes_inflight_work(self, tasks_payload):
         # A request that is mid-analysis when shutdown is requested must

@@ -5,7 +5,9 @@ import math
 import pytest
 
 from repro._util.validation import as_finite_float, as_int
+from repro.service.handlers import AdmissionService
 from repro.service.validation import (
+    MAX_PROCESSORS,
     MAX_TASKS,
     RequestValidationError,
     parse_admit_request,
@@ -114,6 +116,11 @@ class TestAdmitRequest:
             parse_admit_request(payload)
         assert any(e["field"] == "processors" for e in exc_info.value.errors)
 
+    def test_processor_limit(self):
+        payload = {"tasks": [[1, 4]], "processors": MAX_PROCESSORS + 1}
+        with pytest.raises(RequestValidationError, match="<= 4096"):
+            parse_admit_request(payload)
+
     def test_non_object_body(self):
         with pytest.raises(RequestValidationError):
             parse_admit_request([1, 2, 3])
@@ -132,3 +139,23 @@ class TestAdmitRequest:
         payload = exc_info.value.to_payload()
         assert payload["error"] == "validation"
         assert all(set(d) == {"field", "message"} for d in payload["details"])
+
+
+class TestBoundsRequest:
+    @pytest.mark.parametrize("extra,expected", [
+        ({}, 0), ({"processors": MAX_PROCESSORS}, MAX_PROCESSORS),
+    ])
+    def test_good_processors(self, extra, expected):
+        request, _ = AdmissionService().prepare_bounds(
+            {"tasks": [[1, 4]], **extra}
+        )
+        assert request.processors == expected
+
+    @pytest.mark.parametrize("m", [0, -1, 2.5, True, MAX_PROCESSORS + 1,
+                                   10**30])
+    def test_bad_processors(self, m):
+        with pytest.raises(RequestValidationError) as exc_info:
+            AdmissionService().prepare_bounds(
+                {"tasks": [[1, 4]], "processors": m}
+            )
+        assert [e["field"] for e in exc_info.value.errors] == ["processors"]
