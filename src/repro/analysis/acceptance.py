@@ -20,7 +20,6 @@ import numpy as np
 
 from repro._util.tables import Table
 from repro.core.task import TaskSet
-from repro.obs import trace as _obs_trace
 from repro.runner import cell_rng, chunked_map
 from repro.taskgen.generators import TaskSetGenerator
 
@@ -96,13 +95,12 @@ def evaluate_sweep_cell(payload, cell: Tuple[int, float, int]) -> Tuple[bool, ..
     """
     generator, tests, processors, seed = payload
     level_idx, u_norm, sample_idx = cell
-    with _obs_trace.span("sweep.cell", level=level_idx, sample=sample_idx):
-        taskset = generator.generate(
-            u_norm=u_norm,
-            processors=processors,
-            seed=cell_rng(seed, level_idx, sample_idx),
-        )
-        return tuple(bool(test(taskset, processors)) for test in tests)
+    taskset = generator.generate(
+        u_norm=u_norm,
+        processors=processors,
+        seed=cell_rng(seed, level_idx, sample_idx),
+    )
+    return tuple(bool(test(taskset, processors)) for test in tests)
 
 
 def acceptance_sweep(

@@ -157,11 +157,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from contextlib import ExitStack
-
     from repro.analysis.acceptance import acceptance_sweep
     from repro.analysis.algorithms import standard_algorithms
-    from repro.obs import trace as obs_trace
     from repro.perf.telemetry import COUNTERS, write_bench_json
 
     u_min = as_finite_float("--u-min", args.u_min)
@@ -187,42 +184,31 @@ def cmd_sweep(args) -> int:
     algorithms = standard_algorithms(include_light=args.light)
     before = COUNTERS.snapshot()
     progress: dict = {}
-    with ExitStack() as stack:
-        if args.trace_out:
-            stack.enter_context(obs_trace.use_tracing(True))
-        stack.enter_context(
-            obs_trace.span(
-                "cli.sweep",
-                samples=args.samples,
-                jobs=args.jobs,
-                u_points=len(u_grid),
-            )
-        )
-        if args.store:
-            from repro.store.checkpoint import run_sweep
+    if args.store:
+        from repro.store.checkpoint import run_sweep
 
-            sweep = run_sweep(
-                algorithms,
-                gen,
-                processors=args.processors,
-                u_grid=u_grid,
-                samples=args.samples,
-                seed=args.seed,
-                jobs=args.jobs,
-                store=args.store,
-                resume=args.resume,
-                progress=progress,
-            )
-        else:
-            sweep = acceptance_sweep(
-                algorithms,
-                gen,
-                processors=args.processors,
-                u_grid=u_grid,
-                samples=args.samples,
-                seed=args.seed,
-                jobs=args.jobs,
-            )
+        sweep = run_sweep(
+            algorithms,
+            gen,
+            processors=args.processors,
+            u_grid=u_grid,
+            samples=args.samples,
+            seed=args.seed,
+            jobs=args.jobs,
+            store=args.store,
+            resume=args.resume,
+            progress=progress,
+        )
+    else:
+        sweep = acceptance_sweep(
+            algorithms,
+            gen,
+            processors=args.processors,
+            u_grid=u_grid,
+            samples=args.samples,
+            seed=args.seed,
+            jobs=args.jobs,
+        )
     title = (
         f"acceptance sweep: M={args.processors}, N={args.n}, "
         f"{args.periods} periods, samples={args.samples}, jobs={args.jobs}"
@@ -252,10 +238,6 @@ def cmd_sweep(args) -> int:
             },
         )
         print(f"counters and curves written to {args.bench_json}")
-    if args.trace_out:
-        flushed = obs_trace.flush_jsonl(args.trace_out)
-        print(f"trace ({flushed} spans) written to {args.trace_out} — "
-              f"render with: python -m repro obs summarize {args.trace_out}")
     return 0
 
 
@@ -346,12 +328,6 @@ def cmd_store(args) -> int:
     from repro.store.cli import main as store_main
 
     return store_main(args.store_args)
-
-
-def cmd_obs(args) -> int:
-    from repro.obs.cli import main as obs_main
-
-    return obs_main(args.obs_args)
 
 
 def cmd_bench(args) -> int:
@@ -469,11 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip cells already journaled in --store; curves are "
         "bit-identical to an uninterrupted run",
     )
-    p_sweep.add_argument(
-        "--trace-out", default=None,
-        help="arm span tracing and flush the trace to this JSONL file "
-        "(see docs/observability.md)",
-    )
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_serve = sub.add_parser(
@@ -581,17 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_store.set_defaults(func=cmd_store)
 
-    p_obs = sub.add_parser(
-        "obs",
-        help="inspect observability artifacts (summarize span traces)",
-    )
-    p_obs.add_argument(
-        "obs_args",
-        nargs=argparse.REMAINDER,
-        help="forwarded to repro.obs (see python -m repro obs --help)",
-    )
-    p_obs.set_defaults(func=cmd_obs)
-
     p_bench = sub.add_parser(
         "bench",
         help="benchmark artifact maintenance (drift check vs baselines)",
@@ -667,10 +627,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.store.cli import main as store_main
 
         return store_main(argv[1:])
-    if argv and argv[0] == "obs":
-        from repro.obs.cli import main as obs_main
-
-        return obs_main(argv[1:])
     if argv and argv[0] == "bench":
         from repro.perf.bench_check import main as bench_main
 

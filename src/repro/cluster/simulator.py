@@ -12,14 +12,11 @@ to the killed run's, and continues with the restored metrics.
 
 The SLO metrics themselves use only simulated time and integer bucket
 counts — no wall clock — so "identical final metrics" is a meaningful,
-exact acceptance criterion.  Wall-clock observability (the
-``cluster_event_seconds`` histogram, ``cluster.event`` spans) rides on
-the :mod:`repro.obs` layer and stays out of the journal.
+exact acceptance criterion.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -31,8 +28,6 @@ from repro.cluster.events import (
 )
 from repro.cluster.policies import ChurnPolicy, make_policy
 from repro.cluster.state import ClusterState
-from repro.obs import metrics as obs_metrics
-from repro.obs import trace as obs_trace
 from repro.perf.telemetry import COUNTERS
 from repro.store.backend import ResultStore
 
@@ -43,8 +38,7 @@ __all__ = [
     "simulate_churn",
 ]
 
-#: Wait-time SLO bucket bounds in *simulated* time units (mirrors the
-#: ``cluster_wait_time`` obs histogram so the two stay comparable).
+#: Wait-time SLO bucket bounds in *simulated* time units.
 WAIT_BOUNDS: Tuple[float, ...] = (
     0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0,
 )
@@ -123,11 +117,9 @@ class ChurnMetrics:
     def observe_wait(self, wait: float) -> None:
         self.wait_counts[_bucket_index(WAIT_BOUNDS, wait)] += 1
         self.wait_sum += wait
-        obs_metrics.CLUSTER_WAIT_TIME.observe(wait)
 
     def observe_utilization(self, utilization: float) -> None:
         self.util_counts[_bucket_index(UTIL_BOUNDS, utilization)] += 1
-        obs_metrics.CLUSTER_UTILIZATION.observe(utilization)
 
     def observe_migrations(self, count: int) -> None:
         """Bucket one departure event's migration count (the running
@@ -136,7 +128,6 @@ class ChurnMetrics:
         self.migration_counts[
             _bucket_index(MIGRATION_BOUNDS, float(count))
         ] += 1
-        obs_metrics.CLUSTER_MIGRATIONS.observe(float(count))
 
     # -- derived SLOs -------------------------------------------------------
 
@@ -411,34 +402,13 @@ def simulate_churn(
                     total=total,
                 )
             event = timeline[index]
-            wall_start = (
-                time.perf_counter() if obs_metrics.ENABLED else 0.0
-            )
-            with obs_trace.span(
-                "cluster.event",
-                index=index,
-                kind=event.kind,
-                tenant=event.tenant,
-                policy=config.policy,
-            ) as span:
-                metrics.advance_time(event.time, state.utilization())
-                if event.kind == "arrival":
-                    ops = _handle_arrival(
-                        policy, state, metrics, queue, event
-                    )
-                else:
-                    ops = _handle_departure(
-                        policy, state, metrics, queue, event
-                    )
-                utilization = state.utilization()
-                metrics.observe_utilization(utilization)
-                span.set("utilization", round(utilization, 6))
-                span.set("ops", len(ops))
+            metrics.advance_time(event.time, state.utilization())
+            if event.kind == "arrival":
+                ops = _handle_arrival(policy, state, metrics, queue, event)
+            else:
+                ops = _handle_departure(policy, state, metrics, queue, event)
+            metrics.observe_utilization(state.utilization())
             COUNTERS.cl_events += 1
-            if obs_metrics.ENABLED:
-                obs_metrics.CLUSTER_EVENT_SECONDS.observe(
-                    time.perf_counter() - wall_start
-                )
             if backend is not None:
                 backend.put(
                     namespace,

@@ -39,7 +39,7 @@ _SYNC_KINDS = ("call", "registry")
 _WORKER_KINDS = ("call", "registry", "ref")
 
 #: Modules whose worker-side mutations are the sanctioned delta-merge
-#: protocol (counters/histograms/span buffers returned to the parent).
+#: protocol (counter and histogram deltas returned to the parent).
 _R11_SANCTIONED_MODULES = (
     "repro.runner.pool",
     "repro.perf.telemetry",

@@ -674,7 +674,6 @@ _R8_EXEMPT_SUFFIXES = (
     "lint/cli.py",
     "store/cli.py",
     "store/bench_store.py",
-    "obs/cli.py",
     "search/cli.py",
     "search/bench_search.py",
     "perf/bench_check.py",

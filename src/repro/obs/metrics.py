@@ -12,10 +12,10 @@ are nondeterministic.)
 
 The module mirrors the :mod:`repro.perf.telemetry` counter discipline:
 a module-global registry, ``snapshot()`` / ``delta_since()`` /
-``merge()`` for the fork-pool delta protocol, and a master ``ENABLED``
-switch so a disabled ``observe()`` costs one boolean check.  Hot paths
-guard with ``if metrics.ENABLED:`` before reading the clock so the
-disabled cost is one boolean check.
+``merge()`` for the fork-pool delta protocol (:mod:`repro.runner.pool`),
+and a master ``ENABLED`` switch so a disabled ``observe()`` costs one
+boolean check.  Hot paths guard with ``if metrics.ENABLED:`` before
+reading the clock so the disabled path never reads it.
 
 :func:`render_prometheus` serializes every registered histogram plus
 arbitrary counter/gauge maps into the Prometheus text exposition format
@@ -43,7 +43,6 @@ __all__ = [
     "histogram",
     "all_histograms",
     "metrics_enabled",
-    "set_metrics",
     "use_metrics",
     "reset",
     "snapshot",
@@ -55,11 +54,6 @@ __all__ = [
     "HTTP_LATENCY",
     "STORE_GET_SECONDS",
     "STORE_PUT_SECONDS",
-    "CLUSTER_EVENT_SECONDS",
-    "CLUSTER_WAIT_TIME",
-    "CLUSTER_UTILIZATION",
-    "CLUSTER_MIGRATIONS",
-    "SEARCH_LEVEL_SAMPLES",
 ]
 
 
@@ -76,12 +70,6 @@ ENABLED: bool = _env_flag("REPRO_METRICS")
 def metrics_enabled() -> bool:
     """Current state of the metrics switch."""
     return ENABLED
-
-
-def set_metrics(enabled: bool) -> None:
-    """Flip the metrics switch (prefer :func:`use_metrics` in tests)."""
-    global ENABLED
-    ENABLED = bool(enabled)
 
 
 @contextmanager
@@ -384,49 +372,4 @@ STORE_PUT_SECONDS = histogram(
     "store_put_seconds",
     _IO_BOUNDS,
     "wall seconds per persistent-store insert-or-get",
-)
-
-#: Churn-simulator SLO buckets over *simulated* time units (task periods
-#: span 10..1000 by default), so the observed values — unlike wall-clock
-#: latencies — are deterministic for a given seed+config.
-_SIM_WAIT_BOUNDS = (
-    0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0,
-)
-
-#: Normalized cluster utilization snapshots, 5 %-wide bins.
-_UTILIZATION_BOUNDS = tuple(round(0.05 * i, 2) for i in range(1, 20))
-
-#: Migrations per departure event; the simulator caps these at ``k``.
-_MIGRATION_BOUNDS = (0, 1, 2, 3, 4, 6, 8, 12, 16)
-
-CLUSTER_EVENT_SECONDS = histogram(
-    "cluster_event_seconds",
-    _LATENCY_BOUNDS,
-    "wall seconds per churn-simulator event (admission + re-partition)",
-)
-CLUSTER_WAIT_TIME = histogram(
-    "cluster_wait_time",
-    _SIM_WAIT_BOUNDS,
-    "simulated time units an admitted task set spent in the wait queue",
-)
-CLUSTER_UTILIZATION = histogram(
-    "cluster_utilization",
-    _UTILIZATION_BOUNDS,
-    "normalized cluster utilization sampled after each churn event",
-)
-CLUSTER_MIGRATIONS = histogram(
-    "cluster_migrations_per_departure",
-    _MIGRATION_BOUNDS,
-    "task migrations applied per departure event (RTA re-verified)",
-)
-
-#: Probe budget the frontier mapper spends per utilization level before
-#: the Wilson interval settles the classification.  Integer-valued, so
-#: worker merges are bit-exact (like ``rta_iterations``).
-_LEVEL_SAMPLE_BOUNDS = (5, 10, 20, 40, 80, 160, 320, 640)
-
-SEARCH_LEVEL_SAMPLES = histogram(
-    "search_level_samples",
-    _LEVEL_SAMPLE_BOUNDS,
-    "acceptance probes spent per frontier level classification",
 )

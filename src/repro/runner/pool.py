@@ -34,8 +34,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 
 import numpy as np
 
-from repro.obs import runtime as obs_runtime
-from repro.obs import trace as obs_trace
+from repro.obs import metrics
 from repro.perf.telemetry import COUNTERS
 
 __all__ = ["cell_rng", "chunked_map", "jobs_arg", "resolve_jobs"]
@@ -46,11 +45,6 @@ __all__ = ["cell_rng", "chunked_map", "jobs_arg", "resolve_jobs"]
 #: from one thread, and nested pools are pointless (fork bombs), so a
 #: plain global is the honest data structure.
 _PAYLOAD: Any = None
-
-#: Observability context inherited alongside the payload (same lifecycle):
-#: the parent's trace position + enabled switches, or ``None`` when the
-#: observability layer is off — see :func:`repro.obs.runtime.pool_context`.
-_OBS_CONTEXT: Any = None
 
 
 def cell_rng(seed: int, *key: int) -> np.random.Generator:
@@ -101,23 +95,20 @@ def _worker_chunk(
 ) -> Tuple[int, List[Any], Dict[str, int], Optional[Dict[str, Any]]]:
     """Evaluate one chunk in a worker; return results plus deltas.
 
-    The forked worker inherits the parent's counter values, so only the
-    delta accumulated here is meaningful — the parent merges it so
-    telemetry totals stay correct at any ``jobs`` level.  The same
-    protocol carries the observability layer when it is enabled: the
-    worker adopts the parent's trace context, wraps the chunk in a
-    ``runner.chunk`` span, and ships its drained spans + histogram delta
-    back for an exact merge (``None`` when observability is off).
+    The forked worker inherits the parent's counter values and
+    histograms, so only the deltas accumulated here are meaningful — the
+    parent merges them so telemetry totals and :mod:`repro.obs.metrics`
+    histograms stay exact at any ``jobs`` level.  The histogram delta is
+    ``None`` when metrics are off (the switch is inherited by the fork).
     """
-    obs_state = obs_runtime.worker_begin(_OBS_CONTEXT)
+    hist_before = metrics.snapshot() if metrics.ENABLED else None
     before = COUNTERS.snapshot()
-    with obs_trace.span("runner.chunk", chunk=index, items=len(items)):
-        out = [func(_PAYLOAD, item) for item in items]
+    out = [func(_PAYLOAD, item) for item in items]
     return (
         index,
         out,
         COUNTERS.delta_since(before),
-        obs_runtime.worker_finish(obs_state),
+        None if hist_before is None else metrics.delta_since(hist_before),
     )
 
 
@@ -172,9 +163,8 @@ def chunked_map(
         chunksize = max(1, -(-len(items) // (jobs * 4)))
     chunks = [items[i : i + chunksize] for i in range(0, len(items), chunksize)]
 
-    global _PAYLOAD, _OBS_CONTEXT
+    global _PAYLOAD
     _PAYLOAD = payload  # must be visible before workers fork
-    _OBS_CONTEXT = obs_runtime.pool_context()
     try:
         with ProcessPoolExecutor(
             max_workers=min(jobs, len(chunks)), mp_context=ctx
@@ -185,24 +175,24 @@ def chunked_map(
             ]
             parts: List[Optional[List[Any]]] = [None] * len(chunks)
             deltas: List[Dict[str, int]] = []
-            obs_deltas: List[Optional[Dict[str, Any]]] = []
+            hist_deltas: List[Optional[Dict[str, Any]]] = []
             for future in futures:
-                index, out, delta, obs_delta = future.result()
+                index, out, delta, hist_delta = future.result()
                 parts[index] = out
                 deltas.append(delta)
-                obs_deltas.append(obs_delta)
-        # Merge telemetry only after every chunk succeeded, so a fallback
-        # rerun cannot double-count the completed chunks' events.  The
-        # observability payloads follow the same rule; both merges run in
-        # chunk submission order, which keeps histogram merges exact (and
-        # bit-identical to the serial path for integer observations).
+                hist_deltas.append(hist_delta)
+        # Merge only after every chunk succeeded, so a fallback rerun
+        # cannot double-count the completed chunks' events.  Both merges
+        # run in chunk submission order, which keeps histogram merges
+        # exact (and bit-identical to the serial path for integer
+        # observations).
         for delta in deltas:
             COUNTERS.merge(delta)
-        for obs_delta in obs_deltas:
-            obs_runtime.merge_worker(obs_delta)
+        for hist_delta in hist_deltas:
+            if hist_delta:
+                metrics.merge(hist_delta)
         return [result for part in parts for result in part]
     except (BrokenProcessPool, PicklingError, OSError):
         return _run_serial(func, payload, items)
     finally:
         _PAYLOAD = None
-        _OBS_CONTEXT = None

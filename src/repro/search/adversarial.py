@@ -30,7 +30,6 @@ import numpy as np
 
 from repro.core.bounds import best_bound_value, rmts_bound_cap
 from repro.analysis.breakdown import STATUS_CAP_HIT, breakdown_search
-from repro.obs import trace as obs_trace
 from repro.perf.telemetry import COUNTERS
 from repro.runner import cell_rng
 from repro.search.config import adversarial_config_key
@@ -314,47 +313,41 @@ def adversarial_search(
     best: Optional[List[object]] = None
     best_position: Optional[Tuple[int, int]] = None
     history: List[Dict[str, object]] = []
-    with obs_trace.span(
-        "search.adversarial",
-        algorithm=config.algorithm,
-        processors=config.processors,
-        rounds=config.rounds,
-    ):
-        for round_idx in range(config.rounds):
-            rng = cell_rng(config.seed, round_idx)
-            draws = rng.normal(
-                loc=mean, scale=std, size=(config.population, 2)
-            )
-            draws = np.clip(draws, lows, highs)
-            items = [
-                (round_idx, cand_idx, float(draw[0]), float(draw[1]))
-                for cand_idx, draw in enumerate(draws)
-            ]
-            rows = journal.evaluate(items, payload, jobs=jobs)
-            COUNTERS.se_ce_rounds += 1
+    for round_idx in range(config.rounds):
+        rng = cell_rng(config.seed, round_idx)
+        draws = rng.normal(
+            loc=mean, scale=std, size=(config.population, 2)
+        )
+        draws = np.clip(draws, lows, highs)
+        items = [
+            (round_idx, cand_idx, float(draw[0]), float(draw[1]))
+            for cand_idx, draw in enumerate(draws)
+        ]
+        rows = journal.evaluate(items, payload, jobs=jobs)
+        COUNTERS.se_ce_rounds += 1
 
-            margins = np.array([row[MARGIN] for row in rows], dtype=float)
-            order = np.argsort(margins, kind="stable")
-            elites = draws[order[:elite_count]]
-            mean = elites.mean(axis=0)
-            # Noise floor keeps later rounds exploring even after the
-            # elite set collapses onto one point.
-            std = np.maximum(elites.std(axis=0), (highs - lows) * 1e-3)
+        margins = np.array([row[MARGIN] for row in rows], dtype=float)
+        order = np.argsort(margins, kind="stable")
+        elites = draws[order[:elite_count]]
+        mean = elites.mean(axis=0)
+        # Noise floor keeps later rounds exploring even after the
+        # elite set collapses onto one point.
+        std = np.maximum(elites.std(axis=0), (highs - lows) * 1e-3)
 
-            for cand_idx, row in enumerate(rows):
-                if row[FOUND] and (best is None or row[MARGIN] < best[MARGIN]):
-                    best = row
-                    best_position = (round_idx, cand_idx)
-            history.append(
-                {
-                    "round": round_idx,
-                    "best_margin": float(margins.min()),
-                    "mean_margin": float(margins.mean()),
-                    "rejections": int(sum(row[FOUND] for row in rows)),
-                    "mean": [float(v) for v in mean],
-                    "std": [float(v) for v in std],
-                }
-            )
+        for cand_idx, row in enumerate(rows):
+            if row[FOUND] and (best is None or row[MARGIN] < best[MARGIN]):
+                best = row
+                best_position = (round_idx, cand_idx)
+        history.append(
+            {
+                "round": round_idx,
+                "best_margin": float(margins.min()),
+                "mean_margin": float(margins.mean()),
+                "rejections": int(sum(row[FOUND] for row in rows)),
+                "mean": [float(v) for v in mean],
+                "std": [float(v) for v in std],
+            }
+        )
     return AdversarialResult(
         config=config,
         best=best,

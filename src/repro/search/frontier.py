@@ -26,8 +26,6 @@ from repro._util.stats import wilson_interval
 from repro.analysis.acceptance import AcceptanceTest
 from repro.analysis.algorithms import PARTITIONERS
 from repro.core.bounds import ll_bound, light_task_threshold, rmts_bound_cap
-from repro.obs import metrics as obs_metrics
-from repro.obs import trace as obs_trace
 from repro.perf.telemetry import COUNTERS
 from repro.search.config import SearchConfig, search_namespace
 from repro.search.probes import ProbeJournal
@@ -179,24 +177,22 @@ def _classify_level(
     accepted = 0
     ci_lo, ci_hi = 0.0, 1.0
     decided = False
-    with obs_trace.span("search.level", u_norm=u_norm):
-        while samples < config.max_samples_per_level:
-            step = min(config.batch, config.max_samples_per_level - samples)
-            rows = journal.evaluate(
-                [(u_norm, idx) for idx in range(samples, samples + step)],
-                payload,
-                jobs=jobs,
-            )
-            samples += step
-            accepted += sum(1 for row in rows if row[0])
-            ci_lo, ci_hi = wilson_interval(
-                accepted, samples, confidence=config.confidence
-            )
-            if ci_lo > config.level or ci_hi < config.level:
-                decided = True
-                break
+    while samples < config.max_samples_per_level:
+        step = min(config.batch, config.max_samples_per_level - samples)
+        rows = journal.evaluate(
+            [(u_norm, idx) for idx in range(samples, samples + step)],
+            payload,
+            jobs=jobs,
+        )
+        samples += step
+        accepted += sum(1 for row in rows if row[0])
+        ci_lo, ci_hi = wilson_interval(
+            accepted, samples, confidence=config.confidence
+        )
+        if ci_lo > config.level or ci_hi < config.level:
+            decided = True
+            break
     COUNTERS.se_levels += 1
-    obs_metrics.SEARCH_LEVEL_SAMPLES.observe(samples)
     above = ci_lo > config.level if decided else accepted / samples > config.level
     return LevelVerdict(
         u_norm=u_norm,
@@ -243,34 +239,28 @@ def map_frontier(
         return _classify_level(journal, payload, u_norm, config, jobs=jobs)
 
     levels: List[LevelVerdict] = []
-    with obs_trace.span(
-        "search.frontier",
-        algorithm=config.algorithm,
-        processors=config.processors,
-        level=config.level,
-    ):
-        low_end = classify(config.u_min)
-        levels.append(low_end)
-        high_end = classify(config.u_max)
-        levels.append(high_end)
-        if not low_end.above:
-            # The whole range is below the frontier: report a degenerate
-            # bracket at the low end rather than bisecting noise.
-            lo = hi = config.u_min
-        elif high_end.above:
-            lo = hi = config.u_max
-        else:
-            lo, hi = config.u_min, config.u_max
-            for _ in range(config.max_rounds):
-                if hi - lo <= 2.0 * config.half_width:
-                    break
-                mid = 0.5 * (lo + hi)
-                verdict = classify(mid)
-                levels.append(verdict)
-                if verdict.above:
-                    lo = mid
-                else:
-                    hi = mid
+    low_end = classify(config.u_min)
+    levels.append(low_end)
+    high_end = classify(config.u_max)
+    levels.append(high_end)
+    if not low_end.above:
+        # The whole range is below the frontier: report a degenerate
+        # bracket at the low end rather than bisecting noise.
+        lo = hi = config.u_min
+    elif high_end.above:
+        lo = hi = config.u_max
+    else:
+        lo, hi = config.u_min, config.u_max
+        for _ in range(config.max_rounds):
+            if hi - lo <= 2.0 * config.half_width:
+                break
+            mid = 0.5 * (lo + hi)
+            verdict = classify(mid)
+            levels.append(verdict)
+            if verdict.above:
+                lo = mid
+            else:
+                hi = mid
     return FrontierResult(
         config=config,
         lo=lo,

@@ -27,7 +27,6 @@ from typing import Dict, List
 
 from repro.core.bounds import rmts_bound_cap
 from repro.core.task import TaskSet
-from repro.obs import trace as obs_trace
 from repro.perf.telemetry import COUNTERS, write_bench_json
 from repro.runner import cell_rng, chunked_map
 from repro.search.adversarial import (
@@ -166,23 +165,18 @@ def replay_witness(
     """
     processors = int(record["processors"])
     stored = TaskSet.from_dicts(record["tasks"])
-    with obs_trace.span(
-        "search.witness_replay", algorithm=record["algorithm"]
-    ):
-        regrown = _regrow_taskset(record)
-        stored_pairs = [(t["cost"], t["period"]) for t in record["tasks"]]
-        regrown_pairs = [
-            (t["cost"], t["period"]) for t in regrown.to_dicts()
-        ]
-        tasks_match = regrown_pairs == stored_pairs
+    regrown = _regrow_taskset(record)
+    stored_pairs = [(t["cost"], t["period"]) for t in record["tasks"]]
+    regrown_pairs = [(t["cost"], t["period"]) for t in regrown.to_dicts()]
+    tasks_match = regrown_pairs == stored_pairs
 
-        test = acceptance_test_for(str(record["algorithm"]))
-        probes = chunked_map(
-            _replay_cell,
-            range(REPLAY_PROBES),
-            payload=(test, record["tasks"], processors),
-            jobs=jobs,
-        )
+    test = acceptance_test_for(str(record["algorithm"]))
+    probes = chunked_map(
+        _replay_cell,
+        range(REPLAY_PROBES),
+        payload=(test, record["tasks"], processors),
+        jobs=jobs,
+    )
     rejected = probes[0][0] == 0
     counters = record["counters"]
     counters_match = probes[0][1] == int(counters["rta_calls"]) and probes[0][

@@ -38,7 +38,6 @@ from repro.core.rmts_light import is_light_task_set
 from repro.core.serialization import partition_to_dict
 from repro.core.task import TaskSet
 from repro.obs import metrics as _obs_metrics
-from repro.obs import trace as _obs_trace
 from repro.perf.telemetry import COUNTERS
 from repro.runner import chunked_map
 from repro.service.cache import LRUCache, admit_cache_key
@@ -110,22 +109,14 @@ def compute_admit_body(
     """Run the real partitioning analysis and build the response body."""
     if inject_delay > 0.0:
         time.sleep(inject_delay)
-    with _obs_trace.span(
-        "svc.compute_admit",
-        algorithm=algorithm,
-        n=len(taskset),
-        processors=processors,
-    ):
-        if _obs_metrics.ENABLED:
-            started = time.perf_counter()
-            try:
-                result = PARTITIONERS[algorithm](taskset, processors)
-            finally:
-                _obs_metrics.ADMIT_LATENCY.observe(
-                    time.perf_counter() - started
-                )
-        else:
+    if _obs_metrics.ENABLED:
+        started = time.perf_counter()
+        try:
             result = PARTITIONERS[algorithm](taskset, processors)
+        finally:
+            _obs_metrics.ADMIT_LATENCY.observe(time.perf_counter() - started)
+    else:
+        result = PARTITIONERS[algorithm](taskset, processors)
     return {
         "admitted": bool(result.success),
         "degraded": False,
@@ -171,13 +162,6 @@ def compute_bounds_body(
 ) -> Dict[str, object]:
     """Evaluate every D-PUB for the task set (the ``bounds`` CLI as JSON)."""
     n = len(taskset)
-    with _obs_trace.span("svc.compute_bounds", n=n):
-        return _bounds_body(taskset, processors, n)
-
-
-def _bounds_body(
-    taskset: TaskSet, processors: Optional[int], n: int
-) -> Dict[str, object]:
     ev = evaluate_bounds(taskset)
     body: Dict[str, object] = {
         "n": n,
@@ -210,11 +194,10 @@ def _batch_worker(payload, item) -> Dict[str, object]:
     """
     rows, processors, algorithm = item
     inject_delay = float(payload or 0.0)
-    with _obs_trace.span("svc.batch_item", algorithm=algorithm):
-        taskset = parse_taskset_payload(rows)
-        return compute_admit_body(
-            taskset, processors, algorithm, inject_delay=inject_delay
-        )
+    taskset = parse_taskset_payload(rows)
+    return compute_admit_body(
+        taskset, processors, algorithm, inject_delay=inject_delay
+    )
 
 
 # ---------------------------------------------------------------------------

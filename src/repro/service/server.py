@@ -54,7 +54,6 @@ from typing import Deque, Dict, List, Optional, Tuple, Union
 from urllib.parse import unquote
 
 from repro.obs import metrics as obs_metrics
-from repro.obs import trace as obs_trace
 from repro.obs.metrics import HTTP_LATENCY, render_prometheus
 from repro.perf.telemetry import COUNTERS
 from repro.service.handlers import AdmissionService, ServiceConfig
@@ -92,6 +91,18 @@ def _split_target(target: str) -> Tuple[str, Dict[str, str]]:
 
 #: Longest wait for a client to stop sending after a protocol error.
 _LINGER_S = 1.0
+
+#: Most header lines one request may carry (``http.client._MAXHEADERS``).
+_MAX_HEADERS = 100
+
+#: Every routed ``"METHOD path"``.  A request matching none of them is
+#: accounted under the one ``"other"`` endpoint label, so clients cannot
+#: grow ``/metrics`` by inventing methods or paths.
+_ROUTES = frozenset({
+    "GET /healthz", "GET /metrics", "POST /v1/admit", "POST /v1/bounds",
+    "POST /v1/batch", "POST /v1/depart", "GET /v1/cluster",
+})
+_PATHS = frozenset(route.split(" ", 1)[1] for route in _ROUTES)
 
 
 class _HTTPError(Exception):
@@ -274,10 +285,14 @@ class AdmissionServer:
             raise _HTTPError(400, "malformed request line")
         method, path, version = parts
         headers: Dict[str, str] = {}
-        while True:
+        for count in range(_MAX_HEADERS + 1):
             raw = await self._read_line(reader)
             if raw in (b"\r\n", b"\n", b""):
                 break
+            if count == _MAX_HEADERS:
+                raise _HTTPError(
+                    431, f"more than {_MAX_HEADERS} header lines"
+                )
             name, sep, value = raw.decode("latin-1").partition(":")
             if not sep:
                 raise _HTTPError(400, "malformed header line")
@@ -394,11 +409,11 @@ class AdmissionServer:
     ) -> Tuple[int, _Body, Optional[Dict[str, str]]]:
         start = time.perf_counter()
         COUNTERS.svc_requests += 1
-        endpoint = f"{request.method} {request.path}"
-        with obs_trace.span("svc.request", endpoint=endpoint) as sp:
-            status, body, extra = await self._shed_or_dispatch(request)
-            sp.set("status", status)
+        status, body, extra = await self._shed_or_dispatch(request)
         elapsed = time.perf_counter() - start
+        endpoint = f"{request.method} {request.path}"
+        if endpoint not in _ROUTES:
+            endpoint = "other"
         self.stats.record(endpoint, status, elapsed)
         if obs_metrics.ENABLED:
             HTTP_LATENCY.observe(elapsed)
@@ -466,8 +481,7 @@ class AdmissionServer:
             if self.cluster is None:
                 return 404, {"error": "cluster mode disabled"}, None
             return await self._handle_cluster_snapshot(request)
-        if request.path in ("/healthz", "/metrics", "/v1/admit", "/v1/bounds",
-                            "/v1/batch", "/v1/depart", "/v1/cluster"):
+        if request.path in _PATHS:
             return 405, {"error": "method not allowed"}, None
         return 404, {"error": "not found", "path": request.path}, None
 
@@ -488,21 +502,11 @@ class AdmissionServer:
         *fn* to the end in the background: its return value is dropped,
         but its side effects (the cache store in
         :meth:`AdmissionService.answer`) still happen.
-
-        ``run_in_executor`` does not propagate :mod:`contextvars`, so the
-        ambient trace context is captured here and re-entered inside the
-        worker thread — analysis spans stay children of ``svc.request``.
         """
-        ctx = obs_trace.current_context()
-
-        def traced() -> object:
-            with obs_trace.activate(ctx):
-                return fn()
-
         loop = asyncio.get_running_loop()
         try:
             result = await asyncio.wait_for(
-                loop.run_in_executor(self._executor, traced),
+                loop.run_in_executor(self._executor, fn),
                 timeout=self.config.analysis_timeout,
             )
             return result, False
@@ -560,16 +564,12 @@ class AdmissionServer:
         deadline = self.config.analysis_timeout * max(1, pending)
         loop = asyncio.get_running_loop()
         degraded = False
-        ctx = obs_trace.current_context()
-
-        def traced_batch() -> None:
-            with obs_trace.activate(ctx):
-                self.service.compute_batch(plan)
-
         if pending:
             try:
                 await asyncio.wait_for(
-                    loop.run_in_executor(self._executor, traced_batch),
+                    loop.run_in_executor(
+                        self._executor, self.service.compute_batch, plan
+                    ),
                     timeout=deadline,
                 )
             except asyncio.TimeoutError:

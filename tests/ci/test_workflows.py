@@ -185,14 +185,6 @@ def test_nightly_gates_on_bench_drift_and_uploads_artifacts():
     assert "schedule" in text
 
 
-def test_nightly_exercises_the_observability_layer():
-    text = NIGHTLY.read_text()
-    assert ("python -m repro sweep --samples 10 --jobs 2 "
-            "--trace-out fresh/TRACE_sweep.jsonl") in text
-    assert ("python -m repro obs summarize fresh/TRACE_sweep.jsonl"
-            in text)
-
-
 def test_nightly_sweep_params_match_committed_sweep_config():
     # The regeneration command must keep matching the committed artifact's
     # recorded config, else the drift gate compares apples to oranges.

@@ -68,12 +68,6 @@ def test_fixture_diagnostics_match_expect_tags(fixture, code):
     assert _found(target, code) == _expected(target)
 
 
-def test_obs_cli_is_r8_exempt():
-    # The obs CLI prints its summaries by design; the exemption is on the
-    # path suffix, so this mirror file must produce no R8 diagnostics.
-    assert _found(CASES / "obs" / "cli.py", "R8") == set()
-
-
 def test_search_cli_is_r8_exempt():
     # The search CLI prints frontier/witness summaries by design; the
     # exemption is on the path suffix, so this mirror file must produce

@@ -1,15 +1,16 @@
-"""Trace context + histogram deltas must survive the fork pool.
+"""Histogram deltas must survive the fork pool.
 
-The acceptance criteria of the observability layer: a ``--jobs N`` sweep
-yields ONE coherent trace with spans from every worker pid, and the
-RTA-iteration histogram merges bit-identically to the serial run.
+The acceptance criterion of the observability layer: the RTA-iteration
+histogram of a ``--jobs N`` sweep merges bit-identically to the serial
+run, and with metrics off the pool ships no histogram delta at all.
 """
 
 import pytest
 
 from repro.analysis.acceptance import acceptance_sweep
 from repro.core.bounds import best_bound_value, rmts_bound_cap
-from repro.obs import metrics, trace, use_observability
+from repro.obs import metrics, use_metrics
+from repro.runner import pool
 from repro.taskgen.generators import TaskSetGenerator
 
 pytestmark = pytest.mark.obs
@@ -24,74 +25,65 @@ def _algorithms():
 
 
 def _run_sweep(jobs):
-    trace.drain()
     metrics.reset()
     gen = TaskSetGenerator(n=8)
-    with use_observability(True):
-        with trace.span("test.sweep", jobs=jobs):
-            sweep = acceptance_sweep(
-                _algorithms(),
-                gen,
-                processors=2,
-                u_grid=[0.7, 0.8],
-                samples=4,
-                seed=7,
-                jobs=jobs,
-            )
-    spans = trace.drain()
+    with use_metrics(True):
+        sweep = acceptance_sweep(
+            _algorithms(),
+            gen,
+            processors=2,
+            u_grid=[0.7, 0.8],
+            samples=4,
+            seed=7,
+            jobs=jobs,
+        )
     rta_state = metrics.histogram("rta_iterations").state()
     metrics.reset()
-    return sweep, spans, rta_state
-
-
-def test_parallel_sweep_yields_one_coherent_trace():
-    sweep_serial, _, _ = _run_sweep(jobs=1)
-    sweep_parallel, spans, _ = _run_sweep(jobs=2)
-    # the parallel curves are bit-identical (pre-existing guarantee) …
-    assert sweep_parallel.curves == sweep_serial.curves
-    # … and now so is the trace: every span shares the root's trace id.
-    trace_ids = {record["trace"] for record in spans}
-    assert len(trace_ids) == 1
-    by_name = {}
-    for record in spans:
-        by_name.setdefault(record["name"], []).append(record)
-    assert "test.sweep" in by_name
-    chunks = by_name["runner.chunk"]
-    cells = by_name["sweep.cell"]
-    assert len(cells) == 2 * 4  # one per (level, sample) cell
-    # chunk spans came from forked workers, not the parent …
-    parent_pid = by_name["test.sweep"][0]["pid"]
-    worker_pids = {record["pid"] for record in chunks}
-    assert worker_pids and parent_pid not in worker_pids
-    # … and every cell span is parented under some chunk span.
-    chunk_ids = {record["span"] for record in chunks}
-    assert all(record["parent"] in chunk_ids for record in cells)
+    return sweep, rta_state
 
 
 def test_rta_iteration_histogram_merges_bit_exactly():
-    _, _, serial_state = _run_sweep(jobs=1)
-    _, _, parallel_state = _run_sweep(jobs=2)
+    serial_sweep, serial_state = _run_sweep(jobs=1)
+    parallel_sweep, parallel_state = _run_sweep(jobs=2)
+    assert parallel_sweep.curves == serial_sweep.curves
     assert serial_state["counts"] == parallel_state["counts"]
     # iteration counts are integers, so even the float sum is bit-exact
     assert serial_state["sum"] == parallel_state["sum"]
     assert sum(serial_state["counts"]) > 0
 
 
-def test_disabled_observability_ships_nothing_through_the_pool():
-    trace.drain()
+def _observe_twice(payload, item):
+    metrics.RTA_ITERATIONS.observe(item)
+    metrics.RTA_ITERATIONS.observe(item)
+    return item
+
+
+def test_worker_chunk_ships_only_its_own_histogram_delta():
     metrics.reset()
-    gen = TaskSetGenerator(n=6)
-    with use_observability(False):
+    with use_metrics(True):
+        metrics.RTA_ITERATIONS.observe(5)  # "inherited" from the parent
+        _, out, _, delta = pool._worker_chunk(_observe_twice, 0, [1, 3])
+    metrics.reset()
+    assert out == [1, 3]
+    assert set(delta) == {"rta_iterations"}
+    assert sum(delta["rta_iterations"]["counts"]) == 4
+    assert delta["rta_iterations"]["sum"] == 8.0
+
+
+def test_disabled_observability_ships_nothing_through_the_pool():
+    metrics.reset()
+    with use_metrics(False):
+        _, _, _, delta = pool._worker_chunk(_observe_twice, 0, [1])
         acceptance_sweep(
             _algorithms(),
-            gen,
+            TaskSetGenerator(n=6),
             processors=2,
             u_grid=[0.7],
             samples=4,
             seed=1,
             jobs=2,
         )
-    assert trace.buffered_count() == 0
+    assert delta is None
     assert metrics.histogram("rta_iterations").count == 0
 
 
@@ -99,8 +91,8 @@ def test_bounds_kernels_still_agree_after_instrumentation():
     # Sanity: instrumentation must not perturb analysis results.
     gen = TaskSetGenerator(n=8)
     ts = gen.generate(u_norm=0.7, processors=2, seed=3)
-    with use_observability(True):
+    with use_metrics(True):
         on = (best_bound_value(ts), rmts_bound_cap(len(ts)))
-    with use_observability(False):
+    with use_metrics(False):
         off = (best_bound_value(ts), rmts_bound_cap(len(ts)))
     assert on == off

@@ -289,6 +289,43 @@ class TestIntrospection:
 
         assert run_async(scenario()) == (404, 405)
 
+    def test_unrouted_requests_share_one_endpoint_label(self):
+        # Clients choose the method and path; a request matching no route
+        # must not add a /metrics key (or Prometheus series) of its own.
+        def prometheus_series(text):
+            return [
+                line for line in text.splitlines()
+                if line.startswith("repro_http_requests{")
+            ]
+
+        async def scenario():
+            async with running_server() as server:
+                port = server.port
+                await http_request(port, "GET", "/metrics")
+                _, _, before = await http_request(port, "GET", "/metrics")
+                _, _, prom_before = await http_request(
+                    port, "GET", "/metrics?format=prometheus", raw=True
+                )
+                for i in range(20):
+                    await http_request(port, "GET", f"/nope/{i}")
+                await http_request(port, "BREW", "/coffee")
+                await http_request(port, "POST", "/healthz")
+                _, _, after = await http_request(port, "GET", "/metrics")
+                _, _, prom_after = await http_request(
+                    port, "GET", "/metrics?format=prometheus", raw=True
+                )
+                return before, prom_before, after, prom_after
+
+        before, prom_before, after, prom_after = run_async(scenario())
+        keys_before = before["requests"]["by_endpoint"]
+        keys_after = after["requests"]["by_endpoint"]
+        assert len(keys_after) <= len(keys_before) + 1
+        assert keys_after["other"] == 22
+        assert not any("nope" in key for key in keys_after)
+        series = prometheus_series(prom_after)
+        assert len(series) <= len(prometheus_series(prom_before)) + 1
+        assert 'repro_http_requests{endpoint="other"} 22' in series
+
 
 class TestProtocolLimits:
     @pytest.mark.parametrize("where,size", [
@@ -327,6 +364,34 @@ class TestProtocolLimits:
         assert status == 200
         assert "longer than limit" not in caplog.text
         assert "exceed the limit" not in caplog.text
+
+    @pytest.mark.parametrize("count,expected", [(100, 200), (101, 431)])
+    def test_header_count_is_capped(self, count, expected):
+        # Same cap as http.client: 100 header lines are served, 101 get a
+        # 431 and a close instead of a headers dict that keeps growing.
+        lines = [f"X-H{i}: v" for i in range(count - 1)]
+        lines.append("Connection: close")
+        head = "GET /healthz HTTP/1.1\r\n" + "\r\n".join(lines) + "\r\n\r\n"
+
+        async def scenario():
+            async with running_server() as server:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                writer.write(head.encode())
+                await writer.drain()
+                reply = await reader.read()  # up to the server's close
+                writer.close()
+                await writer.wait_closed()
+                status, _, _ = await http_request(
+                    server.port, "GET", "/healthz"
+                )
+                return reply, status
+
+        reply, status = run_async(scenario())
+        assert reply.startswith(f"HTTP/1.1 {expected} ".encode())
+        assert b"Connection: close" in reply
+        assert status == 200
 
 
 class TestDrain:

@@ -1,8 +1,8 @@
-"""Service ↔ observability integration: /metrics exposition + spans."""
+"""Service ↔ observability integration: the /metrics exposition."""
 
 import pytest
 
-from repro.obs import metrics, trace, use_observability
+from repro.obs import metrics, use_metrics
 from tests.obs.test_prometheus import parse_exposition
 from tests.service.conftest import http_request, run_async, running_server
 
@@ -79,17 +79,19 @@ def test_query_string_does_not_break_routing():
 def test_prometheus_histograms_fill_while_metrics_armed(tasks_payload):
     async def scenario():
         async with running_server() as server:
-            await http_request(
-                server.port, "POST", "/v1/admit",
-                {"tasks": tasks_payload, "processors": 2},
-            )
+            # the harmonic set is pre-accepted; the second one runs RTA
+            for tasks in (tasks_payload, [[3, 5], [3, 7], [4, 9], [5, 11]]):
+                await http_request(
+                    server.port, "POST", "/v1/admit",
+                    {"tasks": tasks, "processors": 2},
+                )
             _, _, text = await http_request(
                 server.port, "GET", "/metrics?format=prometheus", raw=True
             )
             return text
 
     metrics.reset()
-    with use_observability(True):
+    with use_metrics(True):
         text = run_async(scenario())
     samples, _ = parse_exposition(text)
     by_name = {name for name, _, _ in samples}
@@ -100,32 +102,5 @@ def test_prometheus_histograms_fill_while_metrics_armed(tasks_payload):
     }
     assert int(counts["repro_http_request_seconds_count"]) >= 1
     assert int(counts["repro_admit_latency_seconds_count"]) >= 1
+    assert int(counts["repro_rta_iterations_count"]) >= 1
     metrics.reset()
-
-
-def test_request_spans_parent_the_executor_analysis(tasks_payload):
-    async def scenario():
-        async with running_server(cache_size=0) as server:
-            await http_request(
-                server.port, "POST", "/v1/admit",
-                {"tasks": tasks_payload, "processors": 2},
-            )
-
-    trace.drain()
-    with use_observability(True):
-        run_async(scenario())
-    spans = trace.drain()
-    by_name = {}
-    for record in spans:
-        by_name.setdefault(record["name"], []).append(record)
-    (request_span,) = [
-        r for r in by_name["svc.request"]
-        if r["attrs"]["endpoint"] == "POST /v1/admit"
-    ]
-    assert request_span["attrs"]["status"] == 200
-    (admit_span,) = by_name["svc.compute_admit"]
-    # run_in_executor does not propagate contextvars; the server re-enters
-    # the captured context, so the analysis span joins the request's trace
-    assert admit_span["trace"] == request_span["trace"]
-    assert admit_span["parent"] == request_span["span"]
-    assert admit_span["attrs"]["algorithm"] == "rmts"
