@@ -1,49 +1,8 @@
 """Internal utilities shared across the :mod:`repro` package.
 
 Nothing in here is part of the public API; the public surface is exported
-from :mod:`repro` and its documented subpackages.
+from :mod:`repro` and its documented subpackages.  Import from the
+submodules (``floats``, ``stats``, ``tables``, ``validation``, ...): the
+package itself re-exports nothing, so loading one helper does not load
+NumPy for :mod:`repro._util.stats`.
 """
-
-from repro._util.floats import (
-    EPS,
-    REL_TOL,
-    approx_ge,
-    approx_gt,
-    approx_le,
-    approx_lt,
-    is_close,
-    is_integer_multiple,
-)
-from repro._util.stats import (
-    bootstrap_ci,
-    wilson_half_width,
-    wilson_interval,
-    z_score,
-)
-from repro._util.tables import Table
-from repro._util.validation import (
-    check_positive,
-    check_probability,
-    check_in_range,
-    check_nonnegative,
-)
-
-__all__ = [
-    "EPS",
-    "REL_TOL",
-    "approx_ge",
-    "approx_gt",
-    "approx_le",
-    "approx_lt",
-    "is_close",
-    "is_integer_multiple",
-    "bootstrap_ci",
-    "wilson_half_width",
-    "wilson_interval",
-    "z_score",
-    "Table",
-    "check_positive",
-    "check_probability",
-    "check_in_range",
-    "check_nonnegative",
-]

@@ -1,62 +1,50 @@
-"""Experiment machinery: acceptance-ratio sweeps and breakdown search."""
+"""Experiment machinery: acceptance-ratio sweeps and breakdown search.
 
-from repro.analysis.acceptance import (
-    AcceptanceTest,
-    acceptance_ratio,
-    acceptance_sweep,
-    SweepResult,
-)
-from repro.analysis.breakdown import (
-    breakdown_utilization,
-    breakdown_search,
-    average_breakdown,
-    BreakdownResult,
-    BreakdownStats,
-)
-from repro.analysis.algorithms import standard_algorithms, rmts_test, rmts_light_test
-from repro.analysis.sensitivity import (
-    critical_scaling_factor,
-    max_cost_for,
-    partition_scaling_factor,
-    overhead_tolerance,
-)
-from repro.analysis.metrics import (
-    weighted_schedulability,
-    utilization_gain,
-    capacity_loss,
-)
-from repro.analysis.minprocs import minimum_processors, compare_minimum_processors
-from repro.analysis.oracle import (
-    oracle_schedulable,
-    differential_audit,
-    AuditResult,
-    random_integer_taskset,
-)
+The names below resolve lazily (PEP 562): ``repro.analysis.<name>``
+imports its submodule on first use, so a process that needs only
+:mod:`repro.analysis.algorithms` — the admission service — does not load
+the sweep, simulation and oracle machinery (or NumPy) with it.
+"""
 
-__all__ = [
-    "minimum_processors",
-    "compare_minimum_processors",
-    "oracle_schedulable",
-    "differential_audit",
-    "AuditResult",
-    "random_integer_taskset",
-    "critical_scaling_factor",
-    "max_cost_for",
-    "partition_scaling_factor",
-    "overhead_tolerance",
-    "weighted_schedulability",
-    "utilization_gain",
-    "capacity_loss",
-    "AcceptanceTest",
-    "acceptance_ratio",
-    "acceptance_sweep",
-    "SweepResult",
-    "breakdown_utilization",
-    "breakdown_search",
-    "average_breakdown",
-    "BreakdownResult",
-    "BreakdownStats",
-    "standard_algorithms",
-    "rmts_test",
-    "rmts_light_test",
-]
+from importlib import import_module
+from typing import Any
+
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "AcceptanceTest": "acceptance",
+    "acceptance_ratio": "acceptance",
+    "acceptance_sweep": "acceptance",
+    "SweepResult": "acceptance",
+    "breakdown_utilization": "breakdown",
+    "breakdown_search": "breakdown",
+    "average_breakdown": "breakdown",
+    "BreakdownResult": "breakdown",
+    "BreakdownStats": "breakdown",
+    "standard_algorithms": "algorithms",
+    "rmts_test": "algorithms",
+    "rmts_light_test": "algorithms",
+    "critical_scaling_factor": "sensitivity",
+    "max_cost_for": "sensitivity",
+    "partition_scaling_factor": "sensitivity",
+    "overhead_tolerance": "sensitivity",
+    "weighted_schedulability": "metrics",
+    "utilization_gain": "metrics",
+    "capacity_loss": "metrics",
+    "minimum_processors": "minprocs",
+    "compare_minimum_processors": "minprocs",
+    "oracle_schedulable": "oracle",
+    "differential_audit": "oracle",
+    "AuditResult": "oracle",
+    "random_integer_taskset": "oracle",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

@@ -8,9 +8,8 @@ Lemma 4 is "schedulable" for the semi-partitioned algorithms.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Union
+from typing import TYPE_CHECKING, Callable, Dict, Union
 
-from repro.analysis.acceptance import AcceptanceTest
 from repro.core.bounds import ParametricUtilizationBound
 from repro.core.baselines.edf import partition_edf
 from repro.core.baselines.edf_split import partition_edf_split
@@ -21,6 +20,11 @@ from repro.core.partition import PartitionResult
 from repro.core.rmts import partition_rmts
 from repro.core.rmts_light import partition_rmts_light
 from repro.core.task import TaskSet
+
+if TYPE_CHECKING:
+    # Type-only: acceptance pulls in the sweep machinery (and NumPy),
+    # which the admission service has no use for.
+    from repro.analysis.acceptance import AcceptanceTest
 
 __all__ = [
     "PARTITIONERS",

@@ -41,9 +41,6 @@ from repro.core.serialization import load_partition, save_partition
 from repro.core.task import TaskSet
 from repro.runner import jobs_arg
 from repro.service.validation import parse_taskset_payload
-from repro.sim.engine import simulate_partition
-from repro.taskgen.generators import TaskSetGenerator
-from repro.taskgen.workloads import build_workload, preset_names
 
 #: Algorithm registry for the CLI — the same table the admission service
 #: dispatches on (see :data:`repro.analysis.algorithms.PARTITIONERS`).
@@ -53,6 +50,11 @@ ALGORITHMS = PARTITIONERS
 #: (or below float resolution, where ``u += step`` stops advancing)
 #: would otherwise grow the grid without bound.
 _MAX_SWEEP_LEVELS = 10_000
+
+#: ``generate --preset`` names, spelled out so that building the parser
+#: does not import taskgen (and NumPy) for every command; a test pins
+#: them to :func:`repro.taskgen.workloads.preset_names`.
+_PRESET_NAMES = ("automotive", "avionics", "infotainment", "robotics")
 
 BOUNDS = {
     "ll": LiuLaylandBound,
@@ -124,6 +126,8 @@ def cmd_partition(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from repro.sim.engine import simulate_partition
+
     if args.partition_file:
         result = load_partition(args.partition_file)
     else:
@@ -160,6 +164,7 @@ def cmd_sweep(args) -> int:
     from repro.analysis.acceptance import acceptance_sweep
     from repro.analysis.algorithms import standard_algorithms
     from repro.perf.telemetry import COUNTERS, write_bench_json
+    from repro.taskgen.generators import TaskSetGenerator
 
     u_min = as_finite_float("--u-min", args.u_min)
     u_max = as_finite_float("--u-max", args.u_max)
@@ -343,6 +348,9 @@ def cmd_search(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    from repro.taskgen.generators import TaskSetGenerator
+    from repro.taskgen.workloads import build_workload
+
     if args.preset:
         ts = build_workload(
             args.preset,
@@ -602,7 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--light", action="store_true")
     p_gen.add_argument(
         "--preset",
-        choices=preset_names(),
+        choices=_PRESET_NAMES,
         default=None,
         help="use a named realistic workload instead of random generation",
     )

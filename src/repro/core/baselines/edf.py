@@ -20,14 +20,15 @@ fit heuristics of :mod:`repro.core.baselines.partitioned`.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro._util.floats import EPS
 from repro.core.baselines.partitioned import FitHeuristic
 from repro.core.partition import PartitionResult, ProcessorState
 from repro.core.task import Subtask, TaskSet
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "demand_bound_function",
@@ -45,6 +46,8 @@ def demand_bound_function(subtasks: Sequence[Subtask], t: float) -> float:
     """
     if t < 0:
         raise ValueError("interval length must be non-negative")
+    import numpy as np
+
     demand = 0.0
     for sub in subtasks:
         jobs = np.floor((t - sub.deadline) / sub.period + EPS) + 1.0
@@ -66,6 +69,8 @@ def _busy_period(
     ``None`` when the iteration fails to converge in *max_iter* steps
     (degenerate float period structures near ``U = 1``).
     """
+    import numpy as np
+
     costs = np.array([s.cost for s in subtasks], dtype=float)
     periods = np.array([s.period for s in subtasks], dtype=float)
     length = float(costs.sum())
@@ -117,6 +122,8 @@ def dbf_test_points(
     subtasks: Sequence[Subtask], horizon: float
 ) -> np.ndarray:
     """All absolute-deadline instants ``D_i + k T_i <= horizon``."""
+    import numpy as np
+
     points: List[float] = []
     for sub in subtasks:
         k_max = int(np.floor((horizon - sub.deadline) / sub.period + EPS))
@@ -149,6 +156,8 @@ def edf_schedulable(subtasks: Sequence[Subtask]) -> bool:
         return True
     # Vectorized demand over all test points at once (hot path of the
     # semi-partitioned EDF bisection).
+    import numpy as np
+
     costs = np.array([s.cost for s in subtasks], dtype=float)
     periods = np.array([s.period for s in subtasks], dtype=float)
     deadlines = np.array([s.deadline for s in subtasks], dtype=float)

@@ -27,12 +27,11 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro._util.floats import EPS, is_integer_multiple
+from repro._util.floats import EPS, is_integer_multiple, pairwise_sum
 from repro.core.task import TaskSet
 
 __all__ = [
@@ -106,22 +105,29 @@ def rmts_bound_cap(n: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def scaled_periods(periods: Sequence[float]) -> np.ndarray:
+def _octave(ratio: float) -> int:
+    """``floor(log2(ratio))``, forgiving ratios an ``EPS`` below a power
+    of two."""
+    return math.floor(math.log2(ratio) + EPS)
+
+
+#: ``frexp`` mantissas below this are at least ``1.4e-8`` (in ``log2``)
+#: under the next power of two, well clear of the ``EPS`` forgiveness.
+_OCTAVE_SAFE = 1.0 - 1e-8
+
+
+def scaled_periods(periods: Sequence[float]) -> List[float]:
     """Scaled periods ``T'_i = T_i * 2^{floor(log2(T_max / T_i))}``.
 
     Every scaled period lands in ``(T_max / 2, T_max]``; for a harmonic set
     whose period ratios are powers of two, all scaled periods coincide.
     Returned sorted ascending (the order the T-Bound formula expects).
     """
-    ps = np.asarray(periods, dtype=float)
-    if ps.size == 0:
-        return ps
-    if np.any(ps <= 0):
+    ps = [float(p) for p in periods]
+    if any(p <= 0 for p in ps):
         raise ValueError("periods must be positive")
-    tmax = ps.max()
-    exponents = np.floor(np.log2(tmax / ps) + EPS)
-    scaled = ps * np.exp2(exponents)
-    return np.sort(scaled)
+    tmax = max(ps, default=0.0)
+    return sorted(math.ldexp(p, _octave(tmax / p)) for p in ps)
 
 
 def harmonic_chains(
@@ -300,8 +306,8 @@ class TBound(ParametricUtilizationBound):
         if n == 0:
             return 1.0
         sp = scaled_periods([t.period for t in taskset])
-        ratio_sum = float((sp[1:] / sp[:-1]).sum())
-        return ratio_sum + 2.0 * float(sp[0] / sp[-1]) - n
+        ratio_sum = pairwise_sum([b / a for a, b in zip(sp, sp[1:])])
+        return ratio_sum + 2.0 * (sp[0] / sp[-1]) - n
 
 
 class RBound(ParametricUtilizationBound):
@@ -321,7 +327,7 @@ class RBound(ParametricUtilizationBound):
         if n == 0:
             return 1.0
         sp = scaled_periods([t.period for t in taskset])
-        r = float(sp[-1] / sp[0])
+        r = sp[-1] / sp[0]
         if n == 1:
             return 2.0 / r - 1.0
         return (n - 1) * (r ** (1.0 / (n - 1)) - 1.0) + 2.0 / r - 1.0
@@ -352,16 +358,48 @@ class SpecializationBound(ParametricUtilizationBound):
         n = len(taskset)
         if n == 0:
             return 1.0
-        periods = np.array([t.period for t in taskset], dtype=float)
+        periods = [float(t.period) for t in taskset]
         best = 0.0
-        for base in np.unique(periods):
-            # grid value just below or at each period; periods smaller
-            # than the base use negative exponents (grid extends down).
-            exponents = np.floor(np.log2(periods / base) + EPS)
-            grid = base * np.exp2(exponents)
-            inflation = periods / grid
-            best = max(best, 1.0 / float(inflation.max()))
+        for _, worst in _worst_inflations(periods):
+            best = max(best, 1.0 / worst)
         return min(best, 1.0)
+
+
+def _grid(period: float, base: float) -> float:
+    """The ``base * 2^k`` grid value at or just below *period*; periods
+    smaller than the base use negative exponents (the grid extends down)."""
+    return math.ldexp(base, _octave(period / base))
+
+
+def _worst_inflations(periods: Sequence[float]) -> List[Tuple[float, float]]:
+    """``(base, max_i T_i / T'_i)`` for each distinct period as the grid
+    base, in ascending base order.
+
+    ``T_i / T'_i`` is ``x / 2^k`` for ``x = T_i / base`` and ``k`` its
+    :func:`_octave`, and dividing by a power of two is exact.  So ``x``
+    has the ``frexp`` mantissa ``m`` of the quotient of the two periods'
+    mantissas, and while ``m`` stays below :data:`_OCTAVE_SAFE` the ratio
+    is exactly ``2 m``.  Rounded division is monotone, so the largest
+    ``m`` comes from the largest mantissa at or above the base's or the
+    largest one below it: two divisions per base, not one per period.  A
+    base whose largest ``m`` is not safely below 1 is evaluated period
+    by period.
+    """
+    frexp = math.frexp
+    mantissas = sorted(frexp(p)[0] for p in periods)
+    out = []
+    for base in sorted(set(periods)):
+        mb = frexp(base)[0]
+        top = frexp(mantissas[-1] / mb)[0]
+        below = bisect_left(mantissas, mb)
+        if below:
+            top = max(top, frexp(mantissas[below - 1] / mb)[0])
+        if top < _OCTAVE_SAFE:
+            worst = 2.0 * top
+        else:
+            worst = max(p / _grid(p, base) for p in periods)
+        out.append((base, worst))
+    return out
 
 
 def harmonize_periods(taskset: TaskSet, base: Optional[float] = None) -> TaskSet:
@@ -377,25 +415,20 @@ def harmonize_periods(taskset: TaskSet, base: Optional[float] = None) -> TaskSet
     """
     if len(taskset) == 0:
         return taskset
-    periods = np.array([t.period for t in taskset], dtype=float)
+    periods = [float(t.period) for t in taskset]
     if base is None:
         best_base, best_worst = None, float("inf")
-        for candidate in np.unique(periods):
-            exponents = np.floor(np.log2(periods / candidate) + EPS)
-            grid = candidate * np.exp2(exponents)
-            worst = float((periods / grid).max())
+        for candidate, worst in _worst_inflations(periods):
             if worst < best_worst:
-                best_base, best_worst = float(candidate), worst
+                best_base, best_worst = candidate, worst
         base = best_base
     if base <= 0:
         raise ValueError("base period must be positive")
-    exponents = np.floor(np.log2(periods / base) + EPS)
-    grid = base * np.exp2(exponents)
     from repro.core.task import Task
 
     return TaskSet(
-        Task(cost=t.cost, period=float(p), name=t.name)
-        for t, p in zip(taskset, grid)
+        Task(cost=t.cost, period=_grid(p, base), name=t.name)
+        for t, p in zip(taskset, periods)
     )
 
 

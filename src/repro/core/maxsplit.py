@@ -16,8 +16,8 @@ describes (Section IV-A):
   exact RTA admission test as the oracle (monotone in the split cost);
 * :func:`max_split_points` — the efficient closed-form variant of [22]:
   for each affected task the maximal admissible cost is computed from the
-  Lehoczky/Sha/Ding scheduling points, so only a small set of candidate
-  time instants is inspected.
+  scheduling points (Lehoczky/Sha/Ding, or Bini & Buttazzo's reduced
+  set), so only a small set of candidate time instants is inspected.
 
 Both handle the general case where the incoming piece is *not* the
 highest-priority task on the processor (needed by RM-TS phase 3, where a
@@ -29,23 +29,24 @@ partitioning calls them.  With a context the fixed existing-set prefix is
 analyzed **once per search** instead of once per probe — the binary search
 probes through a reusable
 :meth:`~repro.core.rta.RTAContext.admission_probe` (warm-started fixed
-points, no re-sorting), and the scheduling-points variant runs its
-margin-guarded skip checks as scalar loops over the context's lists and
-turns the lists into arrays once per call for the full evaluation.  That
-evaluation stays on NumPy (``@``) in both paths: its BLAS reductions do
-not add in the order of a plain Python loop, so porting it to lists
-would break bit-identity with the reference.  Without a context the
-rebuild-per-probe code runs; it is the oracle of the equivalence tests.
-Results are bit-identical either way.
+points, no re-sorting), and the scheduling-points variant reads the
+context's lists directly, evaluates Bini & Buttazzo's reduced test-point
+set and stops scanning as soon as no remaining point or constraint can
+lower the result.  Without a context the rebuild-per-probe code runs over
+the full point set; it is the oracle of the equivalence tests.  Results
+are bit-identical either way.
+
+The arithmetic is plain Python floats.  Each point's interference is
+summed with :func:`math.fsum`, which rounds correctly, so a split cost is
+the same float on every host (a BLAS reduction adds in an order that
+depends on the CPU kernel it picks at run time).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from math import ceil, floor
-from typing import List, Optional, Sequence
-
-import numpy as np
+from math import ceil, floor, fsum, inf
+from typing import Iterable, Optional, Sequence, Set
 
 from repro._util.floats import EPS
 from repro.core.rta import RTAContext, is_schedulable
@@ -115,37 +116,72 @@ def max_split_binary(
     return lo
 
 
-def _scheduling_points(periods: np.ndarray, deadline: float) -> np.ndarray:
+def _full_points(periods: Sequence[float], deadline: float) -> Set[float]:
     """Lehoczky/Sha/Ding test points: every period multiple up to the
     deadline, plus the deadline itself.
 
     The cumulative workload ``W(t) = C + sum(ceil(t/T_j) C_j)`` only jumps
     at these points, so checking ``W(t) <= t`` there is exact.
     """
-    points: List[float] = [deadline]
-    for t in periods:
-        m = int(np.floor(deadline / t + EPS))
-        points.extend(float(t) * k for k in range(1, m + 1))
-    return np.unique(np.asarray(points, dtype=float))
-
-
-def _scheduling_points_fast(periods: List[float], deadline: float) -> np.ndarray:
-    """:func:`_scheduling_points` for the context path: identical values
-    (same IEEE products, exact dedup, ascending order) built with python
-    set/sort instead of ``np.unique``'s array machinery."""
     points = {deadline}
     for t in periods:
         m = floor(deadline / t + EPS)
         points.update(t * k for k in range(1, m + 1))
-    return np.array(sorted(points), dtype=float)
+    return points
 
 
-def _interference(t: np.ndarray, costs: np.ndarray, periods: np.ndarray) -> np.ndarray:
-    """``sum_j ceil(t / T_j) C_j`` for a vector of instants *t*."""
-    if costs.size == 0:
-        return np.zeros_like(t)
-    jobs = np.ceil(t[:, None] / periods[None, :] - EPS)
-    return jobs @ costs
+def _reduced_points(periods: Sequence[float], deadline: float) -> Set[float]:
+    """Bini & Buttazzo's test points ``P_{i-1}(D)`` (IEEE TC 53(11), 2004).
+
+    ``P_0(t) = {t}`` and ``P_j(t) = P_{j-1}(floor(t/T_j) T_j) ∪
+    P_{j-1}(t)``: starting from the deadline, each hp period in reverse
+    priority order adds the last multiple of itself at or below every
+    point found so far.  Every point is one of :func:`_full_points`
+    (the same ``T * k`` product).  For periods that ascend in priority
+    order some point passes the workload test iff some full point does,
+    so both sets give the same largest positive slack (pinned bit for bit
+    by the equivalence tests).
+    """
+    points = {deadline}
+    for t in reversed(periods):
+        for p in list(points):
+            k = floor(p / t + EPS)
+            if k:
+                points.add(t * k)
+    return points
+
+
+def _interference(t: float, costs: Sequence[float], periods: Sequence[float]) -> float:
+    """``sum_j ceil(t / T_j) C_j``, correctly rounded by :func:`math.fsum`
+    so the value does not depend on the host's summation order."""
+    return fsum([ceil(t / p - EPS) * c for c, p in zip(costs, periods)])
+
+
+def _limit(
+    t: float,
+    cost_j: float,
+    costs: Sequence[float],
+    periods: Sequence[float],
+    period_new: float,
+) -> float:
+    """A lower-priority task's cap on the newcomer's cost at instant *t*:
+    ``(t - C_j - I_hp(j)(t)) / ceil(t/T_p)``.  A zero job count divides
+    like IEEE (``±inf``, or NaN for a zero numerator)."""
+    # _interference, inlined: this is the innermost call of the search.
+    numer = t - cost_j - fsum([ceil(t / p - EPS) * c for c, p in zip(costs, periods)])
+    jobs = ceil(t / period_new - EPS)
+    return numer / jobs if jobs else numer * inf
+
+
+def _max_or_nan(values: Iterable[float]) -> float:
+    """``max`` that returns NaN when any value is NaN."""
+    top = -inf
+    for v in values:
+        if v != v:
+            return v
+        if v > top:
+            top = v
+    return top
 
 
 def max_split_points(
@@ -166,108 +202,105 @@ def max_split_points(
     ``c <= max_t (t - C_j - I_hp(j)(t)) / ceil(t/T_p)``.
 
     Higher-priority tasks are unaffected by the newcomer.  The result is
-    the minimum over all constraints, clipped to ``[0, C]``.
+    the minimum over all constraints, clipped to ``[0, C]``.  A constraint
+    whose cap is NaN (a zero job count against a zero numerator) is
+    ignored.
 
-    With *context* the priority-sorted arrays are read as slices of the
-    cached existing-set prefix (no per-call sorting or concatenation).
+    With *context* the hp sets are prefixes of the cached lists and the
+    points are Bini–Buttazzo's reduced set (the full set where the periods
+    do not ascend in priority order).  Without, every constraint is
+    evaluated over the full Lehoczky/Sha/Ding set: the reference the
+    reduced path is tested against.
     """
     COUNTERS.maxsplit_calls += 1
-    if piece.cost <= 0:
+    cost = piece.cost
+    if cost <= 0:
         return 0.0
     prio = piece.task.tid
-    period_new = piece.task.period
+    period_new = float(piece.task.period)
+    deadline = float(piece.deadline)
 
     if context is not None:
-        # The hp set of the j-th lower-priority task is exactly the sorted
-        # prefix of the cached lists — built into arrays once per search,
-        # then sliced as zero-copy views without re-sorting.
         pos = bisect_right(context.prio_list, prio)
-        cost_list = context.costs
-        period_list = context.periods
-        deadline_list = context.deadlines
-        all_costs = np.array(cost_list, dtype=float)
-        all_periods = np.array(period_list, dtype=float)
+        costs = context.costs
+        periods = context.periods
+        deadlines = context.deadlines
+        n = len(costs)
+        points = (
+            _reduced_points
+            if context.rm_ordered
+            and (pos == 0 or periods[pos - 1] <= period_new)
+            and (pos == n or period_new <= periods[pos])
+            else _full_points
+        )
+        # Both early exits leave the result unchanged: a slack never
+        # exceeds its instant, and the result is min(best, C), so neither a
+        # point at or below the best slack nor a constraint with a cap of
+        # at least min(best, C) can lower it.
+        hp_costs = costs[:pos]
+        hp_periods = periods[:pos]
+        best = -inf
+        for t in sorted(points(hp_periods, deadline), reverse=True):
+            if t <= best:
+                break
+            slack = t - _interference(t, hp_costs, hp_periods)
+            if slack > best:
+                best = slack
+                if best >= cost:
+                    break
+        if best <= 0.0:
+            return 0.0
 
-        # The result is min(best, C) in the end, so a constraint whose cap
-        # provably reaches C cannot bind.  Evaluating the slack at the
-        # single point t = Delta_j lower-bounds the cap (the deadline is
-        # always in the point set); if even that clears C — with a margin
-        # far above any summation-order ulp between this scalar loop and
-        # the vectorized full evaluation — the whole point enumeration for
-        # that constraint is skipped, leaving the final value unchanged.
-        skip_at = piece.cost * (1.0 + 1e-9) + 1e-9
-        best = np.inf
-
-        dl = piece.deadline
-        quick = dl
-        for c, t in zip(cost_list[:pos], period_list[:pos]):
-            quick -= ceil(dl / t - EPS) * c
-        if quick < skip_at:
-            pts = _scheduling_points_fast(period_list[:pos], dl)
-            hp = _interference(pts, all_costs[:pos], all_periods[:pos])
-            slack = pts - hp
-            best = float(slack.max()) if slack.size else dl
-
-        for j in range(pos, len(cost_list)):
-            dl_j = deadline_list[j]
-            jobs = ceil(dl_j / period_new - EPS)
-            if jobs > 0:
-                quick = dl_j - cost_list[j]
-                for c, t in zip(cost_list[:j], period_list[:j]):
-                    quick -= ceil(dl_j / t - EPS) * c
-                if quick / jobs >= skip_at:
-                    continue
-            pts = _scheduling_points_fast(
-                period_list[:j] + [period_new],
-                dl_j,
-            )
-            numer = (
-                pts
-                - cost_list[j]
-                - _interference(pts, all_costs[:j], all_periods[:j])
-            )
-            denom = np.ceil(pts / period_new - EPS)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                limits = numer / denom
-            cap = float(limits.max()) if limits.size else 0.0
-            best = min(best, cap)
-            if best <= 0.0:
-                return 0.0
-
-        return float(min(max(best, 0.0), piece.cost))
+        for j in range(pos, n):
+            dl_j = deadlines[j]
+            cost_j = costs[j]
+            hp_costs = costs[:j]
+            hp_periods = periods[:j]
+            bar = min(best, cost)
+            # The deadline is always a test point: often it alone clears
+            # the bar and the point set is never built.
+            cap = _limit(dl_j, cost_j, hp_costs, hp_periods, period_new)
+            if not cap < bar:  # also NaN
+                continue
+            with_new = hp_periods[:pos] + [period_new] + hp_periods[pos:]
+            for t in points(with_new, dl_j):
+                limit = _limit(t, cost_j, hp_costs, hp_periods, period_new)
+                if not limit < bar:
+                    break
+                if limit > cap:
+                    cap = limit
+            else:
+                best = cap
+                if best <= 0.0:
+                    return 0.0
+        return float(min(best, cost))
 
     ordered = sorted(existing, key=lambda s: s.priority)
     hp = [s for s in ordered if s.priority < prio]
     lp = [s for s in ordered if s.priority > prio]
-    hp_costs = np.array([s.cost for s in hp], dtype=float)
-    hp_periods = np.array([s.period for s in hp], dtype=float)
+    hp_costs = [float(s.cost) for s in hp]
+    hp_periods = [float(s.period) for s in hp]
 
     # Constraint from the incoming piece's own synthetic deadline.
-    pts = _scheduling_points(hp_periods, piece.deadline)
-    slack = pts - _interference(pts, hp_costs, hp_periods)
-    best = float(slack.max()) if slack.size else piece.deadline
+    best = max(
+        t - _interference(t, hp_costs, hp_periods)
+        for t in _full_points(hp_periods, deadline)
+    )
 
     # Constraints from each lower-priority task on the processor.
-    for idx, sub in enumerate(lp):
-        hp_of_sub_costs = np.concatenate(
-            [hp_costs, np.array([s.cost for s in lp[:idx]], dtype=float)]
+    for sub in lp:
+        cost_j = float(sub.cost)
+        cap = _max_or_nan(
+            _limit(t, cost_j, hp_costs, hp_periods, period_new)
+            for t in _full_points(hp_periods + [period_new], float(sub.deadline))
         )
-        hp_of_sub_periods = np.concatenate(
-            [hp_periods, np.array([s.period for s in lp[:idx]], dtype=float)]
-        )
-        pts = _scheduling_points(
-            np.concatenate([hp_of_sub_periods, [period_new]]), sub.deadline
-        )
-        numer = pts - sub.cost - _interference(pts, hp_of_sub_costs, hp_of_sub_periods)
-        denom = np.ceil(pts / period_new - EPS)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            limits = numer / denom
-        cap = float(limits.max()) if limits.size else 0.0
         best = min(best, cap)
         if best <= 0.0:
             return 0.0
+        hp_costs.append(cost_j)
+        hp_periods.append(float(sub.period))
 
-    return float(min(max(best, 0.0), piece.cost))
+    return float(min(max(best, 0.0), cost))
 
 
 def max_split(

@@ -29,9 +29,7 @@ claim is made here; experiment E14 therefore studies the no-split case.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Sequence
 
 from repro._util.floats import EPS
 from repro._util.validation import check_positive, check_nonnegative
@@ -39,6 +37,9 @@ from repro.core.baselines.partitioned import FitHeuristic
 from repro.core.partition import PartitionResult, ProcessorState
 from repro.core.rta_ext import is_schedulable_with_blocking
 from repro.core.task import Subtask, TaskSet
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "CriticalSection",

@@ -34,8 +34,6 @@ from math import ceil, isnan
 from operator import attrgetter
 from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
-import numpy as np
-
 from repro._util.floats import EPS, pairwise_sum
 from repro._util.invariants import check_response_monotonicity, invariants_enabled
 from repro.core.task import Subtask, SubtaskRow
@@ -171,13 +169,13 @@ class RTAResult:
     """
 
     schedulable: bool
-    responses: np.ndarray
-    deadlines: np.ndarray
+    responses: Tuple[float, ...]
+    deadlines: Tuple[float, ...]
 
     @property
-    def slacks(self) -> np.ndarray:
+    def slacks(self) -> Tuple[float, ...]:
         """``Delta - R`` per subtask (nan where unschedulable)."""
-        return self.deadlines - self.responses
+        return tuple(d - r for d, r in zip(self.deadlines, self.responses))
 
 
 def response_times(subtasks: Sequence[Subtask]) -> RTAResult:
@@ -190,7 +188,7 @@ def response_times(subtasks: Sequence[Subtask]) -> RTAResult:
     """
     _, costs, periods, deadlines = _sorted_columns(subtasks)
     n = len(costs)
-    responses = np.full(n, np.nan)
+    responses = [_NAN] * n
     ok = True
     for i in range(n):
         r = response_time(costs[i], costs[:i], periods[:i], deadlines[i])
@@ -198,10 +196,11 @@ def response_times(subtasks: Sequence[Subtask]) -> RTAResult:
             ok = False
         else:
             responses[i] = r
-    deadline_arr = np.array(deadlines, dtype=float)
     if invariants_enabled():
-        check_response_monotonicity(responses, deadline_arr)
-    return RTAResult(schedulable=ok, responses=responses, deadlines=deadline_arr)
+        check_response_monotonicity(responses, deadlines)
+    return RTAResult(
+        schedulable=ok, responses=tuple(responses), deadlines=tuple(deadlines)
+    )
 
 
 def is_schedulable(subtasks: Sequence[Subtask]) -> bool:

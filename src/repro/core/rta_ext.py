@@ -22,12 +22,13 @@ tests use this module to show the jitter-free analysis is the special case
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro._util.floats import EPS
 from repro.core.task import Subtask
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "response_time_ext",
@@ -61,6 +62,8 @@ def response_time_ext(
         return own_jitter if own_jitter <= deadline + EPS else None
     if blocking < 0 or own_jitter < 0:
         raise ValueError("jitter and blocking must be non-negative")
+    import numpy as np
+
     if hp_jitters is None:
         hp_jitters = np.zeros_like(hp_costs)
     if np.any(hp_jitters < 0):
@@ -97,6 +100,8 @@ def is_schedulable_with_blocking(
     """
     if len(subtasks) != len(blocking):
         raise ValueError("need one blocking term per subtask")
+    import numpy as np
+
     order = sorted(range(len(subtasks)), key=lambda i: subtasks[i].priority)
     costs = np.array([subtasks[i].cost for i in order], dtype=float)
     periods = np.array([subtasks[i].period for i in order], dtype=float)

@@ -25,8 +25,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro._util.floats import EPS, is_close, is_integer_multiple
 from repro._util.invariants import check_taskset, invariants_enabled
 from repro._util.validation import check_positive, check_nonnegative
@@ -253,18 +251,6 @@ class TaskSet:
     def max_utilization(self) -> float:
         """Largest individual task utilization."""
         return max((t.utilization for t in self._tasks), default=0.0)
-
-    def utilizations(self) -> np.ndarray:
-        """All task utilizations as a float array (priority order)."""
-        return np.array([t.utilization for t in self._tasks], dtype=float)
-
-    def costs(self) -> np.ndarray:
-        """All execution times as a float array (priority order)."""
-        return np.array([t.cost for t in self._tasks], dtype=float)
-
-    def periods(self) -> np.ndarray:
-        """All periods as a float array (priority order)."""
-        return np.array([t.period for t in self._tasks], dtype=float)
 
     # -- structure predicates ------------------------------------------------
 

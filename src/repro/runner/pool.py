@@ -30,12 +30,23 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from pickle import PicklingError
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.obs import metrics
 from repro.perf.telemetry import COUNTERS
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["cell_rng", "chunked_map", "jobs_arg", "resolve_jobs"]
 
@@ -55,8 +66,11 @@ def cell_rng(seed: int, *key: int) -> np.random.Generator:
     keys, identical streams for identical keys — via NumPy's
     ``SeedSequence`` spawn-key mechanism.  This is what makes a sweep's
     random workload independent of chunking, worker count, and execution
-    order.
+    order.  NumPy is imported here, not at module load: the admission
+    path uses the pool but never draws random numbers.
     """
+    import numpy as np
+
     return np.random.default_rng(
         np.random.SeedSequence(seed, spawn_key=tuple(key))
     )

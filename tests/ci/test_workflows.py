@@ -31,6 +31,17 @@ DRIFT_CMD = "python scripts/check_bench_drift.py"
 LINT_BENCH_CMD = (
     "PYTHONPATH=src python -m repro lint --bench-json fresh/BENCH_lint.json"
 )
+#: The committed sweep regenerated on a second OpenBLAS kernel, then
+#: drift-gated like the first run.
+OTHER_KERNEL_SWEEP_CMD = (
+    "OPENBLAS_CORETYPE=Prescott PYTHONPATH=src python -m repro.perf.bench_sweep "
+    "--samples 100 --jobs 4 --seed 0 --out fresh-prescott/BENCH_sweep.json"
+)
+OTHER_KERNEL_DRIFT_CMD = (
+    "python scripts/check_bench_drift.py "
+    "--baseline benchmarks/results/BENCH_sweep.json "
+    "--fresh fresh-prescott/BENCH_sweep.json"
+)
 
 
 def test_workflow_files_exist():
@@ -116,6 +127,13 @@ def test_nightly_regenerates_benchmarks_with_baseline_parameters():
     # committed BENCH_churn.json config: processors=4, horizon=60, jobs=2
     assert ("python -m repro.cluster.bench_churn "
             "--processors 4 --horizon 60 --seed 0 --jobs 2") in text
+
+
+def test_nightly_drift_gates_the_sweep_on_a_second_blas_kernel():
+    text = NIGHTLY.read_text()
+    assert OTHER_KERNEL_SWEEP_CMD in text
+    assert OTHER_KERNEL_DRIFT_CMD in text
+    assert text.index(OTHER_KERNEL_SWEEP_CMD) < text.index(OTHER_KERNEL_DRIFT_CMD)
 
 
 def test_nightly_regenerates_search_benchmark():

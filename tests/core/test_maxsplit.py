@@ -177,3 +177,105 @@ class TestMaxSplitLowPriorityNewcomer:
         proc.add(Task(cost=4.0, period=8.0, tid=2))
         piece = piece_for(4.0, 8.0, tid=0)
         assert max_split_points(proc.subtasks, piece) == pytest.approx(0.0)
+
+
+def rm_processor(rng, n, *, newcomer_slot):
+    """Random RM-ordered subtasks (priority = period order) with light and
+    heavy utilizations and some synthetic deadlines, leaving the tid
+    ``2 * newcomer_slot - 1`` free for a newcomer at that slot."""
+    periods = np.sort(rng.uniform(4.0, 200.0, size=n + 1))
+    subs = []
+    for i, period in enumerate(periods):
+        if i == newcomer_slot:
+            continue
+        period = float(period)
+        u = rng.uniform(0.02, 0.25) if rng.random() < 0.6 else rng.uniform(0.3, 0.8)
+        deadline = period if rng.random() < 0.6 else period * rng.uniform(0.5, 1.0)
+        cost = min(float(u) * period, float(deadline))
+        task = Task(cost=cost, period=period, tid=2 * i)
+        subs.append(Subtask(cost=cost, period=period, deadline=float(deadline),
+                            parent=task))
+    return subs, float(periods[newcomer_slot])
+
+
+class TestReducedTestPoints:
+    """With a context, MaxSplit evaluates Bini & Buttazzo's reduced test
+    points; without, the full Lehoczky/Sha/Ding set.  The split cost must
+    be the same float either way, including for pieces below a
+    higher-priority (pre-assigned) task and pieces already split."""
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=300, deadline=None)
+    def test_context_path_equals_full_set_reference(self, seed):
+        from repro.core.rta import RTAContext
+
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(0, 7))
+        slot = int(rng.integers(0, n + 1))
+        subs, period = rm_processor(rng, n, newcomer_slot=slot)
+        ctx = RTAContext(subs)
+        if not ctx.schedulable:
+            return
+        piece = piece_for(float(rng.uniform(0.1, 0.95)) * period, period,
+                          tid=2 * slot - 1)
+        if rng.random() < 0.4:  # a tail: synthetic deadline below T
+            piece.split_off(ProcessorState(index=1),
+                            float(rng.uniform(0.1, 0.6)) * piece.cost)
+        assert max_split_points(subs, piece, context=ctx) == (
+            max_split_points(subs, piece, context=None)
+        )
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=100, deadline=None)
+    def test_reduced_points_are_full_points(self, seed):
+        from repro.core.maxsplit import _full_points, _reduced_points
+
+        rng = np.random.default_rng(seed)
+        periods = sorted(float(p) for p in rng.uniform(1.0, 100.0,
+                                                       size=int(rng.integers(0, 7))))
+        deadline = float(rng.uniform(1.0, 150.0))
+        reduced = _reduced_points(periods, deadline)
+        assert deadline in reduced
+        assert reduced <= _full_points(periods, deadline)
+
+    def test_rmts_phase3_split_costs_equal_full_set_reference(self, monkeypatch):
+        """RM-TS on heavy/light sets with an uncapped bound, which
+        pre-assigns several heavy tasks and so reaches phase-3 splits
+        below a higher-priority pre-assigned task: every split cost
+        equals the full-set reference."""
+        from bisect import bisect_right
+
+        from repro.core.admission import ExactRTAAdmission
+        from repro.core.rmts import partition_rmts
+
+        seen = {"calls": 0, "below_hp": 0, "pre_assigned": 0}
+        real = ExactRTAAdmission.split_cost
+
+        def checked(self, proc, piece):
+            got = real(self, proc, piece)
+            ctx = proc.rta_context()
+            assert got == max_split_points(proc.subtasks, piece, context=None)
+            seen["calls"] += 1
+            if bisect_right(ctx.prio_list, piece.priority):
+                seen["below_hp"] += 1
+            return got
+
+        monkeypatch.setattr(ExactRTAAdmission, "split_cost", checked)
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            m = int(rng.integers(2, 5))
+            n = int(rng.integers(m + 2, 3 * m + 4))
+            periods = rng.uniform(5.0, 200.0, size=n)
+            heavy = rng.random(n) < 0.5
+            utils = np.where(heavy, rng.uniform(0.45, 0.95, size=n),
+                             rng.uniform(0.05, 0.3, size=n))
+            ts = TaskSet.from_pairs(zip((utils * periods).tolist(),
+                                        periods.tolist()))
+            if ts.normalized_utilization(m) > 1.0:
+                continue
+            for bound in (1.0, 0.9):
+                for dedicate in (True, False):
+                    result = partition_rmts(ts, m, bound=bound, cap_bound=False,
+                                            dedicate_over_bound=dedicate)
+                    seen["pre_assigned"] += len(result.info["pre_assigned_tids"])
+        assert seen["below_hp"] > 0 and seen["pre_assigned"] > 0, seen

@@ -250,7 +250,7 @@ class TestLargeProcessors:
         subs = many_subtasks(seed)
         ctx = RTAContext(subs)
         assert ctx.schedulable == is_schedulable(subs)
-        reference = response_times(subs).responses.tolist()
+        reference = list(response_times(subs).responses)
         if ctx.first_fail == -1:
             same_floats(ctx.responses, reference)
         elif ctx.first_fail >= 0:
@@ -470,19 +470,19 @@ class TestLeanAdmissionPath:
 
 
 def skip_check_value(ctx, pos, deadline, cost_j, j, period_new):
-    """The margin-guarded skip value MaxSplit computes for one
-    constraint (``j is None`` for the piece's own), in its scalar order."""
-    from math import ceil
+    """One constraint's value at its own deadline, the first test point
+    MaxSplit evaluates (``j is None`` for the piece's own constraint).
+    A piece cost at or below it ends that constraint's scan early."""
+    from math import ceil, fsum
 
+    stop = pos if j is None else j
+    interference = fsum(
+        ceil(deadline / t - EPS) * c
+        for c, t in zip(ctx.costs[:stop], ctx.periods[:stop])
+    )
     if j is None:
-        quick = deadline
-        for c, t in zip(ctx.costs[:pos], ctx.periods[:pos]):
-            quick -= ceil(deadline / t - EPS) * c
-        return quick
-    quick = deadline - cost_j
-    for c, t in zip(ctx.costs[:j], ctx.periods[:j]):
-        quick -= ceil(deadline / t - EPS) * c
-    return quick / ceil(deadline / period_new - EPS)
+        return deadline - interference
+    return (deadline - cost_j - interference) / ceil(deadline / period_new - EPS)
 
 
 class TestMaxSplitSkipBoundary:
@@ -490,8 +490,8 @@ class TestMaxSplitSkipBoundary:
     @settings(max_examples=100, deadline=None)
     def test_context_equals_reference_at_the_skip_boundary(self, seed):
         """Piece costs a few ulps either side of where a constraint's
-        skip check flips: the context path (scalar skip checks) returns
-        the same float as ``context=None`` on both sides."""
+        early exit flips: the context path (reduced points, early exits)
+        returns the same float as ``context=None`` on both sides."""
         from bisect import bisect_right
 
         from repro.core.maxsplit import max_split_points
@@ -510,19 +510,16 @@ class TestMaxSplitSkipBoundary:
             target = skip_check_value(
                 ctx, pos, ctx.deadlines[j], ctx.costs[j], j, period
             )
-        base = (target - 1e-9) / (1.0 + 1e-9)
-        if not 1e-6 < base < period:
+        if not 1e-6 < target < period:
             return
-        costs = [base]
+        costs = [target]
         for _ in range(4):
             costs.append(float(np.nextafter(costs[-1], np.inf)))
             costs.insert(0, float(np.nextafter(costs[0], -np.inf)))
-        sides = set()
-        for cost in costs:
-            sides.add(cost * (1.0 + 1e-9) + 1e-9 <= target)
-        # Coarser steps too, where the constraint is far from skippable
-        # and usually binds.
-        costs += [f * base for f in (0.5, 0.9, 1.1, 1.5) if f * base < period]
+        sides = {cost <= target for cost in costs}
+        # Coarser steps too, where the constraint is far from the exit and
+        # usually binds.
+        costs += [f * target for f in (0.5, 0.9, 1.1, 1.5) if f * target < period]
         for cost in costs:
             piece = PendingPiece.of(Task(cost=cost, period=period, tid=tid))
             assert max_split_points(subs, piece, context=ctx) == (

@@ -123,12 +123,6 @@ class TestTaskSetAggregates:
     def test_max_utilization(self, harmonic_set):
         assert harmonic_set.max_utilization == pytest.approx(0.375)
 
-    def test_array_views_aligned(self, general_set):
-        u = general_set.utilizations()
-        c = general_set.costs()
-        p = general_set.periods()
-        assert u == pytest.approx(c / p)
-
     def test_is_light(self, harmonic_set):
         assert harmonic_set.is_light(0.4)
         assert not harmonic_set.is_light(0.2)

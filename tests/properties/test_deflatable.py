@@ -20,7 +20,7 @@ from repro.taskgen.generators import TaskSetGenerator
 
 def deflate_to(taskset: TaskSet, target_total: float, rng) -> TaskSet:
     """Randomly decrease costs so the total utilization hits *target*."""
-    utils = taskset.utilizations()
+    utils = np.array([t.utilization for t in taskset])
     weights = rng.random(len(taskset)) + 1e-3
     # scale each task's utilization toward the target, random mixture
     scale = target_total / float(utils.sum())

@@ -1,6 +1,8 @@
 """``/v1/bounds``, the degraded admit and ``repro bounds`` evaluate each
 D-PUB once: their numbers equal the per-bound API, the chain cover runs
-at most once per request, and all three share one guarantee verdict."""
+at most once per request, and all three share one guarantee verdict.
+The bounds' plain-``math`` arithmetic gives the same floats as the NumPy
+formulas it replaced."""
 
 import json
 import math
@@ -9,8 +11,18 @@ import numpy as np
 import pytest
 
 from repro import cli
+from repro._util.floats import EPS
 from repro.core import bounds as bounds_mod
-from repro.core.bounds import ALL_BOUNDS, best_bound_value, rmts_bound_cap
+from repro.core.bounds import (
+    ALL_BOUNDS,
+    RBound,
+    SpecializationBound,
+    TBound,
+    best_bound_value,
+    harmonize_periods,
+    rmts_bound_cap,
+    scaled_periods,
+)
 from repro.core.task import TaskSet
 from repro.service.handlers import compute_bounds_body, degraded_admit_body
 from repro.taskgen.periods import (
@@ -141,3 +153,90 @@ class TestVerdictAgreement:
             assert body["guaranteed_schedulable"] is True
         elif k > 0:
             assert body["guaranteed_schedulable"] is False
+
+
+# The NumPy formulas the bounds were computed with before they moved to
+# ``math``: kept here as the oracle that /v1/bounds bodies did not change
+# by a single bit.
+
+
+def _np_scaled_periods(periods) -> np.ndarray:
+    ps = np.asarray(periods, dtype=float)
+    exponents = np.floor(np.log2(ps.max() / ps) + EPS)
+    return np.sort(ps * np.exp2(exponents))
+
+
+def _np_t_bound(ts: TaskSet) -> float:
+    sp = _np_scaled_periods([t.period for t in ts])
+    return float((sp[1:] / sp[:-1]).sum()) + 2.0 * float(sp[0] / sp[-1]) - len(ts)
+
+
+def _np_r_bound(ts: TaskSet) -> float:
+    n = len(ts)
+    sp = _np_scaled_periods([t.period for t in ts])
+    r = float(sp[-1] / sp[0])
+    if n == 1:
+        return 2.0 / r - 1.0
+    return (n - 1) * (r ** (1.0 / (n - 1)) - 1.0) + 2.0 / r - 1.0
+
+
+def _np_grid(periods: np.ndarray, base: float) -> np.ndarray:
+    return base * np.exp2(np.floor(np.log2(periods / base) + EPS))
+
+
+def _np_sr_bound(ts: TaskSet) -> float:
+    periods = np.array([t.period for t in ts], dtype=float)
+    best = 0.0
+    for base in np.unique(periods):
+        best = max(best, 1.0 / float((periods / _np_grid(periods, base)).max()))
+    return min(best, 1.0)
+
+
+def _np_harmonized(ts: TaskSet) -> list:
+    periods = np.array([t.period for t in ts], dtype=float)
+    best_base, best_worst = None, float("inf")
+    for candidate in np.unique(periods):
+        worst = float((periods / _np_grid(periods, candidate)).max())
+        if worst < best_worst:
+            best_base, best_worst = float(candidate), worst
+    return [float(p) for p in _np_grid(periods, best_base)]
+
+
+def _near_octave_taskset() -> TaskSet:
+    """Periods within float noise of a power of two times another, where
+    ``floor(log2(x) + EPS)`` forgives the noise."""
+    periods = [10.0, 20 * (1 - 1e-12), 40 * (1 - 3e-11), 15.0,
+               30 * (1 + 1e-13), 7.5 * (1 - 1e-10), 12.0, 24 * (1 - 5e-10)]
+    return TaskSet.from_pairs((0.05 * t, t) for t in periods)
+
+
+def _large_taskset(kind: str, seed: int) -> TaskSet:
+    rng = np.random.default_rng(seed)
+    periods = _PERIODS[kind](64, rng)
+    return TaskSet.from_pairs(zip((0.01 * periods).tolist(), periods.tolist()))
+
+
+_ORACLE_SETS = (
+    [(f"{kind}-{seed}", lambda kind=kind, seed=seed: _taskset(kind, seed))
+     for kind in sorted(_PERIODS) for seed in range(8)]
+    + [(f"{kind}-64", lambda kind=kind: _large_taskset(kind, 0))
+       for kind in sorted(_PERIODS)]
+    + [("near-octave", _near_octave_taskset)]
+)
+
+
+@pytest.mark.parametrize(
+    "build", [b for _, b in _ORACLE_SETS], ids=[i for i, _ in _ORACLE_SETS]
+)
+def test_math_bounds_equal_the_numpy_formulas(build):
+    ts = build()
+    periods = [t.period for t in ts]
+    assert scaled_periods(periods) == _np_scaled_periods(periods).tolist()
+    assert TBound().value(ts) == _np_t_bound(ts)
+    assert RBound().value(ts) == _np_r_bound(ts)
+    assert SpecializationBound().value(ts) == _np_sr_bound(ts)
+    assert [t.period for t in harmonize_periods(ts)] == _np_harmonized(ts)
+    body = compute_bounds_body(ts, 3)
+    assert body["bounds"]["T-Bound"]["value"] == _np_t_bound(ts)
+    assert body["bounds"]["R-Bound"]["value"] == _np_r_bound(ts)
+    assert body["bounds"]["Sr-Bound"]["value"] == _np_sr_bound(ts)
