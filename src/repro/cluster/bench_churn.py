@@ -25,7 +25,7 @@ import tempfile
 from dataclasses import replace
 from typing import Dict, List, Optional
 
-from repro.cluster.events import ChurnConfig
+from repro.cluster.events import ChurnConfig, tenant_pool
 from repro.cluster.simulator import ChurnInterrupted, simulate_churn
 from repro.cluster.sweep import grid_by_policy, run_churn_grid
 from repro.perf.telemetry import COUNTERS, write_bench_json
@@ -87,10 +87,14 @@ def run_bench_churn(
     policies = list(BENCH_POLICIES)
     rates = [float(r) for r in BENCH_RATES]
 
+    # Each leg starts from cold tenant pools, so both generate their
+    # tenants (forked workers would otherwise inherit warm pools).
+    tenant_pool.cache_clear()
     before = COUNTERS.snapshot()
     rows = run_churn_grid(base, policies, rates, jobs=jobs)
     counter_delta = COUNTERS.delta_since(before)
 
+    tenant_pool.cache_clear()
     serial_rows = run_churn_grid(base, policies, rates, jobs=1)
     if rows != serial_rows:
         raise RuntimeError(

@@ -7,6 +7,11 @@ therefore a pure function of the configuration and the tenant index,
 independent of process, worker count or event order; this is what makes
 journal replay and ``--jobs N`` runs bit-identical.
 
+Those draws are shared through a :class:`TenantPool`, one per
+``(TaskSetGenerator, seed, u_set)``: every cell of a policy × rate grid
+reads the same tenants' task sets and rate-independent timeline draws
+instead of regenerating them (see :func:`tenant_pool`).
+
 The configuration is content-addressed exactly like sweep checkpoints
 (:func:`repro.store.checkpoint.sweep_config_key`): floats are encoded
 with ``float.hex()`` and the SHA-256 of the canonical JSON names the
@@ -18,8 +23,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass
-from typing import List, Tuple
+from functools import lru_cache
+from typing import Dict, List, Tuple
 
 from repro.core.task import TaskSet
 from repro.runner import cell_rng
@@ -28,8 +35,11 @@ from repro.taskgen.generators import TaskSetGenerator
 __all__ = [
     "ChurnConfig",
     "ChurnEvent",
+    "TenantPool",
     "build_event_timeline",
     "churn_config_key",
+    "pool_of",
+    "tenant_pool",
     "tenant_taskset",
 ]
 
@@ -41,6 +51,11 @@ _TASKSET_STREAM = 2
 #: Pareto shape for heavy-tailed lifetimes; ``alpha=2`` keeps the mean
 #: finite (``mean_lifetime``) while the variance diverges.
 _PARETO_SHAPE = 2.0
+
+#: Pools kept alive by :func:`tenant_pool` (least recently used first
+#: out).  A grid needs one; the second lets two interleaved grids each
+#: keep theirs.  A 60-tenant pool holds about 75 KB.
+_POOL_SLOTS = 2
 
 
 @dataclass(frozen=True)
@@ -100,6 +115,12 @@ class ChurnConfig:
             raise ValueError(f"unknown lifetime model {self.lifetime_model!r}")
         if self.arrival_model == "trace" and not self.trace:
             raise ValueError("trace arrival model needs trace rows")
+        for name in ("arrival_rate", "mean_lifetime", "u_set", "max_wait",
+                     "tmin", "tmax"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if any(not math.isfinite(v) for row in self.trace for v in row):
+            raise ValueError("trace rows must be finite")
         if self.arrival_rate <= 0.0 or self.mean_lifetime <= 0.0:
             raise ValueError("arrival_rate and mean_lifetime must be > 0")
         if self.u_set <= 0.0:
@@ -110,8 +131,8 @@ class ChurnConfig:
             raise ValueError("max_wait must be > 0")
         if self.tmax > 10_000.0:
             raise ValueError(
-                "tmax must stay <= 10000 so cluster task ids "
-                "(period-keyed priorities) fit the RTA kernels' int64"
+                "tmax must stay <= 10000 so every cluster task id "
+                "(period-keyed priority) stays below 2**63"
             )
         if self.horizon > 10**6:
             raise ValueError("horizon is capped at 10**6 tenants")
@@ -179,17 +200,100 @@ def churn_config_key(config: ChurnConfig) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _lifetime(config: ChurnConfig, tenant: int) -> float:
-    """Lifetime of *tenant*, drawn from its own ``cell_rng`` stream."""
-    if config.lifetime_model == "fixed":
-        return config.mean_lifetime
-    rng = cell_rng(config.seed, _LIFETIME_STREAM, tenant)
-    if config.lifetime_model == "pareto":
-        # Standard Pareto with x_m chosen so the mean is mean_lifetime:
-        # mean = alpha * x_m / (alpha - 1).
-        x_m = config.mean_lifetime * (_PARETO_SHAPE - 1.0) / _PARETO_SHAPE
-        return float(x_m * (1.0 + rng.pareto(_PARETO_SHAPE)))
-    return float(rng.exponential(config.mean_lifetime))
+def _draw_taskset(
+    generator: TaskSetGenerator, seed: int, u_set: float, tenant: int
+) -> TaskSet:
+    return generator.generate(
+        u_norm=u_set,
+        processors=1,
+        seed=cell_rng(seed, _TASKSET_STREAM, tenant),
+    )
+
+
+class TenantPool:
+    """Per-tenant draws shared by every configuration with one pool key.
+
+    The key is ``(generator, seed, u_set)``: a tenant's task set depends
+    on nothing else, so configurations that differ only in policy,
+    arrival rate, ``k``, ``queue_limit``, ``max_wait`` or processor
+    count read the same sets.  The timeline draws are kept in their
+    rate- and mean-independent form (one standard exponential per
+    arrival gap; one standard exponential or Pareto variate per
+    lifetime), which the timeline scales exactly as NumPy would: the
+    ``exponential(scale)`` draw *is* ``scale * standard_exponential()``.
+
+    Entries are filled on first use with ``dict.setdefault``, so
+    threads that race on one tenant keep the first (identical) value
+    and no lock is needed.
+    """
+
+    def __init__(
+        self, generator: TaskSetGenerator, seed: int, u_set: float
+    ) -> None:
+        self.generator = generator
+        self.seed = seed
+        self.u_set = u_set
+        self._tasksets: Dict[int, TaskSet] = {}
+        self._gaps: Dict[int, float] = {}
+        self._lifetimes: Dict[Tuple[str, int], float] = {}
+
+    def taskset(self, tenant: int) -> TaskSet:
+        """Tenant *tenant*'s task set (see :func:`tenant_taskset`)."""
+        found = self._tasksets.get(tenant)
+        if found is None:
+            found = self._tasksets.setdefault(
+                tenant,
+                _draw_taskset(self.generator, self.seed, self.u_set, tenant),
+            )
+        return found
+
+    def gap(self, tenant: int) -> float:
+        """Tenant *tenant*'s arrival gap at rate 1."""
+        found = self._gaps.get(tenant)
+        if found is None:
+            rng = cell_rng(self.seed, _ARRIVAL_STREAM, tenant)
+            found = self._gaps.setdefault(
+                tenant, float(rng.standard_exponential())
+            )
+        return found
+
+    def lifetime(self, model: str, mean: float, tenant: int) -> float:
+        """Tenant *tenant*'s lifetime under *model* with mean *mean*."""
+        if model == "fixed":
+            return mean
+        found = self._lifetimes.get((model, tenant))
+        if found is None:
+            rng = cell_rng(self.seed, _LIFETIME_STREAM, tenant)
+            draw = (
+                rng.pareto(_PARETO_SHAPE) if model == "pareto"
+                else rng.standard_exponential()
+            )
+            found = self._lifetimes.setdefault((model, tenant), float(draw))
+        if model == "pareto":
+            # Standard Pareto with x_m chosen so the mean is mean_lifetime:
+            # mean = alpha * x_m / (alpha - 1).
+            x_m = mean * (_PARETO_SHAPE - 1.0) / _PARETO_SHAPE
+            return x_m * (1.0 + found)
+        return mean * found
+
+
+@lru_cache(maxsize=_POOL_SLOTS)
+def tenant_pool(
+    generator: TaskSetGenerator, seed: int, u_set: float
+) -> TenantPool:
+    """The pool for one key, created on first use.
+
+    At most ``_POOL_SLOTS`` pools stay cached; a caller keeps its own
+    reference, so evicting a pool never changes what a running
+    simulation reads.  Forked workers fill their own copies.
+    ``tenant_pool.cache_clear()`` starts every pool over.
+    """
+    return TenantPool(generator, seed, u_set)
+
+
+def pool_of(config: ChurnConfig) -> TenantPool:
+    """The tenant pool *config* reads."""
+    return tenant_pool(config.generator(), config.seed, config.u_set)
 
 
 def build_event_timeline(config: ChurnConfig) -> List[ChurnEvent]:
@@ -198,21 +302,23 @@ def build_event_timeline(config: ChurnConfig) -> List[ChurnEvent]:
     Pure function of the configuration: arrival gap ``i`` and tenant
     ``i``'s lifetime each come from ``cell_rng(seed, stream, i)``, so
     the timeline is identical no matter where or how often it is built.
+    The draws come from the configuration's :class:`TenantPool`, so a
+    grid draws them once for all its policies and rates.
     """
+    pool = pool_of(config)
+    model, mean = config.lifetime_model, config.mean_lifetime
     arrivals: List[Tuple[int, float, float]] = []
     if config.arrival_model == "trace":
         for tenant, (time, lifetime) in enumerate(config.trace):
             if lifetime <= 0.0:
-                lifetime = _lifetime(config, tenant)
+                lifetime = pool.lifetime(model, mean, tenant)
             arrivals.append((tenant, float(time), float(lifetime)))
     else:
+        scale = 1.0 / config.arrival_rate
         now = 0.0
         for tenant in range(config.horizon):
-            gap = cell_rng(config.seed, _ARRIVAL_STREAM, tenant).exponential(
-                1.0 / config.arrival_rate
-            )
-            now += float(gap)
-            arrivals.append((tenant, now, _lifetime(config, tenant)))
+            now += scale * pool.gap(tenant)
+            arrivals.append((tenant, now, pool.lifetime(model, mean, tenant)))
 
     events = [
         ChurnEvent(time=time, kind="arrival", tenant=tenant)
@@ -230,9 +336,7 @@ def tenant_taskset(config: ChurnConfig, tenant: int) -> TaskSet:
 
     The generator consumes ``cell_rng(seed, stream, tenant)`` directly,
     so the set depends only on the configuration and the tenant index.
+    This builds the set afresh; simulations read it through
+    :func:`pool_of` instead.
     """
-    return config.generator().generate(
-        u_norm=config.u_set,
-        processors=1,
-        seed=cell_rng(config.seed, _TASKSET_STREAM, tenant),
-    )
+    return _draw_taskset(config.generator(), config.seed, config.u_set, tenant)

@@ -96,10 +96,6 @@ class ChurnPolicy:
 # ---------------------------------------------------------------------------
 
 
-def _first_fit_key(proc: ProcessorState) -> Tuple[float, int]:
-    return (0.0, proc.index)
-
-
 def _best_fit_key(proc: ProcessorState) -> Tuple[float, int]:
     return (-proc.utilization, proc.index)
 
@@ -108,8 +104,12 @@ def _worst_fit_key(proc: ProcessorState) -> Tuple[float, int]:
     return (proc.utilization, proc.index)
 
 
-_FIT_ORDERS: Dict[str, Callable[[ProcessorState], Tuple[float, int]]] = {
-    "first": _first_fit_key,
+#: Fit orders as sort keys; ``None`` is first-fit, the processors' own
+#: index order, which needs no sort.
+_FIT_ORDERS: Dict[
+    str, Optional[Callable[[ProcessorState], Tuple[float, int]]]
+] = {
+    "first": None,
     "best": _best_fit_key,
     "worst": _worst_fit_key,
 }
@@ -150,7 +150,11 @@ class FitPolicy(ChurnPolicy):
         host_lists: List[List[int]] = []
         for task in tasks:
             target: Optional[ProcessorState] = None
-            for proc in sorted(state.processors, key=key):
+            order = (
+                state.processors if key is None
+                else sorted(state.processors, key=key)
+            )
+            for proc in order:
                 if proc.schedulable_with(task):
                     target = proc
                     break

@@ -8,11 +8,14 @@ construction, so tenant-local tids cannot serve as cluster priorities.
     tid = round(period * 10**6) * 10**8 + tenant * 100 + local
 
 Smaller tid == shorter period == higher priority, with deterministic
-tie-breaking by arrival order and local index.  The RTA kernels store
-priorities in int64 arrays, so the encoding must stay below 2**63:
-with periods capped at 10**4 (``ChurnConfig`` validates ``tmax``) the
-period key stays under 10**10 and the tid under 10**18, leaving room
-for a million tenants of up to 99 tasks each.
+tie-breaking by arrival order and local index.  The analysis compares
+tids as Python ints, which never overflow, so no code needs a cap on
+them today.  The caps keep the encoding inside a signed 64-bit integer,
+the envelope any fixed-width store of a tid (a NumPy int64 column, a
+SQLite INTEGER) would need: with periods capped at 10**4
+(``ChurnConfig`` validates ``tmax``) the period key stays under 10**10
+and the tid under 10**18 < 2**63, leaving room for a million tenants of
+up to 99 tasks each.
 
 :class:`ClusterState` keeps the persistent per-processor state
 (:class:`~repro.core.partition.ProcessorState`, with its incremental
@@ -30,9 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.cluster.events import ChurnConfig, tenant_taskset
+from repro.cluster.events import ChurnConfig, TenantPool, pool_of
 from repro.core.partition import ProcessorState
-from repro.core.task import Task
+from repro.core.task import Task, TaskSet
 
 __all__ = [
     "ClusterState",
@@ -103,7 +106,12 @@ class ClusterState:
     hosts: Dict[Tuple[int, int], Tuple[int, ...]] = field(
         default_factory=dict
     )
-    _taskset_cache: Dict[int, object] = field(default_factory=dict)
+    #: Client-supplied task sets (the live service); never pooled.
+    _primed: Dict[int, TaskSet] = field(default_factory=dict)
+    #: Cluster Task tuples, built once per tenant.
+    _tasks: Dict[int, Tuple[Task, ...]] = field(default_factory=dict)
+    #: The configuration's tenant pool, bound on first use.
+    _pool: Optional[TenantPool] = None
 
     @classmethod
     def fresh(cls, config: ChurnConfig, *, live: bool) -> "ClusterState":
@@ -116,29 +124,36 @@ class ClusterState:
 
     # -- tenant task sets ---------------------------------------------------
 
-    def taskset_of(self, tenant: int):
-        """Tenant's own TaskSet (deterministic; cached per tenant)."""
-        cached = self._taskset_cache.get(tenant)
-        if cached is None:
-            cached = tenant_taskset(self.config, tenant)
-            self._taskset_cache[tenant] = cached
-        return cached
+    def taskset_of(self, tenant: int) -> TaskSet:
+        """Tenant's own TaskSet: the primed one, else the pool's."""
+        primed = self._primed.get(tenant)
+        if primed is not None:
+            return primed
+        if self._pool is None:
+            self._pool = pool_of(self.config)
+        return self._pool.taskset(tenant)
 
     def tasks_of(self, tenant: int) -> Tuple[Task, ...]:
-        """Tenant's tasks under cluster-wide RM identity."""
-        return cluster_tasks(tenant, self.taskset_of(tenant))
+        """Tenant's tasks under cluster-wide RM identity (cached)."""
+        tasks = self._tasks.get(tenant)
+        if tasks is None:
+            tasks = cluster_tasks(tenant, self.taskset_of(tenant))
+            self._tasks[tenant] = tasks
+        return tasks
 
-    def prime_taskset(self, tenant: int, taskset) -> None:
+    def prime_taskset(self, tenant: int, taskset: TaskSet) -> None:
         """Register an externally supplied task set for *tenant*.
 
         The live service uses this: clients bring their own task sets,
-        so the cache is primed instead of generated on demand.
+        so the state holds them instead of generating on demand.
         """
-        self._taskset_cache[tenant] = taskset
+        self._primed[tenant] = taskset
+        self._tasks.pop(tenant, None)
 
     def forget_taskset(self, tenant: int) -> None:
-        """Drop a tenant's cached task set (departed or rejected)."""
-        self._taskset_cache.pop(tenant, None)
+        """Drop a tenant's primed set and tasks (departed or rejected)."""
+        self._primed.pop(tenant, None)
+        self._tasks.pop(tenant, None)
 
     # -- queries ------------------------------------------------------------
 

@@ -29,8 +29,19 @@ class TestChurnConfig:
             {"u_set": -0.1},
             {"k": -1},
             {"max_wait": 0.0},
-            {"tmax": 20_000.0},  # int64 tid envelope
+            {"tmax": 20_000.0},  # tids stay below 2**63
             {"horizon": 10**6 + 1},
+            {"arrival_rate": float("nan")},
+            {"arrival_rate": float("inf")},
+            {"mean_lifetime": float("inf")},
+            {"max_wait": float("nan")},
+            {"max_wait": float("inf")},
+            {"u_set": float("inf")},
+            {"u_set": float("nan")},
+            {"tmin": float("nan")},
+            {"tmax": float("nan")},
+            {"arrival_model": "trace", "trace": ((float("nan"), 1.0),)},
+            {"arrival_model": "trace", "trace": ((1.0, float("inf")),)},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):

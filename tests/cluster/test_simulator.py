@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.cluster.events import ChurnConfig, churn_config_key
+from repro.cluster.events import ChurnConfig, churn_config_key, tenant_pool
 from repro.cluster.simulator import (
     ChurnInterrupted,
     ChurnMetrics,
@@ -59,7 +59,11 @@ class TestMetrics:
 class TestJobsInvariance:
     def test_grid_identical_at_any_jobs_level(self):
         base = _config(horizon=15)
+        # Cold pools before each leg: forked workers would otherwise
+        # inherit the serial leg's tenants and never generate any.
+        tenant_pool.cache_clear()
         serial = run_churn_grid(base, _POLICIES, _RATES, jobs=1)
+        tenant_pool.cache_clear()
         parallel = run_churn_grid(base, _POLICIES, _RATES, jobs=2)
         assert serial == parallel
         assert set(grid_by_policy(serial)) == set(_POLICIES)

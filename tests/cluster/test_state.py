@@ -26,7 +26,7 @@ class TestClusterTid:
         assert cluster_tid(10.0, 3, 0) < cluster_tid(10.0, 3, 1)
 
     def test_int64_envelope(self):
-        # Largest encodable tid must fit numpy's int64 priority arrays.
+        # Largest encodable tid stays a signed 64-bit integer.
         assert cluster_tid(10_000.0, 10**6 - 1, 99) < 2**63
 
     def test_tenant_range_validated(self):
@@ -136,3 +136,16 @@ class TestClusterStateOps:
         state.forget_taskset(9)
         # After forgetting, the generated set is used again.
         assert state.taskset_of(9) is not external
+
+    def test_tasks_of_cached_until_prime_or_forget(self):
+        state = self._live()
+        generated = state.tasks_of(9)
+        assert state.tasks_of(9) is generated
+        assert generated == cluster_tasks(9, tenant_taskset(state.config, 9))
+        external = tenant_taskset(ChurnConfig(seed=123), 0)
+        state.prime_taskset(9, external)
+        primed = state.tasks_of(9)
+        assert primed == cluster_tasks(9, external)
+        assert state.tasks_of(9) is primed
+        state.forget_taskset(9)
+        assert state.tasks_of(9) == generated
