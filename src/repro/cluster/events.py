@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Dict, List, Tuple
 
-from repro.core.task import TaskSet
+from repro.core.task import Task, TaskSet
 from repro.runner import cell_rng
 from repro.taskgen.generators import TaskSetGenerator
 
@@ -222,6 +222,10 @@ class TenantPool:
     lifetime), which the timeline scales exactly as NumPy would: the
     ``exponential(scale)`` draw *is* ``scale * standard_exponential()``.
 
+    Each tenant's cluster :class:`~repro.core.task.Task` tuple
+    (:func:`~repro.cluster.state.cluster_tasks`) is kept beside its set,
+    so the cells of a grid share those too.
+
     Entries are filled on first use with ``dict.setdefault``, so
     threads that race on one tenant keep the first (identical) value
     and no lock is needed.
@@ -234,6 +238,7 @@ class TenantPool:
         self.seed = seed
         self.u_set = u_set
         self._tasksets: Dict[int, TaskSet] = {}
+        self._tasks: Dict[int, Tuple[Task, ...]] = {}
         self._gaps: Dict[int, float] = {}
         self._lifetimes: Dict[Tuple[str, int], float] = {}
 
@@ -244,6 +249,18 @@ class TenantPool:
             found = self._tasksets.setdefault(
                 tenant,
                 _draw_taskset(self.generator, self.seed, self.u_set, tenant),
+            )
+        return found
+
+    def tasks(self, tenant: int) -> Tuple[Task, ...]:
+        """Tenant *tenant*'s tasks under cluster-wide RM identity."""
+        found = self._tasks.get(tenant)
+        if found is None:
+            # Imported here: the state module imports this one.
+            from repro.cluster.state import cluster_tasks
+
+            found = self._tasks.setdefault(
+                tenant, cluster_tasks(tenant, self.taskset(tenant))
             )
         return found
 

@@ -33,7 +33,11 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.analysis.algorithms import PARTITIONERS
 from repro.cluster.events import ChurnConfig
 from repro.cluster.state import ClusterState, decode_tid
-from repro.core.partition import PartitionResult, ProcessorState
+from repro.core.partition import (
+    PartitionResult,
+    ProcessorSnapshot,
+    ProcessorState,
+)
 from repro.core.task import Task, TaskSet
 
 __all__ = [
@@ -120,9 +124,11 @@ class FitPolicy(ChurnPolicy):
 
     Tasks are placed in tenant-local RM order; each task goes to the
     first processor, in the fit order, whose incremental RTA admits it.
-    Admission is all-or-nothing: a partial placement is rolled back
-    (removal restores the utilization accumulator bit-exactly, see
-    :meth:`~repro.core.partition.ProcessorState.remove_parent`).
+    Admission is a transaction: each processor is snapshotted before its
+    first trial add, and a partial placement is rolled back by restoring
+    those snapshots (:meth:`~repro.core.partition.ProcessorState.restore`),
+    which puts back the rows, the utilization accumulator and the
+    analysis context exactly, without re-running any RTA.
     """
 
     def __init__(
@@ -146,7 +152,7 @@ class FitPolicy(ChurnPolicy):
         assert state.processors is not None
         key = self._rejoin_order if rejoin else self._order
         tasks = state.tasks_of(tenant)
-        placed: List[Tuple[int, Task]] = []
+        snapshots: Dict[int, ProcessorSnapshot] = {}
         host_lists: List[List[int]] = []
         for task in tasks:
             target: Optional[ProcessorState] = None
@@ -159,11 +165,12 @@ class FitPolicy(ChurnPolicy):
                     target = proc
                     break
             if target is None:
-                for index, done in placed:
-                    state.processors[index].remove_parent(done.tid)
+                for index, snapshot in snapshots.items():
+                    state.processors[index].restore(snapshot)
                 return None
+            if target.index not in snapshots:
+                snapshots[target.index] = target.snapshot()
             target.add(task)
-            placed.append((target.index, task))
             host_lists.append([target.index])
         # Trial adds already happened; record residency + the journal op.
         for local, (task, hosts) in enumerate(zip(tasks, host_lists)):
@@ -195,13 +202,15 @@ class CompactPolicy(FitPolicy):
         # Fit policies place whole tasks only, so each row's parent is the
         # candidate a destination probes.
         movable = sorted(source.rows, key=lambda row: row.priority)
+        # Best-fit order is a total order (ties break on the index), so
+        # re-sorting after a move equals sorting afresh.
+        destinations = sorted(
+            (p for p in state.processors if p is not source),
+            key=_best_fit_key,
+        )
         for row in movable:
             if len(ops) >= budget:
                 break
-            destinations = sorted(
-                (p for p in state.processors if p is not source),
-                key=_best_fit_key,
-            )
             for dst in destinations:
                 if dst.schedulable_with(row.parent):
                     tenant, local = decode_tid(row.parent.tid)
@@ -209,6 +218,7 @@ class CompactPolicy(FitPolicy):
                     ops.append(
                         ["migrate", tenant, local, source.index, dst.index]
                     )
+                    destinations.sort(key=_best_fit_key)
                     break
         return AdmitOutcome(ops=ops, migrations=len(ops))
 
@@ -230,13 +240,14 @@ class RepartitionPolicy(ChurnPolicy):
 
     def _union(
         self, state: ClusterState, extra: Optional[int]
-    ) -> Tuple[TaskSet, Dict[int, Tuple[int, int]]]:
+    ) -> Tuple[TaskSet, List[Tuple[int, int]]]:
         """Union task set over residents (+ the arriving tenant) and the
         union-tid -> (tenant, local) mapping.
 
         ``TaskSet`` sorts by ``(period, input position)`` and re-assigns
-        tids; replicating that sort on the input list recovers the
-        ownership of every union tid exactly.
+        tids 0..N-1; the union is built from the cluster tasks already in
+        that order (one stable sort by period), so union tid ``i`` belongs
+        to ``mapping[i]``.
         """
         raw: List[Task] = []
         owners: List[Tuple[int, int]] = []
@@ -244,15 +255,13 @@ class RepartitionPolicy(ChurnPolicy):
         if extra is not None:
             tenants.append(extra)
         for tenant in tenants:
-            for local, task in enumerate(state.tasks_of(tenant)):
-                raw.append(Task(cost=task.cost, period=task.period))
-                owners.append((tenant, local))
-        union = TaskSet(raw)
-        order = sorted(range(len(raw)), key=lambda i: (raw[i].period, i))
-        mapping = {
-            new_tid: owners[i] for new_tid, i in enumerate(order)
-        }
-        return union, mapping
+            tasks = state.tasks_of(tenant)
+            raw.extend(tasks)
+            owners.extend((tenant, local) for local in range(len(tasks)))
+        periods = [task.period for task in raw]
+        order = sorted(range(len(raw)), key=periods.__getitem__)
+        union = TaskSet([raw[i] for i in order])
+        return union, [owners[i] for i in order]
 
     def _try_install(
         self,
@@ -269,9 +278,10 @@ class RepartitionPolicy(ChurnPolicy):
         result = self._partition(union, self.config.processors)
         if not result.success:
             return None
-        new_hosts: Dict[Tuple[int, int], Tuple[int, ...]] = {}
-        for tid in range(len(union)):
-            new_hosts[mapping[tid]] = tuple(result.processors_hosting(tid))
+        hosting = result.host_map()
+        new_hosts: Dict[Tuple[int, int], Tuple[int, ...]] = {
+            owner: tuple(hosting[tid]) for tid, owner in enumerate(mapping)
+        }
         migrations = sum(
             1
             for key, hosts in new_hosts.items()

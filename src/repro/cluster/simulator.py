@@ -392,6 +392,9 @@ def simulate_churn(
                 )
 
         processed_new = 0
+        # The state changes only inside an event, so each event's
+        # starting utilization is the previous event's final one.
+        utilization = state.utilization()
         for index in range(start, total):
             if max_new_events is not None and processed_new >= max_new_events:
                 raise ChurnInterrupted(
@@ -402,12 +405,13 @@ def simulate_churn(
                     total=total,
                 )
             event = timeline[index]
-            metrics.advance_time(event.time, state.utilization())
+            metrics.advance_time(event.time, utilization)
             if event.kind == "arrival":
                 ops = _handle_arrival(policy, state, metrics, queue, event)
             else:
                 ops = _handle_departure(policy, state, metrics, queue, event)
-            metrics.observe_utilization(state.utilization())
+            utilization = state.utilization()
+            metrics.observe_utilization(utilization)
             COUNTERS.cl_events += 1
             if backend is not None:
                 backend.put(

@@ -108,7 +108,7 @@ class ClusterState:
     )
     #: Client-supplied task sets (the live service); never pooled.
     _primed: Dict[int, TaskSet] = field(default_factory=dict)
-    #: Cluster Task tuples, built once per tenant.
+    #: Cluster Task tuples of primed tenants (the pool keeps the rest).
     _tasks: Dict[int, Tuple[Task, ...]] = field(default_factory=dict)
     #: The configuration's tenant pool, bound on first use.
     _pool: Optional[TenantPool] = None
@@ -124,21 +124,28 @@ class ClusterState:
 
     # -- tenant task sets ---------------------------------------------------
 
+    def _bound_pool(self) -> TenantPool:
+        pool = self._pool
+        if pool is None:
+            pool = self._pool = pool_of(self.config)
+        return pool
+
     def taskset_of(self, tenant: int) -> TaskSet:
         """Tenant's own TaskSet: the primed one, else the pool's."""
         primed = self._primed.get(tenant)
         if primed is not None:
             return primed
-        if self._pool is None:
-            self._pool = pool_of(self.config)
-        return self._pool.taskset(tenant)
+        return self._bound_pool().taskset(tenant)
 
     def tasks_of(self, tenant: int) -> Tuple[Task, ...]:
-        """Tenant's tasks under cluster-wide RM identity (cached)."""
+        """Tenant's tasks under cluster-wide RM identity (cached: per
+        state for a primed tenant, in the pool otherwise)."""
         tasks = self._tasks.get(tenant)
         if tasks is None:
-            tasks = cluster_tasks(tenant, self.taskset_of(tenant))
-            self._tasks[tenant] = tasks
+            primed = self._primed.get(tenant)
+            if primed is None:
+                return self._bound_pool().tasks(tenant)
+            tasks = self._tasks[tenant] = cluster_tasks(tenant, primed)
         return tasks
 
     def prime_taskset(self, tenant: int, taskset: TaskSet) -> None:
@@ -160,20 +167,19 @@ class ClusterState:
     def utilization(self) -> float:
         """Normalized cluster utilization in [0, 1]-ish.
 
-        Computed over live processors when present (list-order float
-        sums, bit-stable under the op replay) and over the resident
-        registry otherwise.
+        Computed over live processors when present and over the
+        resident registry otherwise, summed left to right in list order
+        (``+=``: the builtin ``sum`` compensates since Python 3.12), so
+        it is bit-stable under the op replay.
         """
+        total = 0.0
         if self.processors is not None:
-            total = float(sum(p.utilization for p in self.processors))
+            for proc in self.processors:
+                total += proc.utilization
         else:
-            total = float(
-                sum(
-                    t.utilization
-                    for tasks in self.residents.values()
-                    for t in tasks
-                )
-            )
+            for tasks in self.residents.values():
+                for task in tasks:
+                    total += task.utilization
         return total / self.config.processors
 
     def resident_order(self) -> List[int]:

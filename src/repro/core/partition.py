@@ -40,6 +40,7 @@ from repro.perf.telemetry import COUNTERS
 
 __all__ = [
     "ProcessorRole",
+    "ProcessorSnapshot",
     "ProcessorState",
     "PendingPiece",
     "PartitionResult",
@@ -67,6 +68,8 @@ class ProcessorRole(enum.Enum):
 _UTIL_REJECT = 1.0 + EPS + 2e-10
 
 _UTIL = attrgetter("_util")
+#: ``(len(rows), _util, context copy)`` of :meth:`ProcessorState.snapshot`.
+ProcessorSnapshot = Tuple[int, float, Optional[RTAContext]]
 #: Builds a ``SubtaskRow`` from a tuple in C, skipping the namedtuple's
 #: Python-level ``__new__``: that call would cost :meth:`ProcessorState.add`,
 #: run once per commit, more than the rest of its body.
@@ -80,10 +83,10 @@ class ProcessorState:
     The pieces live in one store, :attr:`rows` (append order); the
     processor's :class:`~repro.core.rta.RTAContext` is built from them on
     first demand and from then on updated in place by :meth:`add`.
-    Mutate the contents only through :meth:`add`, :meth:`remove_parent`
-    or the :attr:`subtasks` setter: the context is not re-checked against
-    the rows, so an edit of :attr:`rows` behind its back leaves admission
-    answering for the old contents.  :meth:`PartitionResult.validate`
+    Mutate the contents only through :meth:`add`, :meth:`remove_parent`,
+    :meth:`restore` or the :attr:`subtasks` setter: the context is not
+    re-checked against the rows, so an edit of :attr:`rows` behind its
+    back leaves admission answering for the old contents.  :meth:`PartitionResult.validate`
     re-runs exact RTA from scratch and so still reports such a processor.
     """
 
@@ -97,8 +100,9 @@ class ProcessorState:
     _ctx: Optional[RTAContext] = field(
         default=None, init=False, repr=False, compare=False
     )
-    #: Running utilization sum, maintained in row order so it is
-    #: float-identical to ``sum(s.utilization for s in subtasks)``.
+    #: Running utilization sum, accumulated left to right in row order
+    #: (``+=``, never the builtin ``sum``, which compensates since
+    #: Python 3.12).
     _util: float = field(default=0.0, init=False, repr=False, compare=False)
 
     @property
@@ -149,10 +153,37 @@ class ProcessorState:
         self._util += cost / period
 
     def _reset(self, rows: List[SubtaskRow]) -> None:
-        # Re-summed in row order, the accumulation order of :meth:`add`.
+        # Re-summed left to right in row order, the accumulation of
+        # :meth:`add`; the builtin ``sum`` compensates since Python 3.12.
+        util = 0.0
+        for row in rows:
+            util += row.cost / row.period
         self.rows = rows
         self._ctx = None
-        self._util = float(sum(row.cost / row.period for row in rows))
+        self._util = util
+
+    def snapshot(self) -> ProcessorSnapshot:
+        """What :meth:`restore` needs to undo the :meth:`add` calls that
+        follow: the row count, the utilization accumulator and a copy of
+        the analysis context (``None`` if none is built)."""
+        ctx = self._ctx
+        copy = None if ctx is None else ctx.copy()
+        return (len(self.rows), self._util, copy)
+
+    def restore(self, snapshot: ProcessorSnapshot) -> None:
+        """Roll back every :meth:`add` since *snapshot* was taken.
+
+        The rows are truncated, the accumulator and the context are put
+        back by reference, so no analysis runs again: the processor is
+        exactly as it was, bit for bit.  Only :meth:`add` may run between
+        the two calls, and a snapshot is restored at most once (its
+        context becomes the live one).  This is the rollback path of a
+        failed churn admission; departures use :meth:`remove_parent`.
+        """
+        count, util, ctx = snapshot
+        del self.rows[count:]
+        self._util = util
+        self._ctx = ctx
 
     def remove_parent(self, tid: int) -> int:
         """Withdraw every piece of task *tid* from this processor.
@@ -389,6 +420,18 @@ class PartitionResult:
                     hits.append((row.index, proc.index))
         return [p for _, p in sorted(hits)]
 
+    def host_map(self) -> Dict[int, List[int]]:
+        """:meth:`processors_hosting` of every hosted tid, from one pass
+        over the rows."""
+        hits: Dict[int, List[Tuple[int, int]]] = {}
+        for proc in self.processors:
+            q = proc.index
+            for row in proc.rows:
+                hits.setdefault(row.priority, []).append((row.index, q))
+        return {
+            tid: [p for _, p in sorted(pieces)] for tid, pieces in hits.items()
+        }
+
     def split_views(self) -> Dict[int, SplitTaskView]:
         """Per-task grouping of assigned pieces."""
         views: Dict[int, SplitTaskView] = {}
@@ -562,8 +605,9 @@ class PartitionResult:
                     # ``add``, which is what this rule must not assume.
                     errors.append(f"processor {proc.index}: fails exact RTA")
 
-        for tid, view in views.items():
-            procs = self.processors_hosting(tid)
+        hosting = self.host_map()
+        for tid in views:
+            procs = hosting.get(tid, [])
             if len(set(procs)) != len(procs):
                 errors.append(f"task {tid}: revisits a processor when split")
 

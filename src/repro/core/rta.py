@@ -245,7 +245,8 @@ class RTAContext:
 
     The context is mutable and has one owner, a
     :class:`~repro.core.partition.ProcessorState`, which updates it in
-    place through :meth:`insert` as subtasks are assigned and drops it on
+    place through :meth:`insert` as subtasks are assigned, swaps in a
+    :meth:`copy` taken earlier to roll assignments back, and drops it on
     any other mutation (departures).  Between insertions its state only
     moves from "deferred" to "computed" (:meth:`_resolve`, the probe
     memo).  Nothing else may edit the lists: an edit made behind the
@@ -317,6 +318,25 @@ class RTAContext:
     def from_rows(cls, rows: Sequence[SubtaskRow]) -> "RTAContext":
         """The context of a processor's rows (as built from their subtasks)."""
         return cls(rows)
+
+    def copy(self) -> "RTAContext":
+        """An independent copy of the lists and flags, without the probe
+        memo: the context a :meth:`ProcessorState.snapshot
+        <repro.core.partition.ProcessorState.snapshot>` keeps for rollback."""
+        other = RTAContext.__new__(RTAContext)
+        other.costs = self.costs.copy()
+        other.periods = self.periods.copy()
+        other.deadlines = self.deadlines.copy()
+        other.ratios = self.ratios.copy()
+        other.util_sum = self.util_sum
+        other.prio_list = self.prio_list.copy()
+        other.implicit = self.implicit
+        other.rm_ordered = self.rm_ordered
+        other.hyper_prod = self.hyper_prod
+        other.responses = self.responses.copy()
+        other.first_fail = self.first_fail
+        other._memo = None
+        return other
 
     def _resolve(self) -> int:
         """Run the deferred exact RTA of any NaN response slots.

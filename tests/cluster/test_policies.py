@@ -7,6 +7,7 @@ from repro.cluster.events import ChurnConfig
 from repro.cluster.policies import CHURN_POLICIES, make_policy
 from repro.cluster.simulator import simulate_churn
 from repro.cluster.state import ClusterState
+from repro.core.task import Task, TaskSet
 
 pytestmark = pytest.mark.churn
 
@@ -117,3 +118,46 @@ class TestMigrationBudget:
             arrival_rate=0.018, k=0,
         )
         assert simulate_churn(config).metrics.migrations == 0
+
+
+def _reference_union(state, extra):
+    """The union as first written: fresh ``Task(cost, period)`` copies,
+    and ownership from replaying ``TaskSet``'s sort."""
+    raw, owners = [], []
+    tenants = state.resident_order()
+    if extra is not None:
+        tenants.append(extra)
+    for tenant in tenants:
+        for local, task in enumerate(state.tasks_of(tenant)):
+            raw.append(Task(cost=task.cost, period=task.period))
+            owners.append((tenant, local))
+    union = TaskSet(raw)
+    order = sorted(range(len(raw)), key=lambda i: (raw[i].period, i))
+    return union, {new_tid: owners[i] for new_tid, i in enumerate(order)}
+
+
+class TestRepartitionUnion:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_union_matches_reference_construction(self, seed):
+        config = ChurnConfig(
+            policy="repart:rmts", processors=4, seed=seed, tasks_per_set=5,
+            k=99,
+        )
+        policy = make_policy(config)
+        state = ClusterState.fresh(config, live=False)
+        # Equal periods across tenants: the tie order must survive.
+        shared = TaskSet(
+            [Task(cost=1.0, period=20.0), Task(cost=2.0, period=50.0)]
+        )
+        for tenant in (1, 3):
+            state.prime_taskset(tenant, shared)
+        for tenant in range(6):
+            policy.admit(state, tenant, rejoin=False)
+        assert {1, 3} <= set(state.residents)
+        for extra in (None, 11):
+            union, mapping = policy._union(state, extra)
+            want, want_mapping = _reference_union(state, extra)
+            assert dict(enumerate(mapping)) == want_mapping
+            assert [(t.cost.hex(), t.period.hex(), t.tid) for t in union] == [
+                (t.cost.hex(), t.period.hex(), t.tid) for t in want
+            ]

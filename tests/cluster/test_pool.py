@@ -19,7 +19,7 @@ from repro.cluster.events import (
     tenant_pool,
     tenant_taskset,
 )
-from repro.cluster.state import ClusterState
+from repro.cluster.state import ClusterState, cluster_tasks
 from repro.cluster.sweep import run_churn_grid
 from repro.runner import cell_rng
 from repro.taskgen.generators import TaskSetGenerator
@@ -172,6 +172,21 @@ class TestReuseAndBounds:
         )
         assert len(rows) == 12
         assert len(calls) == base.horizon
+
+    def test_cells_share_cluster_tasks_but_not_primed_ones(self):
+        base = ChurnConfig(processors=4, seed=11)
+        live = ClusterState.fresh(base, live=True)
+        repart = ClusterState.fresh(
+            replace(base, policy="repart:rmts", arrival_rate=0.5), live=False
+        )
+        tasks = live.tasks_of(4)
+        assert repart.tasks_of(4) is tasks
+        assert tasks == cluster_tasks(4, tenant_taskset(base, 4))
+        repart.prime_taskset(4, tenant_taskset(replace(base, seed=12), 4))
+        primed = repart.tasks_of(4)
+        assert primed != tasks
+        assert pool_of(base).tasks(4) is tasks
+        assert live.tasks_of(4) is tasks
 
     def test_pools_bounded_after_many_seeds(self):
         first = weakref.ref(pool_of(ChurnConfig(seed=0, horizon=5)))

@@ -1,7 +1,10 @@
 """Cluster task identity and the journaled op vocabulary."""
 
+import math
+
 import pytest
 
+from repro.cluster import state as state_module
 from repro.cluster.events import ChurnConfig, tenant_taskset
 from repro.cluster.state import (
     ClusterState,
@@ -9,6 +12,7 @@ from repro.cluster.state import (
     cluster_tid,
     decode_tid,
 )
+from repro.core.task import Task
 
 pytestmark = pytest.mark.churn
 
@@ -136,6 +140,22 @@ class TestClusterStateOps:
         state.forget_taskset(9)
         # After forgetting, the generated set is used again.
         assert state.taskset_of(9) is not external
+
+    def test_utilization_sums_left_to_right(self, monkeypatch):
+        """List order, not the compensated builtin ``sum`` of 3.12+."""
+        monkeypatch.setattr(
+            state_module, "sum", lambda values, start=0: math.fsum(values) + start,
+            raising=False,
+        )
+        state = self._live(processors=3)
+        for proc, cost in zip(state.processors, (1.0, 2.0, 3.0)):
+            proc.add(Task(cost=cost, period=10.0, tid=int(cost)))
+        assert state.utilization() == ((0.1 + 0.2) + 0.3) / 3
+        repart = ClusterState.fresh(ChurnConfig(processors=3), live=False)
+        repart.residents[0] = tuple(
+            Task(cost=c, period=10.0, tid=i) for i, c in enumerate((1.0, 2.0, 3.0))
+        )
+        assert repart.utilization() == ((0.1 + 0.2) + 0.3) / 3
 
     def test_tasks_of_cached_until_prime_or_forget(self):
         state = self._live()

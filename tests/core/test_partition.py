@@ -9,7 +9,9 @@ from repro.core.partition import (
     ProcessorRole,
     ProcessorState,
 )
+from repro.core.rmts import partition_rmts
 from repro.core.task import Subtask, SubtaskKind, Task, TaskSet
+from repro.taskgen.generators import TaskSetGenerator
 
 
 class TestProcessorState:
@@ -211,6 +213,28 @@ class TestPartitionValidation:
         part = _partition_of(ts, {0: [Subtask.whole(ts[0]), body], 1: [tail]})
         errors = part.validate()
         assert any("highest-priority" in e for e in errors)
+
+
+class TestHostMap:
+    def test_equals_processors_hosting_on_split_partitions(self):
+        """One pass over the rows gives every tid's migration path,
+        split tasks included (RM-TS phases 2 and 3 both split)."""
+        split = 0
+        for seed in range(40):
+            ts = TaskSetGenerator(n=12).generate(
+                u_norm=0.85, processors=4, seed=seed
+            )
+            result = partition_rmts(ts, 4)
+            split += len(result.split_tids())
+            hosting = result.host_map()
+            assert sorted(hosting) == sorted(
+                {row.priority for p in result.processors for row in p.rows}
+            )
+            for task in ts:
+                assert hosting.get(task.tid, []) == result.processors_hosting(
+                    task.tid
+                )
+        assert split > 0
 
 
 class TestPartitionReports:

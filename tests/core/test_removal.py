@@ -4,12 +4,14 @@ produced (the churn simulator's correctness hinges on this)."""
 
 import pytest
 
+from repro.core import partition
 from repro.core.partition import (
     PartitionResult,
     ProcessorRole,
     ProcessorState,
 )
 from repro.core.rmts import partition_rmts, readmit_task
+from repro.core.rta import RTAContext
 from repro.core.task import SubtaskKind, Task, TaskSet
 from repro.taskgen.generators import TaskSetGenerator
 
@@ -88,6 +90,72 @@ class TestProcessorRemoveParent:
         proc.remove_parent(3)
         assert proc.role is ProcessorRole.NORMAL
         assert proc.pre_assigned_tid is None
+
+
+def _compensated_sum(values, start=0):
+    """Python 3.12's builtin ``sum`` over floats: Neumaier-compensated,
+    so it can differ from the left-to-right sum ``add()`` accumulates."""
+    total = float(start)
+    comp = 0.0
+    for x in values:
+        t = total + x
+        if abs(total) >= abs(x):
+            comp += (total - t) + x
+        else:
+            comp += (x - t) + total
+        total = t
+    return total + comp
+
+
+class TestUtilizationSummationOrder:
+    """``remove_parent`` re-sums the survivors left to right whatever the
+    interpreter's builtin ``sum`` does: the 3.12 compensated ``sum`` is
+    patched in, and the result must still be the ``add()`` history's."""
+
+    def test_compensated_sum_differs_on_this_data(self):
+        assert _compensated_sum([0.1, 0.2, 0.3]) == 0.6
+        assert (0.1 + 0.2) + 0.3 == 0.6000000000000001
+
+    def test_remove_parent_sums_left_to_right(self, monkeypatch):
+        monkeypatch.setattr(partition, "sum", _compensated_sum, raising=False)
+        proc = ProcessorState(index=0)
+        for tid, cost in enumerate((1.0, 2.0, 3.0, 2.5)):
+            proc.add(Task(cost=cost, period=10.0, tid=tid))
+        assert proc.remove_parent(3) == 1
+        fresh = _fresh_from_survivors(proc)
+        assert proc._util.hex() == fresh._util.hex()
+        assert proc._util == 0.6000000000000001
+
+
+class TestSnapshotRestore:
+    def test_restore_undoes_adds_exactly(self):
+        ts = _taskset(seed=5, n=10, u_norm=0.5, processors=2)
+        proc = ProcessorState(index=0)
+        for task in ts[:4]:
+            proc.add(task)
+        assert proc.schedulable_with(ts[4])
+        rows = proc.rows
+        before = (list(rows), proc._util, proc._ctx)
+        snapshot = proc.snapshot()
+        for task in ts[4:7]:
+            proc.add(task)
+        proc.restore(snapshot)
+        assert proc.rows is rows and rows == before[0]
+        assert proc._util == before[1]
+        ctx, want = proc._ctx, RTAContext.from_rows(rows)
+        assert ctx is not before[2]  # the copy, untouched by the adds
+        assert (ctx.costs, ctx.periods, ctx.deadlines, ctx.prio_list) == (
+            want.costs, want.periods, want.deadlines, want.prio_list
+        )
+        assert ctx.ratios == want.ratios and ctx.util_sum == want.util_sum
+        assert ctx._memo is None
+
+    def test_restore_without_context(self):
+        proc = ProcessorState(index=0)
+        snapshot = proc.snapshot()
+        proc.add(Task(cost=1.0, period=10.0, tid=0))
+        proc.restore(snapshot)
+        assert proc.rows == [] and proc._util == 0.0 and proc._ctx is None
 
 
 class TestPartitionRemoveReadmit:
