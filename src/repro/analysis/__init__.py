@@ -30,8 +30,6 @@ _EXPORTS = {
     "weighted_schedulability": "metrics",
     "utilization_gain": "metrics",
     "capacity_loss": "metrics",
-    "minimum_processors": "minprocs",
-    "compare_minimum_processors": "minprocs",
     "oracle_schedulable": "oracle",
     "differential_audit": "oracle",
     "AuditResult": "oracle",

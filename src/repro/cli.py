@@ -313,12 +313,6 @@ def cmd_serve(args) -> int:
         max_batch=args.max_batch,
         inject_delay=args.inject_delay,
         store_path=args.store,
-        cluster=args.cluster,
-        cluster_policy=args.cluster_policy,
-        cluster_processors=args.cluster_processors,
-        cluster_k=args.cluster_k,
-        cluster_queue_limit=args.cluster_queue_limit,
-        cluster_max_wait=args.cluster_max_wait,
     )
     return run(config)
 
@@ -463,9 +457,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--port", "-p", type=int, default=8787,
                          help="0 picks an ephemeral port")
     p_serve.add_argument("--queue-limit", type=int, default=64,
-                         help="max in-flight requests before 429 shedding")
+                         help="max in-flight requests before 429 shedding "
+                         "(>= 1)")
     p_serve.add_argument("--analysis-timeout", type=float, default=5.0,
-                         help="per-request analysis deadline (seconds); "
+                         help="per-request analysis deadline (finite "
+                         "seconds > 0); "
                          "past it admit falls back to the bound-only "
                          "verdict marked degraded")
     p_serve.add_argument("--cache-size", type=int, default=1024,
@@ -475,26 +471,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for /v1/batch (0 = all cores)",
     )
     p_serve.add_argument("--max-batch", type=int, default=256,
-                         help="max items accepted per /v1/batch request")
+                         help="max items accepted per /v1/batch request "
+                         "(>= 1)")
     p_serve.add_argument("--inject-delay", type=float, default=0.0,
                          help=argparse.SUPPRESS)  # fault injection for tests
     p_serve.add_argument("--store", default=None,
                          help="persist the result cache in this sqlite "
                          "store so it survives restarts "
                          "(see docs/storage.md)")
-    p_serve.add_argument("--cluster", action="store_true",
-                         help="stateful cluster mode: /v1/admit places "
-                         "task sets onto persistent processor state, "
-                         "/v1/depart frees it (see docs/churn.md)")
-    p_serve.add_argument("--cluster-policy", default="ff-rta",
-                         help="churn policy for --cluster placement")
-    p_serve.add_argument("--cluster-processors", type=int, default=8)
-    p_serve.add_argument("--cluster-k", type=int, default=2,
-                         help="migration budget per departure")
-    p_serve.add_argument("--cluster-queue-limit", type=int, default=8,
-                         help="bounded wait queue for cluster admissions")
-    p_serve.add_argument("--cluster-max-wait", type=float, default=300.0,
-                         help="seconds before a queued tenant expires")
     p_serve.set_defaults(func=cmd_serve)
 
     p_churn = sub.add_parser(

@@ -24,10 +24,7 @@ Layout:
 * :mod:`repro.cluster.simulator` — the discrete-event loop, SLO
   metrics, store journaling and resume;
 * :mod:`repro.cluster.sweep` — parallel policy×load grids on the
-  fork-pool runner;
-* :mod:`repro.cluster.service` — the live-cluster coordinator behind
-  ``python -m repro serve --cluster`` (``/v1/admit`` mutates state,
-  ``/v1/depart`` frees it).
+  fork-pool runner.
 
 Determinism is the design contract: identical seed+config produce a
 bit-identical event journal and identical SLO metrics at any ``--jobs``
@@ -44,7 +41,6 @@ from repro.cluster.events import (
     tenant_taskset,
 )
 from repro.cluster.policies import CHURN_POLICIES, ChurnPolicy, make_policy
-from repro.cluster.service import ClusterCoordinator
 from repro.cluster.simulator import (
     ChurnInterrupted,
     ChurnMetrics,
@@ -62,7 +58,6 @@ __all__ = [
     "ChurnResult",
     "CHURN_POLICIES",
     "ChurnPolicy",
-    "ClusterCoordinator",
     "ClusterState",
     "build_event_timeline",
     "churn_config_key",

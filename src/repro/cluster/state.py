@@ -106,10 +106,6 @@ class ClusterState:
     hosts: Dict[Tuple[int, int], Tuple[int, ...]] = field(
         default_factory=dict
     )
-    #: Client-supplied task sets (the live service); never pooled.
-    _primed: Dict[int, TaskSet] = field(default_factory=dict)
-    #: Cluster Task tuples of primed tenants (the pool keeps the rest).
-    _tasks: Dict[int, Tuple[Task, ...]] = field(default_factory=dict)
     #: The configuration's tenant pool, bound on first use.
     _pool: Optional[TenantPool] = None
 
@@ -131,36 +127,13 @@ class ClusterState:
         return pool
 
     def taskset_of(self, tenant: int) -> TaskSet:
-        """Tenant's own TaskSet: the primed one, else the pool's."""
-        primed = self._primed.get(tenant)
-        if primed is not None:
-            return primed
+        """Tenant's own TaskSet, from the bound pool."""
         return self._bound_pool().taskset(tenant)
 
     def tasks_of(self, tenant: int) -> Tuple[Task, ...]:
-        """Tenant's tasks under cluster-wide RM identity (cached: per
-        state for a primed tenant, in the pool otherwise)."""
-        tasks = self._tasks.get(tenant)
-        if tasks is None:
-            primed = self._primed.get(tenant)
-            if primed is None:
-                return self._bound_pool().tasks(tenant)
-            tasks = self._tasks[tenant] = cluster_tasks(tenant, primed)
-        return tasks
-
-    def prime_taskset(self, tenant: int, taskset: TaskSet) -> None:
-        """Register an externally supplied task set for *tenant*.
-
-        The live service uses this: clients bring their own task sets,
-        so the state holds them instead of generating on demand.
-        """
-        self._primed[tenant] = taskset
-        self._tasks.pop(tenant, None)
-
-    def forget_taskset(self, tenant: int) -> None:
-        """Drop a tenant's primed set and tasks (departed or rejected)."""
-        self._primed.pop(tenant, None)
-        self._tasks.pop(tenant, None)
+        """Tenant's tasks under cluster-wide RM identity (cached in the
+        pool)."""
+        return self._bound_pool().tasks(tenant)
 
     # -- queries ------------------------------------------------------------
 

@@ -27,14 +27,14 @@ Performance layer: both variants accept an optional pre-built
 :class:`~repro.core.rta.RTAContext` for the existing set, which is how
 partitioning calls them.  With a context the fixed existing-set prefix is
 analyzed **once per search** instead of once per probe — the binary search
-probes through a reusable
-:meth:`~repro.core.rta.RTAContext.admission_probe` (warm-started fixed
-points, no re-sorting), and the scheduling-points variant reads the
-context's lists directly, evaluates Bini & Buttazzo's reduced test-point
-set and stops scanning as soon as no remaining point or constraint can
-lower the result.  Without a context the rebuild-per-probe code runs over
-the full point set; it is the oracle of the equivalence tests.  Results
-are bit-identical either way.
+probes through :meth:`~repro.core.rta.RTAContext.admits` (the cached
+fixed points warm-start every probe, no re-sorting), and the
+scheduling-points variant reads the context's lists directly, evaluates
+Bini & Buttazzo's reduced test-point set and stops scanning as soon as
+no remaining point or constraint can lower the result.  Without a
+context the rebuild-per-probe code runs over the full point set; it is
+the oracle of the equivalence tests.  Results are bit-identical either
+way.
 
 The arithmetic is plain Python floats.  Each point's interference is
 summed with :func:`math.fsum`, which rounds correctly, so a split cost is
@@ -86,9 +86,11 @@ def max_split_binary(
             # Invariant violation upstream: the processor must be
             # schedulable before a split is attempted.
             return 0.0
-        admit = context.admission_probe(
-            piece.period, piece.deadline, piece.priority
-        )
+        admits = context.admits
+        period, deadline, priority = piece.period, piece.deadline, piece.priority
+
+        def admit(cost: float) -> bool:
+            return admits(cost, period, deadline, priority)
     else:
         if not is_schedulable(list(existing)):
             return 0.0

@@ -32,7 +32,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from math import ceil, isnan
 from operator import attrgetter
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
+from typing import List, Optional, Sequence, Tuple, TypeVar
 
 from repro._util.floats import EPS, pairwise_sum
 from repro._util.invariants import check_response_monotonicity, invariants_enabled
@@ -388,114 +388,6 @@ class RTAContext:
             and (pos == len(periods) or period <= periods[pos])
         )
 
-    def admission_probe(
-        self, period: float, deadline: float, priority: int
-    ) -> Callable[[float], bool]:
-        """A reusable admission test ``cost -> fits?`` for one candidate
-        shape (period/deadline/priority fixed, cost varying).
-
-        Used by the MaxSplit searches, which probe many costs of the same
-        candidate: the merged lists are materialized once and only the
-        candidate's cost slot is rewritten per probe.
-        """
-        if self.first_fail == -3:
-            self._resolve()
-        if self.first_fail != -1:
-            return lambda cost: False
-        costs = self.costs
-        deadlines = self.deadlines
-        responses = self.responses
-        ratios = self.ratios
-        n = len(costs)
-        # bisect_right matches the stable sort of the rebuild path with the
-        # candidate appended last (ties cannot occur for valid partitions,
-        # but the probe must mirror the rebuild path exactly regardless).
-        pos = bisect_right(self.prio_list, priority)
-        period = float(period)
-        hp_costs = costs[:pos]
-        hp_periods = self.periods[:pos]
-        m_costs = costs.copy()
-        m_costs.insert(pos, 0.0)
-        m_periods = self.periods.copy()
-        m_periods.insert(pos, period)
-        m_ratios = ratios.copy()
-        m_ratios.insert(pos, 0.0)
-        hyper = self._hyper_applies(pos, period, deadline)
-        hyper_prod = self.hyper_prod
-        util_sum = self.util_sum
-        hp_util = pairwise_sum(ratios[:pos])
-        hp_cost = 0.0
-        for c in hp_costs:
-            hp_cost += c
-        ctx = self
-
-        def admit(cost: float) -> bool:
-            COUNTERS.admission_probes += 1
-            u_c = cost / period
-            if hyper and hyper_prod * (1.0 + u_c) <= 2.0 - 1e-9:
-                # Hyperbolic sufficient accept (Bini-Buttazzo): implies the
-                # exact-RTA accept, so the decision is unchanged; the margin
-                # keeps float rounding from crossing the bound's edge.
-                COUNTERS.hyper_accepts += 1
-                return True
-            # Necessary condition: cheap cached-sum test with a margin far
-            # above its summation-order error; candidates inside the band
-            # fall back to the merged-order sum the rebuild path compares
-            # (elementwise division commutes with the insertion).
-            approx = util_sum + u_c
-            if approx > 1.0 + EPS - 1e-10:
-                if approx > 1.0 + EPS + 1e-10:
-                    return False
-                m_ratios[pos] = u_c
-                if pairwise_sum(m_ratios) > 1.0 + EPS:
-                    return False
-            m_costs[pos] = cost
-            # The candidate itself: no cached fixed point exists; the fluid
-            # bound warm-starts the iteration.
-            r = response_time(
-                cost,
-                hp_costs,
-                hp_periods,
-                deadline,
-                start=_fluid_start(cost, hp_cost, hp_util),
-            )
-            if r is None:
-                return False
-            merged = responses[:pos]
-            merged.append(r)
-            # Lower-priority suffix: warm-start each task with one step of
-            # the *extended* iteration map applied to its cached fixed
-            # point — still a lower bound on the new least fixed point
-            # (the map is monotone and the old fixed point lies below it),
-            # shrunk so float rounding cannot overshoot.  The iteration
-            # then typically starts at its destination, and a start beyond
-            # the deadline rejects without a single interference sum.
-            for i in range(pos, n):
-                r_prev = responses[i]
-                start = (
-                    (r_prev + ceil(r_prev / period - EPS) * cost)
-                    * (1.0 - 1e-12)
-                    if r_prev == r_prev
-                    else None
-                )
-                r = response_time(
-                    costs[i],
-                    m_costs[: i + 1],
-                    m_periods[: i + 1],
-                    deadlines[i],
-                    start=start,
-                )
-                if r is None:
-                    return False
-                merged.append(r)
-            # Remember the last admitted candidate's merged responses: when
-            # the caller commits it (ProcessorState.add -> insert) the
-            # extended context is assembled without re-running any RTA.
-            ctx._memo = (cost, period, float(deadline), priority, merged)
-            return True
-
-        return admit
-
     def admits(
         self, cost: float, period: float, deadline: float, priority: int
     ) -> bool:
@@ -504,8 +396,9 @@ class RTAContext:
 
         Decision-identical to ``is_schedulable(subtasks + [candidate])``,
         via (in order): the hyperbolic sufficient accept, the necessary
-        utilization reject, and the prefix-reusing exact RTA.  Single-shot
-        twin of :meth:`admission_probe` without the closure setup.
+        utilization reject, and the prefix-reusing exact RTA.  Both the
+        partitioner's per-piece test and the MaxSplit binary search's
+        probes come through here.
         """
         COUNTERS.admission_probes += 1
         if self.first_fail == -3:
@@ -564,8 +457,13 @@ class RTAContext:
             m_costs.insert(pos, cost)
             m_periods = periods.copy()
             m_periods.insert(pos, period)
-            # Suffix warm start: one step of the extended map from the
-            # cached fixed point (see :meth:`admission_probe`).
+            # Lower-priority suffix: warm-start each task with one step of
+            # the *extended* iteration map applied to its cached fixed
+            # point — still a lower bound on the new least fixed point
+            # (the map is monotone and the old fixed point lies below it),
+            # shrunk so float rounding cannot overshoot.  The iteration
+            # then typically starts at its destination, and a start beyond
+            # the deadline rejects without a single interference sum.
             for i in range(pos, n):
                 r_prev = responses[i]
                 start = (

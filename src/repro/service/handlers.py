@@ -23,6 +23,7 @@ timestamps), which is what makes cached responses byte-identical.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -81,20 +82,18 @@ class ServiceConfig:
     #: result cache becomes a two-tier LRU+sqlite cache that survives
     #: restarts (``--store`` on ``python -m repro serve``).
     store_path: Optional[str] = None
-    #: stateful cluster mode (``--cluster``): ``/v1/admit`` places task
-    #: sets onto persistent per-processor state via a
-    #: :class:`repro.cluster.service.ClusterCoordinator`, ``/v1/depart``
-    #: withdraws tenants, ``GET /v1/cluster`` snapshots the state.
-    cluster: bool = False
-    #: churn policy driving cluster-mode placement (``CHURN_POLICIES``).
-    cluster_policy: str = "ff-rta"
-    cluster_processors: int = 8
-    #: migration budget per departure event in cluster mode.
-    cluster_k: int = 2
-    #: bounded wait queue for cluster-mode admissions that don't fit yet.
-    cluster_queue_limit: int = 8
-    #: wall-clock seconds before a queued cluster tenant expires.
-    cluster_max_wait: float = 300.0
+
+    def __post_init__(self) -> None:
+        # Each of these would degrade, shed or reject every request.
+        if not 0.0 < self.analysis_timeout < math.inf:
+            raise ValueError(
+                "analysis_timeout must be a finite number of seconds > 0, "
+                f"got {self.analysis_timeout!r}"
+            )
+        if self.queue_limit < 1:
+            raise ValueError(f"queue_limit must be >= 1, got {self.queue_limit}")
+        if self.max_batch < 1:
+            raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
 
 
 # ---------------------------------------------------------------------------

@@ -57,10 +57,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import HTTP_LATENCY, render_prometheus
 from repro.perf.telemetry import COUNTERS
 from repro.service.handlers import AdmissionService, ServiceConfig
-from repro.service.validation import (
-    RequestValidationError,
-    parse_taskset_payload,
-)
+from repro.service.validation import RequestValidationError
 
 __all__ = ["AdmissionServer", "run"]
 
@@ -100,7 +97,7 @@ _MAX_HEADERS = 100
 #: grow ``/metrics`` by inventing methods or paths.
 _ROUTES = frozenset({
     "GET /healthz", "GET /metrics", "POST /v1/admit", "POST /v1/bounds",
-    "POST /v1/batch", "POST /v1/depart", "GET /v1/cluster",
+    "POST /v1/batch",
 })
 _PATHS = frozenset(route.split(" ", 1)[1] for route in _ROUTES)
 
@@ -190,23 +187,6 @@ class AdmissionServer:
             max_workers=max(2, min(8, self.config.queue_limit)),
             thread_name_prefix="repro-analysis",
         )
-        self.cluster = None
-        if self.config.cluster:
-            # Local import: the cluster layer is pulled in only for
-            # ``--cluster`` deployments (it rides on repro.cluster's
-            # policies and persistent per-processor state).
-            from repro.cluster.events import ChurnConfig
-            from repro.cluster.service import ClusterCoordinator
-
-            self.cluster = ClusterCoordinator(
-                ChurnConfig(
-                    policy=self.config.cluster_policy,
-                    processors=self.config.cluster_processors,
-                    k=self.config.cluster_k,
-                    queue_limit=self.config.cluster_queue_limit,
-                    max_wait=self.config.cluster_max_wait,
-                )
-            )
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -466,21 +446,11 @@ class AdmissionServer:
             cache_stats = await self._offload(self.service.cache.stats)
             return 200, self.metrics_body(cache_stats), None
         if route == ("POST", "/v1/admit"):
-            if self.cluster is not None:
-                return await self._handle_cluster_admit(request)
             return await self._handle_admit(request)
         if route == ("POST", "/v1/bounds"):
             return await self._handle_bounds(request)
         if route == ("POST", "/v1/batch"):
             return await self._handle_batch(request)
-        if route == ("POST", "/v1/depart"):
-            if self.cluster is None:
-                return 404, {"error": "cluster mode disabled"}, None
-            return await self._handle_depart(request)
-        if route == ("GET", "/v1/cluster"):
-            if self.cluster is None:
-                return 404, {"error": "cluster mode disabled"}, None
-            return await self._handle_cluster_snapshot(request)
         if request.path in _PATHS:
             return 405, {"error": "method not allowed"}, None
         return 404, {"error": "not found", "path": request.path}, None
@@ -578,43 +548,6 @@ class AdmissionServer:
                 degraded = True
         body = self.service.batch_body(plan)
         body["degraded"] = degraded
-        return 200, body, None
-
-    # -- cluster mode (stateful /v1/admit + /v1/depart) ---------------------
-
-    async def _handle_cluster_admit(self, request: _Request):
-        from repro.cluster.service import admit_async
-
-        payload = self._parse_json(request)
-        if not isinstance(payload, dict):
-            raise RequestValidationError(
-                [{"field": "body", "message": "expected a JSON object"}]
-            )
-        taskset = parse_taskset_payload(payload.get("tasks"))
-        body = await admit_async(self.cluster, taskset, self._executor)
-        return 200, body, None
-
-    async def _handle_depart(self, request: _Request):
-        from repro.cluster.service import depart_async
-
-        payload = self._parse_json(request)
-        if not isinstance(payload, dict) or not isinstance(
-            payload.get("tenant"), int
-        ) or isinstance(payload.get("tenant"), bool):
-            raise RequestValidationError(
-                [{"field": "tenant", "message": "expected an integer tenant id"}]
-            )
-        body = await depart_async(
-            self.cluster, int(payload["tenant"]), self._executor
-        )
-        status = 404 if body.get("status") == "unknown" else 200
-        return status, body, None
-
-    async def _handle_cluster_snapshot(self, request: _Request):
-        loop = asyncio.get_running_loop()
-        body = await loop.run_in_executor(
-            self._executor, self.cluster.snapshot
-        )
         return 200, body, None
 
     # -- introspection bodies ----------------------------------------------

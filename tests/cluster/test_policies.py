@@ -8,6 +8,7 @@ from repro.cluster.policies import CHURN_POLICIES, make_policy
 from repro.cluster.simulator import simulate_churn
 from repro.cluster.state import ClusterState
 from repro.core.task import Task, TaskSet
+from tests.cluster.pools import bind_tasksets
 
 pytestmark = pytest.mark.churn
 
@@ -149,8 +150,7 @@ class TestRepartitionUnion:
         shared = TaskSet(
             [Task(cost=1.0, period=20.0), Task(cost=2.0, period=50.0)]
         )
-        for tenant in (1, 3):
-            state.prime_taskset(tenant, shared)
+        bind_tasksets(state, {1: shared, 3: shared})
         for tenant in range(6):
             policy.admit(state, tenant, rejoin=False)
         assert {1, 3} <= set(state.residents)

@@ -23,6 +23,7 @@ from repro.cluster.state import ClusterState, cluster_tasks
 from repro.cluster.sweep import run_churn_grid
 from repro.runner import cell_rng
 from repro.taskgen.generators import TaskSetGenerator
+from tests.cluster.pools import bind_tasksets
 
 pytestmark = pytest.mark.churn
 
@@ -174,6 +175,8 @@ class TestReuseAndBounds:
         assert len(calls) == base.horizon
 
     def test_cells_share_cluster_tasks_but_not_primed_ones(self):
+        """A state primed with sets of its own (bound to a fresh pool)
+        reads those; every other state still shares the grid's tasks."""
         base = ChurnConfig(processors=4, seed=11)
         live = ClusterState.fresh(base, live=True)
         repart = ClusterState.fresh(
@@ -182,7 +185,7 @@ class TestReuseAndBounds:
         tasks = live.tasks_of(4)
         assert repart.tasks_of(4) is tasks
         assert tasks == cluster_tasks(4, tenant_taskset(base, 4))
-        repart.prime_taskset(4, tenant_taskset(replace(base, seed=12), 4))
+        bind_tasksets(repart, {4: tenant_taskset(replace(base, seed=12), 4)})
         primed = repart.tasks_of(4)
         assert primed != tasks
         assert pool_of(base).tasks(4) is tasks

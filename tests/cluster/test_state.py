@@ -132,15 +132,6 @@ class TestClusterStateOps:
         with pytest.raises(ValueError):
             a.apply_op(["rebalance", 0])
 
-    def test_prime_and_forget_taskset(self):
-        state = self._live()
-        external = tenant_taskset(ChurnConfig(seed=123), 0)
-        state.prime_taskset(9, external)
-        assert state.taskset_of(9) is external
-        state.forget_taskset(9)
-        # After forgetting, the generated set is used again.
-        assert state.taskset_of(9) is not external
-
     def test_utilization_sums_left_to_right(self, monkeypatch):
         """List order, not the compensated builtin ``sum`` of 3.12+."""
         monkeypatch.setattr(
@@ -157,15 +148,8 @@ class TestClusterStateOps:
         )
         assert repart.utilization() == ((0.1 + 0.2) + 0.3) / 3
 
-    def test_tasks_of_cached_until_prime_or_forget(self):
+    def test_tasks_of_cached(self):
         state = self._live()
         generated = state.tasks_of(9)
         assert state.tasks_of(9) is generated
         assert generated == cluster_tasks(9, tenant_taskset(state.config, 9))
-        external = tenant_taskset(ChurnConfig(seed=123), 0)
-        state.prime_taskset(9, external)
-        primed = state.tasks_of(9)
-        assert primed == cluster_tasks(9, external)
-        assert state.tasks_of(9) is primed
-        state.forget_taskset(9)
-        assert state.tasks_of(9) == generated

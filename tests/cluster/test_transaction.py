@@ -19,6 +19,7 @@ from repro.cluster.state import ClusterState
 from repro.core.partition import ProcessorState
 from repro.core.rta import RTAContext
 from repro.core.task import Task, TaskSet
+from tests.cluster.pools import bind_tasksets
 
 pytestmark = pytest.mark.churn
 
@@ -131,10 +132,10 @@ def test_partial_placement_rolls_back_without_analysis(monkeypatch):
     config = ChurnConfig(policy="ff-rta", processors=1)
     policy = make_policy(config)
     state = ClusterState.fresh(config, live=True)
-    state.prime_taskset(0, TaskSet([Task(cost=4.0, period=10.0)]))
-    state.prime_taskset(
-        1, TaskSet([Task(cost=1.0, period=10.0), Task(cost=30.0, period=50.0)])
-    )
+    bind_tasksets(state, {
+        0: TaskSet([Task(cost=4.0, period=10.0)]),
+        1: TaskSet([Task(cost=1.0, period=10.0), Task(cost=30.0, period=50.0)]),
+    })
     assert policy.admit(state, 0, rejoin=False) is not None
     proc = state.processors[0]
     before = (list(proc.rows), proc._util, proc._ctx)

@@ -297,7 +297,6 @@ class TestLargeProcessors:
         if ctx.util_sum >= 0.99:
             return
         tid = 2 * int(np.random.default_rng(seed).integers(0, len(subs) + 1)) - 1
-        probe = ctx.admission_probe(period, period, tid)
         # A few ulps either side of the edge: where summation order flips
         # the precheck, so a running sum would disagree with the oracle.
         for ulps in range(-8, 9):
@@ -309,7 +308,7 @@ class TestLargeProcessors:
             )
             expected = is_schedulable(merged(subs, candidate))
             assert admits(ctx, candidate) == expected
-            assert probe(cost) == expected
+            assert ctx.admits(cost, period, period, tid) == expected
 
 
 def _scratch_schedulable_with(self, candidate):

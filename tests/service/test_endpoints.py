@@ -310,21 +310,29 @@ class TestIntrospection:
                     await http_request(port, "GET", f"/nope/{i}")
                 await http_request(port, "BREW", "/coffee")
                 await http_request(port, "POST", "/healthz")
+                gone = [
+                    await http_request(
+                        port, "POST", "/v1/depart", {"tenant": 0}
+                    ),
+                    await http_request(port, "GET", "/v1/cluster"),
+                ]
                 _, _, after = await http_request(port, "GET", "/metrics")
                 _, _, prom_after = await http_request(
                     port, "GET", "/metrics?format=prometheus", raw=True
                 )
-                return before, prom_before, after, prom_after
+                return before, prom_before, after, prom_after, gone
 
-        before, prom_before, after, prom_after = run_async(scenario())
+        before, prom_before, after, prom_after, gone = run_async(scenario())
+        assert [status for status, _, _ in gone] == [404, 404]
         keys_before = before["requests"]["by_endpoint"]
         keys_after = after["requests"]["by_endpoint"]
         assert len(keys_after) <= len(keys_before) + 1
-        assert keys_after["other"] == 22
+        assert keys_after["other"] == 24
         assert not any("nope" in key for key in keys_after)
+        assert not any("depart" in key or "cluster" in key for key in keys_after)
         series = prometheus_series(prom_after)
         assert len(series) <= len(prometheus_series(prom_before)) + 1
-        assert 'repro_http_requests{endpoint="other"} 22' in series
+        assert 'repro_http_requests{endpoint="other"} 24' in series
 
 
 class TestProtocolLimits:

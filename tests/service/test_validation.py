@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro._util.validation import as_finite_float, as_int
-from repro.service.handlers import AdmissionService
+from repro.service.handlers import AdmissionService, ServiceConfig
 from repro.service.validation import (
     MAX_PROCESSORS,
     MAX_TASKS,
@@ -159,3 +159,25 @@ class TestBoundsRequest:
                 {"tasks": [[1, 4]], "processors": m}
             )
         assert [e["field"] for e in exc_info.value.errors] == ["processors"]
+
+
+class TestServiceConfig:
+    """Settings that would degrade, shed or reject every request are
+    refused when the configuration is built."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("analysis_timeout", float("nan")),
+        ("analysis_timeout", float("inf")),
+        ("analysis_timeout", 0.0),
+        ("analysis_timeout", -1.0),
+        ("queue_limit", 0),
+        ("queue_limit", -3),
+        ("max_batch", 0),
+    ])
+    def test_rejects(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ServiceConfig(**{field: value})
+
+    def test_smallest_working_values_accepted(self):
+        config = ServiceConfig(analysis_timeout=1e-3, queue_limit=1, max_batch=1)
+        assert (config.queue_limit, config.max_batch) == (1, 1)

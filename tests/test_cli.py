@@ -209,3 +209,22 @@ class TestServeCommand:
         assert args.queue_limit == 64
         assert args.analysis_timeout == pytest.approx(5.0)
         assert args.cache_size == 1024
+
+    @pytest.mark.parametrize("flags", [
+        ["--analysis-timeout", "nan"],
+        ["--analysis-timeout", "0"],
+        ["--analysis-timeout", "-1"],
+        ["--queue-limit", "0"],
+        ["--max-batch", "0"],
+    ])
+    def test_unusable_settings_exit_2_before_serving(
+        self, flags, monkeypatch, capsys
+    ):
+        from repro.service import server
+
+        served = []
+        monkeypatch.setattr(server, "run", lambda config: served.append(config))
+        assert main(["serve", "--port", "0", *flags]) == 2
+        assert served == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1

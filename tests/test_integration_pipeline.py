@@ -5,6 +5,8 @@ Each test tells a complete user story: workload -> bounds -> partitioning
 way the examples do (but assertively).
 """
 
+import math
+
 import pytest
 
 from repro import (
@@ -17,7 +19,6 @@ from repro import (
 from repro.analysis import (
     breakdown_utilization,
     critical_scaling_factor,
-    minimum_processors,
     overhead_tolerance,
     partition_scaling_factor,
 )
@@ -25,6 +26,14 @@ from repro.core.bounds import harmonize_periods, rmts_bound_cap
 from repro.core.serialization import partition_from_dict, partition_to_dict
 from repro.sim import simulate_partition
 from repro.taskgen import build_workload
+
+
+def minimum_processors(test, taskset, max_processors=64):
+    """Smallest M from ``ceil(U)`` up that *test* accepts, else None."""
+    lower = max(1, math.ceil(taskset.total_utilization))
+    return next(
+        (m for m in range(lower, max_processors + 1) if test(taskset, m)), None
+    )
 
 
 class TestAvionicsStory:
