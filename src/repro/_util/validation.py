@@ -60,6 +60,14 @@ def check_positive(name: str, value: float) -> float:
     return value
 
 
+def check_positive_finite(name: str, value: float) -> float:
+    """Require ``0 < value < inf`` (NaN fails); return it for fluent use."""
+    check_positive(name, value)
+    if not value < math.inf:
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
 def check_nonnegative(name: str, value: float) -> float:
     """Require ``value >= 0``; return it for fluent use."""
     if value < 0:

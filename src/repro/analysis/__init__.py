@@ -27,9 +27,6 @@ _EXPORTS = {
     "max_cost_for": "sensitivity",
     "partition_scaling_factor": "sensitivity",
     "overhead_tolerance": "sensitivity",
-    "weighted_schedulability": "metrics",
-    "utilization_gain": "metrics",
-    "capacity_loss": "metrics",
     "oracle_schedulable": "oracle",
     "differential_audit": "oracle",
     "AuditResult": "oracle",

@@ -46,12 +46,6 @@ from repro.core.admission import (
 from repro.core.rmts_light import partition_rmts_light, is_light_task_set
 from repro.core.rmts import partition_rmts, pre_assign_condition, resolve_bound_value
 from repro.core.rta_ext import response_time_ext, is_schedulable_with_blocking
-from repro.core.priorities import (
-    rate_monotonic_order,
-    deadline_monotonic_order,
-    schedulable_with_order,
-    audsley_assign,
-)
 from repro.core.resources import (
     CriticalSection,
     ResourceModel,
@@ -107,10 +101,6 @@ __all__ = [
     "resolve_bound_value",
     "response_time_ext",
     "is_schedulable_with_blocking",
-    "rate_monotonic_order",
-    "deadline_monotonic_order",
-    "schedulable_with_order",
-    "audsley_assign",
     "CriticalSection",
     "ResourceModel",
     "pcp_blocking_terms",

@@ -93,13 +93,16 @@ class ThresholdAdmission(AdmissionPolicy):
         self.threshold = float(threshold)
 
     def fits(self, proc: ProcessorState, candidate: Union[Task, PendingPiece]) -> bool:
-        return approx_le(proc.utilization + candidate.utilization, self.threshold)
+        # The candidate's utilization, without the property hop.
+        return approx_le(
+            proc.utilization + candidate.cost / candidate.period, self.threshold
+        )
 
     def split_cost(self, proc: ProcessorState, piece: PendingPiece) -> float:
         headroom = self.threshold - proc.utilization
         if headroom <= EPS:
             return 0.0
-        return min(headroom * piece.task.period, piece.cost)
+        return min(headroom * piece.period, piece.cost)
 
     def describe(self) -> str:
         return f"threshold({self.threshold:.4f})"

@@ -8,7 +8,7 @@ to the next processor.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple, Tuple, cast
 
 from repro._util.floats import EPS
 from repro.core.admission import AdmissionPolicy
@@ -34,7 +34,8 @@ def _body_response(
     analysis ([16]) keeps its own accounting.
     """
     # The rows in append order: the interference sum adds in that order.
-    hp = [row for row in proc.rows if row.priority < piece.task.tid]
+    priority = piece.priority
+    hp = [row for row in proc.rows if row.priority < priority]
     if not hp:
         return cost
     r = response_time(
@@ -62,6 +63,16 @@ class AssignOutcome(NamedTuple):
     infeasible: bool = False
 
 
+#: Builds an ``AssignOutcome`` from a tuple in C, skipping the namedtuple's
+#: Python-level ``__new__`` (one Assign call builds one outcome).
+_new_outcome = cast(
+    Callable[[type, Tuple[bool, bool, float, bool]], AssignOutcome], tuple.__new__
+)
+#: The outcomes that place nothing (shared: a tuple is immutable).
+_INFEASIBLE = AssignOutcome(completed=False, filled=False, placed_cost=0.0, infeasible=True)
+_NOTHING_FITS = AssignOutcome(completed=False, filled=True, placed_cost=0.0)
+
+
 def assign_piece(
     piece: PendingPiece, proc: ProcessorState, policy: AdmissionPolicy
 ) -> AssignOutcome:
@@ -85,22 +96,19 @@ def assign_piece(
         # Preceding body responses consumed the whole period (possible
         # only in ablation modes that void Lemma 2); the remainder cannot
         # meet any deadline anywhere.
-        return AssignOutcome(
-            completed=False, filled=False, placed_cost=0.0, infeasible=True
-        )
+        return _INFEASIBLE
     # The piece is its own admission candidate and commits by value.
     if policy.fits(proc, piece):
-        placed = piece.commit(proc)
-        return AssignOutcome(completed=True, filled=False, placed_cost=placed)
+        return _new_outcome(AssignOutcome, (True, False, piece.commit(proc), False))
 
     cost = policy.split_cost(proc, piece)
     proc.full = True
-    if cost >= piece.cost - max(EPS, 1e-9 * piece.cost):
+    remainder = piece.cost
+    if cost >= remainder - max(EPS, 1e-9 * remainder):
         # Boundary case: MaxSplit admits the entire remainder.
-        placed = piece.commit(proc)
-        return AssignOutcome(completed=True, filled=True, placed_cost=placed)
+        return _new_outcome(AssignOutcome, (True, True, piece.commit(proc), False))
     if cost <= EPS:
-        return AssignOutcome(completed=False, filled=True, placed_cost=0.0)
+        return _NOTHING_FITS
     response = _body_response(proc, piece, cost)
     placed = piece.split_off(proc, cost, response)
-    return AssignOutcome(completed=False, filled=True, placed_cost=placed)
+    return _new_outcome(AssignOutcome, (False, True, placed, False))

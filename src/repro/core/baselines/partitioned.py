@@ -80,7 +80,11 @@ def partition_no_split(
 
     tasks = list(taskset.tasks)
     if decreasing_utilization:
-        tasks.sort(key=lambda t: (-t.utilization, t.tid))
+        # ``(-U, tid)`` order: the tasks are in tid order and a reverse
+        # sort is stable, so equal utilizations keep it.
+        utils = [t.cost / t.period for t in tasks]
+        order = sorted(range(len(tasks)), key=utils.__getitem__, reverse=True)
+        tasks = [tasks[i] for i in order]
 
     first_fit = heuristic is FitHeuristic.FIRST_FIT
     unassigned: List[int] = []

@@ -76,7 +76,6 @@ ProcessorSnapshot = Tuple[int, float, Optional[RTAContext]]
 _new_row = cast(Callable[[type, Tuple[object, ...]], SubtaskRow], tuple.__new__)
 
 
-@dataclass
 class ProcessorState:
     """Mutable assignment state of one processor during partitioning.
 
@@ -88,27 +87,53 @@ class ProcessorState:
     re-checked against the rows, so an edit of :attr:`rows` behind its
     back leaves admission answering for the old contents.  :meth:`PartitionResult.validate`
     re-runs exact RTA from scratch and so still reports such a processor.
+
+    Equality and ``repr`` cover ``index``, ``full``, ``role``,
+    ``pre_assigned_tid`` and ``rows``; the context and the utilization
+    accumulator are caches.
     """
 
-    index: int
-    full: bool = False
-    role: ProcessorRole = ProcessorRole.NORMAL
-    #: tid of the pre-assigned task, if any (RM-TS phase 1).
-    pre_assigned_tid: Optional[int] = None
-    rows: List[SubtaskRow] = field(default_factory=list, init=False)
-    #: Lazily built analysis cache; never compared or serialized.
-    _ctx: Optional[RTAContext] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    #: Running utilization sum, accumulated left to right in row order
-    #: (``+=``, never the builtin ``sum``, which compensates since
-    #: Python 3.12).
-    _util: float = field(default=0.0, init=False, repr=False, compare=False)
+    __slots__ = ("index", "full", "role", "pre_assigned_tid", "rows", "_ctx", "_util")
 
-    @property
-    def utilization(self) -> float:
-        """``U(P_q)`` — sum of assigned subtask utilizations."""
-        return self._util
+    def __init__(
+        self,
+        index: int,
+        full: bool = False,
+        role: ProcessorRole = ProcessorRole.NORMAL,
+        pre_assigned_tid: Optional[int] = None,
+    ) -> None:
+        self.index = index
+        self.full = full
+        self.role = role
+        #: tid of the pre-assigned task, if any (RM-TS phase 1).
+        self.pre_assigned_tid = pre_assigned_tid
+        self.rows: List[SubtaskRow] = []
+        #: Lazily built analysis cache; never compared or serialized.
+        self._ctx: Optional[RTAContext] = None
+        #: Running utilization sum, accumulated left to right in row order
+        #: (``+=``, never the builtin ``sum``, which compensates since
+        #: Python 3.12).
+        self._util = 0.0
+
+    def _key(self) -> Tuple[int, bool, ProcessorRole, Optional[int], List[SubtaskRow]]:
+        return (self.index, self.full, self.role, self.pre_assigned_tid, self.rows)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ProcessorState):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self) -> str:
+        return (
+            f"ProcessorState(index={self.index!r}, full={self.full!r}, "
+            f"role={self.role!r}, pre_assigned_tid={self.pre_assigned_tid!r}, "
+            f"rows={self.rows!r})"
+        )
+
+    # A C getter: threshold admission reads it on every probe.
+    utilization = property(
+        _UTIL, doc="``U(P_q)`` — sum of assigned subtask utilizations."
+    )
 
     @property
     def subtasks(self) -> List[Subtask]:
@@ -260,14 +285,14 @@ class ProcessorState:
         return min(self.subtasks, key=lambda s: s.priority)
 
 
-@dataclass
 class PendingPiece:
     """The unassigned remainder of a task while splitting is in progress.
 
-    Starts as the whole task (``index=1``, ``body_cost=0``).  Each call to
-    :meth:`split_off` peels a body piece off the front; :meth:`commit`
-    assigns the remainder as a tail (or whole) piece once a processor
-    accepts it entirely.  Both commit by value (:meth:`ProcessorState.add`).
+    ``PendingPiece(task)`` starts as the whole task (``index=1``,
+    ``body_cost=0``).  Each call to :meth:`split_off` peels a body piece
+    off the front; :meth:`commit` assigns the remainder as a tail (or
+    whole) piece once a processor accepts it entirely.  Both commit by
+    value (:meth:`ProcessorState.add`).
 
     The synthetic deadline follows the paper's Eq. 1 exactly:
     ``Delta^k = T - sum of preceding body *response times*``.  When a body
@@ -277,39 +302,48 @@ class PendingPiece:
     higher priority may share the body's processor; the caller then passes
     the body's actual RTA response to :meth:`split_off`, keeping the
     successor's deadline sound (``body_response`` tracks the sum).
+
+    ``period``, ``priority`` and ``deadline`` are plain attributes, read
+    by every admission probe: :meth:`split_off` is the only writer of the
+    deadline and keeps it equal to ``period - body_response``.
     """
 
-    task: Task
-    cost: float
-    index: int = 1
-    body_cost: float = 0.0
-    body_response: float = 0.0
+    __slots__ = (
+        "task",
+        "cost",
+        "period",
+        "priority",
+        "deadline",
+        "index",
+        "body_cost",
+        "body_response",
+    )
 
-    @staticmethod
-    def of(task: Task) -> "PendingPiece":
-        """The initial pending piece covering the entire task."""
-        return PendingPiece(task=task, cost=task.cost)
+    def __init__(self, task: Task) -> None:
+        self.task = task
+        #: Cost still to be assigned.
+        self.cost: float = task.cost
+        #: Period of the task (every piece shares it).
+        self.period: float = task.period
+        #: Priority key of the task (its tid; smaller = higher).
+        self.priority: int = task.tid
+        #: Synthetic deadline of the remaining piece (Eq. 1):
+        #: ``T - sum of preceding body response times``.
+        self.deadline: float = task.period
+        self.index = 1
+        self.body_cost = 0.0
+        self.body_response = 0.0
 
-    @property
-    def period(self) -> float:
-        """Period of the task (every piece shares it)."""
-        return self.task.period
-
-    @property
-    def priority(self) -> int:
-        """Priority key of the task (its tid; smaller = higher)."""
-        return self.task.tid
+    def __repr__(self) -> str:
+        return (
+            f"PendingPiece(tid={self.priority}, cost={self.cost!r}, "
+            f"index={self.index}, deadline={self.deadline!r})"
+        )
 
     @property
     def utilization(self) -> float:
         """Utilization of the remaining piece."""
-        return self.cost / self.task.period
-
-    @property
-    def deadline(self) -> float:
-        """Synthetic deadline of the remaining piece (Eq. 1):
-        ``T - sum of preceding body response times``."""
-        return self.task.period - self.body_response
+        return self.cost / self.period
 
     @property
     def kind(self) -> SubtaskKind:
@@ -320,7 +354,14 @@ class PendingPiece:
         """Assign the entire remainder to *proc* and consume the piece;
         returns the cost placed."""
         cost = self.cost
-        proc.add(self.task, cost, self.deadline, self.index, self.kind)
+        index = self.index
+        proc.add(
+            self.task,
+            cost,
+            self.deadline,
+            index,
+            SubtaskKind.WHOLE if index == 1 else SubtaskKind.TAIL,
+        )
         self.cost = 0.0
         return cost
 
@@ -363,6 +404,7 @@ class PendingPiece:
         self.index += 1
         self.body_cost += first_cost
         self.body_response += response
+        self.deadline = self.period - self.body_response
         return first_cost
 
 
@@ -445,10 +487,10 @@ class PartitionResult:
         """tids of tasks that were actually split (>= 2 pieces)."""
         return [tid for tid, v in self.split_views().items() if len(v.pieces) > 1]
 
-    # -- departure / re-admission (churn) -------------------------------------
+    # -- departure (churn) -----------------------------------------------------
 
     def removed_tids(self) -> List[int]:
-        """tids withdrawn via :meth:`remove_task` and not yet re-admitted."""
+        """tids withdrawn via :meth:`remove_task`."""
         value = self.info.get("removed_tids", [])
         if not isinstance(value, list):
             return []
@@ -474,13 +516,6 @@ class PartitionResult:
         if tid not in record:
             record.append(tid)
         return removed
-
-    def restore_task(self, tid: int) -> None:
-        """Clear the removed-tid record after a successful re-admission
-        (see :func:`repro.core.rmts.readmit_task`)."""
-        record = cast(List[int], self.info.setdefault("removed_tids", []))
-        if tid in record:
-            record.remove(tid)
 
     # -- validation ------------------------------------------------------------
 

@@ -52,12 +52,11 @@ from repro.core.partition import (
     ProcessorState,
     least_utilized,
 )
-from repro.core.task import Task, TaskSet
+from repro.core.task import TaskSet
 
 __all__ = [
     "partition_rmts",
     "pre_assign_condition",
-    "readmit_task",
     "resolve_bound_value",
 ]
 
@@ -94,46 +93,6 @@ def pre_assign_condition(
     )
 
 
-def readmit_task(
-    result: PartitionResult,
-    task: Task,
-    *,
-    policy: Optional[AdmissionPolicy] = None,
-) -> Optional[int]:
-    """Re-admit a previously removed task onto an existing partition.
-
-    The incremental counterpart of re-running the partitioner after a
-    departure (:meth:`~repro.core.partition.PartitionResult.remove_task`):
-    *task* is offered **whole** (no splitting) to the processors of
-    *result* first-fit in index order, every candidate placement verified
-    with the admission policy's exact RTA against the live contents.
-
-    Two classes of processor are skipped to keep the partition's
-    invariants intact:
-
-    * full or dedicated processors (their capacity is spoken for);
-    * processors hosting a *body* subtask of lower priority than *task* —
-      admitting higher-priority work there would inflate the body's
-      response time and silently invalidate the Eq. 1 synthetic deadline
-      of the downstream tail on another processor.
-
-    Returns the hosting processor index on success (and clears the tid
-    from ``info["removed_tids"]``), or ``None`` when no processor can
-    take the task back.
-    """
-    policy = policy or ExactRTAAdmission()
-    for proc in sorted(result.processors, key=lambda p: p.index):
-        if proc.full or proc.role is ProcessorRole.DEDICATED:
-            continue
-        if any(task.tid < body.priority for body in proc.body_subtasks()):
-            continue
-        if policy.fits(proc, task):
-            proc.add(task)
-            result.restore_task(task.tid)
-            return proc.index
-    return None
-
-
 def partition_rmts(
     taskset: TaskSet,
     processors: int,
@@ -168,8 +127,10 @@ def partition_rmts(
         raise ValueError("need at least one processor")
     policy = policy or ExactRTAAdmission()
     lam = resolve_bound_value(taskset, bound, cap=cap_bound)
-    n = len(taskset)
-    heavy_cutoff = light_task_threshold(n)
+    tasks = taskset.tasks
+    # ``Task.utilization``, evaluated once per task for all phases.
+    utils = [t.cost / t.period for t in tasks]
+    heavy_cutoff = light_task_threshold(len(tasks)) + EPS
 
     procs = [ProcessorState(index=q) for q in range(processors)]
 
@@ -177,11 +138,15 @@ def partition_rmts(
     dedicated_tids: List[int] = []
     overflow_tids: List[int] = []
     if dedicate_over_bound:
-        over = [t for t in taskset if t.utilization > lam + EPS]
+        over_cut = lam + EPS
+        over = [i for i, u in enumerate(utils) if u > over_cut]
+        # Decreasing utilization, ties in priority order.
+        over.sort(key=lambda i: -utils[i])
         # Use the highest-index processors so pre-assignment keeps choosing
         # minimal indices among the remaining normal ones, as in the paper.
         free = list(range(processors - 1, -1, -1))
-        for task in sorted(over, key=lambda t: -t.utilization):
+        for i in over:
+            task = tasks[i]
             if not free:
                 overflow_tids.append(task.tid)
                 continue
@@ -191,46 +156,51 @@ def partition_rmts(
             procs[q].pre_assigned_tid = task.tid
             procs[q].add(task)
             dedicated_tids.append(task.tid)
-
-    placed = set(dedicated_tids)
+    if dedicated_tids or overflow_tids:
+        skip = set(dedicated_tids) | set(overflow_tids)
+        active = [i for i in range(len(tasks)) if tasks[i].tid not in skip]
+    else:
+        active = list(range(len(tasks)))
 
     # -- Phase 1: pre-assignment of heavy tasks ------------------------------
     # Decreasing priority order = ascending tid.  The lower-priority
     # utilization sum in Eq. 8 ranges over all lower-priority tasks of the
-    # (non-dedicated part of the) task set.
-    active = [t for t in taskset if t.tid not in placed and t.tid not in overflow_tids]
+    # (non-dedicated part of the) task set, accumulated from the lowest
+    # priority up.
+    suffix = [0.0] * len(active)
     suffix_util = 0.0
-    suffix = {}
-    for t in reversed(active):
-        suffix[t.tid] = suffix_util
-        suffix_util += t.utilization
+    for k in range(len(active) - 1, -1, -1):
+        suffix[k] = suffix_util
+        suffix_util += utils[active[k]]
 
+    # Roles are final once set, and procs is in index order, so the
+    # normal processors stay an index-ordered list that only loses its
+    # head.
+    normal_procs = [p for p in procs if p.role is ProcessorRole.NORMAL]
     pre_assigned_tids: List[int] = []
-    for task in active:
-        if task.utilization <= heavy_cutoff + EPS:
-            continue
-        normal_procs = [p for p in procs if p.role is ProcessorRole.NORMAL]
-        if not normal_procs:
-            break
-        if pre_assign_condition(suffix[task.tid], len(normal_procs), lam):
-            target = min(normal_procs, key=lambda p: p.index)
+    remaining: List[int] = []
+    for k, i in enumerate(active):
+        if utils[i] > heavy_cutoff and normal_procs and pre_assign_condition(
+            suffix[k], len(normal_procs), lam
+        ):
+            task = tasks[i]
+            target = normal_procs.pop(0)
             target.role = ProcessorRole.PRE_ASSIGNED
             target.pre_assigned_tid = task.tid
             target.add(task)
             pre_assigned_tids.append(task.tid)
-            placed.add(task.tid)
+        else:
+            remaining.append(i)
 
     # -- Phase 2: remaining tasks onto normal processors (worst-fit) --------
-    # Processors only ever *leave* the open set (roles are final after
-    # phase 1 and assign_piece may mark its target full), so the candidate
-    # lists are maintained incrementally instead of being rebuilt per piece.
+    # Processors only ever *leave* the open set (assign_piece may mark its
+    # target full), so the candidate lists are maintained incrementally
+    # instead of being rebuilt per piece.  No normal processor is full yet.
     queue: Deque[PendingPiece] = deque(
-        PendingPiece.of(t) for t in reversed(active) if t.tid not in placed
+        [PendingPiece(tasks[i]) for i in reversed(remaining)]
     )
     dead_tids = set()
-    open_normal = [
-        p for p in procs if p.role is ProcessorRole.NORMAL and not p.full
-    ]
+    open_normal = normal_procs
     while queue and open_normal:
         piece = queue[0]
         target = least_utilized(open_normal)  # index order: ties by index
@@ -240,19 +210,14 @@ def partition_rmts(
         if outcome.completed:
             queue.popleft()
         elif outcome.infeasible:
-            dead_tids.add(piece.task.tid)
+            dead_tids.add(piece.priority)
             queue.popleft()
 
     # -- Phase 3: remaining tasks onto pre-assigned processors (first-fit,
     # largest index = lowest-priority pre-assigned task first) --------------
-    open_pre = sorted(
-        (
-            p
-            for p in procs
-            if p.role is ProcessorRole.PRE_ASSIGNED and not p.full
-        ),
-        key=lambda p: p.index,
-    )
+    open_pre = [
+        p for p in procs if p.role is ProcessorRole.PRE_ASSIGNED and not p.full
+    ]
     while queue and open_pre:
         piece = queue[0]
         target = open_pre[-1]
@@ -262,14 +227,15 @@ def partition_rmts(
         if outcome.completed:
             queue.popleft()
         elif outcome.infeasible:
-            dead_tids.add(piece.task.tid)
+            dead_tids.add(piece.priority)
             queue.popleft()
 
     unassigned = sorted(
-        {piece.task.tid for piece in queue} | set(overflow_tids) | dead_tids
+        {piece.priority for piece in queue} | set(overflow_tids) | dead_tids
     )
+    label = policy.describe()
     return PartitionResult(
-        algorithm=f"{algorithm_name}[{policy.describe()}]",
+        algorithm=f"{algorithm_name}[{label}]",
         taskset=taskset,
         processors=procs,
         success=not unassigned,
@@ -278,6 +244,6 @@ def partition_rmts(
             "bound_value": lam,
             "pre_assigned_tids": pre_assigned_tids,
             "dedicated_tids": dedicated_tids,
-            "policy": policy.describe(),
+            "policy": label,
         },
     )

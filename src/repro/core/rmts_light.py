@@ -103,7 +103,7 @@ def partition_rmts_light(
         if assignment_order == "increasing"
         else list(taskset.tasks)
     )
-    queue: Deque[PendingPiece] = deque(PendingPiece.of(t) for t in ordered)
+    queue: Deque[PendingPiece] = deque([PendingPiece(t) for t in ordered])
 
     dead_tids = set()
     # Processors only leave the open set (assign_piece may mark its target

@@ -57,6 +57,7 @@ __all__ = [
 _MAX_ITER = 10_000
 
 _NAN = float("nan")
+_INF = float("inf")
 _PRIORITY = attrgetter("priority")
 
 #: What the analysis reads: ``cost``, ``period``, ``deadline``, ``priority``.
@@ -275,6 +276,22 @@ class RTAContext:
     _memo: Optional[Tuple[float, float, float, int, List[float]]]
 
     def __init__(self, subtasks: Sequence[_Piece]) -> None:
+        self._memo = None
+        if not subtasks:
+            # An empty processor, the first probe of every partitioning
+            # run: the values below are what the general path computes.
+            self.costs: List[float] = []
+            self.periods: List[float] = []
+            self.deadlines: List[float] = []
+            self.prio_list: List[int] = []
+            self.ratios: List[float] = []
+            self.util_sum = 0.0
+            self.implicit = True
+            self.rm_ordered = True
+            self.hyper_prod = 1.0
+            self.responses: List[float] = []
+            self.first_fail = -1
+            return
         ordered, costs, periods, deadlines = _sorted_columns(subtasks)
         self.costs = costs
         self.periods = periods
@@ -284,7 +301,6 @@ class RTAContext:
         # float-identical to ``is_schedulable``'s precheck on the same list).
         self.ratios = ratios = [c / t for c, t in zip(costs, periods)]
         self.util_sum = pairwise_sum(ratios)
-        self._memo = None
         # Bini-Buttazzo applies only when every (synthetic) deadline equals
         # its period, i.e. nothing on the processor has been split, AND the
         # priority order is rate monotonic.  Partitioning always satisfies
@@ -292,7 +308,7 @@ class RTAContext:
         # stay sound for arbitrary priority-consistent inputs.
         self.implicit = all(d == t for d, t in zip(deadlines, periods))  # repro-lint: disable=R1 (exact structural check: unsplit <=> D is literally T)
         self.rm_ordered = all(a <= b for a, b in zip(periods, periods[1:]))
-        hyper_prod = float("inf")
+        hyper_prod = _INF
         if self.implicit:
             hyper_prod = 1.0
             for u in ratios:
@@ -376,18 +392,6 @@ class RTAContext:
         """Assigned utilization, summed in priority order."""
         return self.util_sum
 
-    def _hyper_applies(self, pos: int, period: float, deadline: float) -> bool:
-        """Whether the hyperbolic pre-accept is sound for a candidate at
-        sorted position *pos*: nothing split, RM order kept."""
-        periods = self.periods
-        return (
-            self.implicit
-            and self.rm_ordered
-            and deadline == period  # repro-lint: disable=R1 (structural: hyper path needs D literally == T)
-            and (pos == 0 or periods[pos - 1] <= period)
-            and (pos == len(periods) or period <= periods[pos])
-        )
-
     def admits(
         self, cost: float, period: float, deadline: float, priority: int
     ) -> bool:
@@ -401,18 +405,27 @@ class RTAContext:
         probes come through here.
         """
         COUNTERS.admission_probes += 1
-        if self.first_fail == -3:
-            self._resolve()
-        if self.first_fail != -1:
+        fail = self.first_fail
+        if fail != -1 and (fail != -3 or self._resolve() != -1):
             return False
         cost = float(cost)
         period = float(period)
         u_c = cost / period
         pos = bisect_right(self.prio_list, priority)
-        # hyper_prod is inf unless everything is implicit-deadline, so the
-        # product test alone rules out most probes before the RM checks.
-        if self.hyper_prod * (1.0 + u_c) <= 2.0 - 1e-9 and self._hyper_applies(
-            pos, period, deadline
+        costs = self.costs
+        periods = self.periods
+        n = len(costs)
+        # Hyperbolic pre-accept, sound when nothing is split and RM order
+        # is kept.  hyper_prod is inf unless everything is
+        # implicit-deadline, so the product test alone rules out most
+        # probes before the RM checks.
+        if (
+            self.hyper_prod * (1.0 + u_c) <= 2.0 - 1e-9
+            and self.implicit
+            and self.rm_ordered
+            and deadline == period  # repro-lint: disable=R1 (structural: hyper path needs D literally == T)
+            and (pos == 0 or periods[pos - 1] <= period)
+            and (pos == n or period <= periods[pos])
         ):
             COUNTERS.hyper_accepts += 1
             return True
@@ -431,32 +444,39 @@ class RTAContext:
                 return False
         # The candidate's hp set is the unchanged prefix — no merged lists
         # needed unless the suffix must be re-checked.  The fluid lower
-        # bound warm-starts the cold iteration.
-        costs = self.costs
-        hp_costs = costs[:pos]
-        hp_cost = 0.0
-        for c in hp_costs:
-            hp_cost += c
-        periods = self.periods
-        r = response_time(
-            cost,
-            hp_costs,
-            periods[:pos],
-            deadline,
-            start=_fluid_start(cost, hp_cost, pairwise_sum(ratios[:pos])),
-        )
+        # bound warm-starts the cold iteration.  Without interferers (the
+        # common case: RM-TS places tasks in increasing priority order)
+        # the response is the cost and no warm start is read.
+        responses = self.responses
+        if pos:
+            hp_costs = costs[:pos]
+            hp_periods = periods[:pos]
+            hp_cost = 0.0
+            for c in hp_costs:
+                hp_cost += c
+            r = response_time(
+                cost,
+                hp_costs,
+                hp_periods,
+                deadline,
+                start=_fluid_start(cost, hp_cost, pairwise_sum(ratios[:pos])),
+            )
+        else:
+            r = response_time(cost, (), (), deadline)
         if r is None:
             return False
-        n = len(costs)
-        responses = self.responses
-        deadlines = self.deadlines
         merged = responses[:pos]
         merged.append(r)
         if pos < n:
-            m_costs = costs.copy()
-            m_costs.insert(pos, cost)
-            m_periods = periods.copy()
-            m_periods.insert(pos, period)
+            # The merged hp set of resident i is ``costs[:pos] + [cost] +
+            # costs[pos:i]``: grown by one resident per step.
+            if pos:
+                hp_costs.append(cost)
+                hp_periods.append(period)
+            else:
+                hp_costs = [cost]
+                hp_periods = [period]
+            deadlines = self.deadlines
             # Lower-priority suffix: warm-start each task with one step of
             # the *extended* iteration map applied to its cached fixed
             # point — still a lower bound on the new least fixed point
@@ -472,16 +492,15 @@ class RTAContext:
                     if r_prev == r_prev
                     else None
                 )
+                cost_i = costs[i]
                 r = response_time(
-                    costs[i],
-                    m_costs[: i + 1],
-                    m_periods[: i + 1],
-                    deadlines[i],
-                    start=start,
+                    cost_i, hp_costs, hp_periods, deadlines[i], start=start
                 )
                 if r is None:
                     return False
                 merged.append(r)
+                hp_costs.append(cost_i)
+                hp_periods.append(periods[i])
         self._memo = (cost, period, float(deadline), priority, merged)
         return True
 
@@ -507,12 +526,13 @@ class RTAContext:
         deadline = float(deadline)
         u_c = cost / period
         periods = self.periods
+        n = len(periods) + 1
         old_hyper = self.hyper_prod
         old_fail = self.first_fail
         self.rm_ordered = (
             self.rm_ordered
             and (pos == 0 or periods[pos - 1] <= period)
-            and (pos == len(periods) or period <= periods[pos])
+            and (pos == n - 1 or period <= periods[pos])
         )
         self.costs.insert(pos, cost)
         periods.insert(pos, period)
@@ -525,8 +545,7 @@ class RTAContext:
         # Maintained as a running product: the new factor joins last, not
         # at its sorted position, so it may drift from a fresh build's
         # product by ulps, which the pre-accept margin absorbs.
-        self.hyper_prod = old_hyper * (1.0 + u_c) if implicit else float("inf")
-        n = len(ratios)
+        self.hyper_prod = old_hyper * (1.0 + u_c) if implicit else _INF
         memo = self._memo
         self._memo = None
         if (

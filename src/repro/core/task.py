@@ -23,11 +23,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro._util.floats import EPS, is_close, is_integer_multiple
 from repro._util.invariants import check_taskset, invariants_enabled
-from repro._util.validation import check_positive, check_nonnegative
+from repro._util.validation import check_positive, check_positive_finite
+
+_INF = math.inf
 
 
 class SubtaskKind(enum.Enum):
@@ -49,9 +52,10 @@ class Task:
     Parameters
     ----------
     cost:
-        Worst-case execution time ``C`` (any positive real).
+        Worst-case execution time ``C`` (any positive finite real).
     period:
-        Minimum inter-release separation ``T``; also the relative deadline.
+        Minimum inter-release separation ``T`` (positive, finite); also the
+        relative deadline.
     tid:
         Stable identifier used for priority tie-breaking and for matching
         subtasks back to their parent.  Task sets assign consecutive ids in
@@ -66,11 +70,16 @@ class Task:
     name: str = ""
 
     def __post_init__(self) -> None:
-        check_positive("cost", self.cost)
-        check_positive("period", self.period)
-        if self.cost > self.period * (1.0 + EPS):
+        cost = self.cost
+        period = self.period
+        # One chained test on the valid path (a task is built per
+        # generated task); the helpers only word the error.
+        if not (0.0 < cost < _INF and 0.0 < period < _INF):
+            check_positive_finite("cost", cost)
+            check_positive_finite("period", period)
+        if cost > period * (1.0 + EPS):
             raise ValueError(
-                f"task utilization exceeds 1: C={self.cost} > T={self.period}"
+                f"task utilization exceeds 1: C={cost} > T={period}"
             )
 
     @property
@@ -78,15 +87,15 @@ class Task:
         """``U = C / T``."""
         return self.cost / self.period
 
-    @property
-    def deadline(self) -> float:
-        """Relative deadline; equals the period in the L&L model."""
-        return self.period
-
-    @property
-    def priority(self) -> int:
-        """Priority key (the tid), so a task is its own admission candidate."""
-        return self.tid
+    # Getters in C: admission probes read both on every whole-task probe.
+    deadline = property(
+        attrgetter("period"),
+        doc="Relative deadline; equals the period in the L&L model.",
+    )
+    priority = property(
+        attrgetter("tid"),
+        doc="Priority key (the tid), so a task is its own admission candidate.",
+    )
 
     def is_light(self, threshold: float) -> bool:
         """Whether ``U <= threshold`` (Definition 1 uses ``Theta/(1+Theta)``)."""
@@ -139,9 +148,12 @@ class Subtask:
     kind: SubtaskKind = SubtaskKind.WHOLE
 
     def __post_init__(self) -> None:
-        check_nonnegative("cost", self.cost)
-        check_positive("period", self.period)
-        check_positive("deadline", self.deadline)
+        if not 0.0 <= self.cost < _INF:
+            raise ValueError(
+                f"cost must be finite and non-negative, got {self.cost!r}"
+            )
+        check_positive_finite("period", self.period)
+        check_positive_finite("deadline", self.deadline)
         if self.deadline > self.period * (1.0 + EPS):
             raise ValueError("synthetic deadline cannot exceed the period")
         if self.index < 1:
@@ -207,6 +219,27 @@ class TaskSet:
         )
         if invariants_enabled():
             check_taskset(self._tasks)
+
+    @classmethod
+    def from_columns(
+        cls, costs: Sequence[float], periods: Sequence[float]
+    ) -> "TaskSet":
+        """The set of tasks ``<costs[j], periods[j]>``, each built once.
+
+        Equal to ``TaskSet(Task(c, t) for c, t in zip(costs, periods))``
+        (stable sort by period, tids and ``tau{i}`` names in that order)
+        without building every task twice: the generators' constructor.
+        """
+        if len(costs) != len(periods):
+            raise ValueError("costs and periods differ in length")
+        order = sorted(range(len(periods)), key=periods.__getitem__)
+        taskset = cls.__new__(cls)
+        taskset._tasks = tuple(
+            [Task(costs[j], periods[j], i, f"tau{i}") for i, j in enumerate(order)]
+        )
+        if invariants_enabled():
+            check_taskset(taskset._tasks)
+        return taskset
 
     # -- sequence protocol -------------------------------------------------
 
@@ -321,7 +354,10 @@ class TaskSet:
     @staticmethod
     def from_pairs(pairs: Iterable[Tuple[float, float]]) -> "TaskSet":
         """Build from ``(cost, period)`` pairs — the paper's ``<C, T>``."""
-        return TaskSet(Task(cost=c, period=t) for c, t in pairs)
+        pairs = list(pairs)
+        return TaskSet.from_columns(
+            [c for c, _ in pairs], [t for _, t in pairs]
+        )
 
 
 @dataclass

@@ -121,7 +121,7 @@ def run_e10(quick: bool = True, seed: int = 0) -> ExperimentReport:
         proc = _random_processor(rng, int(rng.integers(3, 9)))
         period = float(rng.uniform(50, 2000))
         cost = float(rng.uniform(0.3, 0.9)) * period
-        piece = PendingPiece.of(
+        piece = PendingPiece(
             Task(cost=cost, period=period, tid=10_000)
         )
         existing = proc.subtasks

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro._util.validation import check_positive
 from repro.core.bounds import light_task_threshold
-from repro.core.task import Task, TaskSet
+from repro.core.task import TaskSet
 from repro.taskgen.uunifast import uunifast_discard
 from repro.taskgen.randfixedsum import randfixedsum_utilizations
 from repro.taskgen.periods import (
@@ -151,13 +151,10 @@ class TaskSetGenerator:
         check_positive("processors", processors)
         rng = make_rng(seed)
         u_total = u_norm * processors
-        utils = self._utilizations(u_total, rng)
-        periods = self._periods(rng)
-        tasks = [
-            Task(cost=float(u * t), period=float(t))
-            for u, t in zip(utils, periods)
-        ]
-        return TaskSet(tasks)
+        utils = self._utilizations(u_total, rng).tolist()
+        periods = self._periods(rng).tolist()
+        # ``u * t`` on Python floats is the IEEE product NumPy computes.
+        return TaskSet.from_columns([u * t for u, t in zip(utils, periods)], periods)
 
     def batch(
         self,

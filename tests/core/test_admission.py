@@ -25,7 +25,7 @@ class TestExactRTAAdmission:
     def test_split_cost_positive_on_partial_room(self):
         policy = ExactRTAAdmission()
         proc = proc_with([(2, 4)])
-        piece = PendingPiece.of(Task(cost=6.0, period=8.0, tid=0))
+        piece = PendingPiece(Task(cost=6.0, period=8.0, tid=0))
         c = policy.split_cost(proc, piece)
         assert 0 < c < 6.0
 
@@ -53,19 +53,19 @@ class TestThresholdAdmission:
     def test_split_fills_exactly_to_threshold(self):
         policy = ThresholdAdmission(0.6)
         proc = proc_with([(2, 10)])  # U = 0.2 -> headroom 0.4
-        piece = PendingPiece.of(Task(cost=9.0, period=10.0, tid=0))
+        piece = PendingPiece(Task(cost=9.0, period=10.0, tid=0))
         assert policy.split_cost(proc, piece) == pytest.approx(4.0)
 
     def test_split_capped_by_piece_cost(self):
         policy = ThresholdAdmission(0.9)
         proc = proc_with([(1, 10)])
-        piece = PendingPiece.of(Task(cost=2.0, period=10.0, tid=0))
+        piece = PendingPiece(Task(cost=2.0, period=10.0, tid=0))
         assert policy.split_cost(proc, piece) == pytest.approx(2.0)
 
     def test_no_headroom_gives_zero(self):
         policy = ThresholdAdmission(0.2)
         proc = proc_with([(2, 10)])
-        piece = PendingPiece.of(Task(cost=2.0, period=10.0, tid=0))
+        piece = PendingPiece(Task(cost=2.0, period=10.0, tid=0))
         assert policy.split_cost(proc, piece) == 0.0
 
     def test_threshold_validated(self):
@@ -78,7 +78,7 @@ class TestThresholdAdmission:
 class TestAssignPiece:
     def test_entire_fit(self):
         proc = proc_with([(2, 4)])
-        piece = PendingPiece.of(Task(cost=2.0, period=8.0, tid=0))
+        piece = PendingPiece(Task(cost=2.0, period=8.0, tid=0))
         outcome = assign_piece(piece, proc, ExactRTAAdmission())
         assert outcome.completed and not outcome.filled
         assert piece.cost == 0.0
@@ -87,7 +87,7 @@ class TestAssignPiece:
 
     def test_split_marks_full_and_keeps_remainder(self):
         proc = proc_with([(2, 4)])
-        piece = PendingPiece.of(Task(cost=7.0, period=8.0, tid=0))
+        piece = PendingPiece(Task(cost=7.0, period=8.0, tid=0))
         outcome = assign_piece(piece, proc, ExactRTAAdmission())
         assert not outcome.completed and outcome.filled
         assert proc.full
@@ -98,7 +98,7 @@ class TestAssignPiece:
 
     def test_nothing_fits(self):
         proc = proc_with([(2, 4), (4, 8)])  # U = 1.0
-        piece = PendingPiece.of(Task(cost=4.0, period=8.0, tid=0))
+        piece = PendingPiece(Task(cost=4.0, period=8.0, tid=0))
         outcome = assign_piece(piece, proc, ExactRTAAdmission())
         assert not outcome.completed and outcome.filled
         assert outcome.placed_cost == 0.0
@@ -107,7 +107,7 @@ class TestAssignPiece:
 
     def test_threshold_split(self):
         proc = proc_with([(3, 10)])
-        piece = PendingPiece.of(Task(cost=9.0, period=10.0, tid=0))
+        piece = PendingPiece(Task(cost=9.0, period=10.0, tid=0))
         outcome = assign_piece(piece, proc, ThresholdAdmission(0.7))
         assert not outcome.completed
         assert outcome.placed_cost == pytest.approx(4.0)
@@ -115,6 +115,6 @@ class TestAssignPiece:
 
     def test_processor_still_schedulable_after_split(self):
         proc = proc_with([(1, 3), (2, 9)])
-        piece = PendingPiece.of(Task(cost=15.0, period=20.0, tid=0))
+        piece = PendingPiece(Task(cost=15.0, period=20.0, tid=0))
         assign_piece(piece, proc, ExactRTAAdmission())
         assert proc.is_schedulable()

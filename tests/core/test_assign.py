@@ -18,7 +18,7 @@ def proc_with(pairs, start_tid=10):
 class TestOutcomeAccounting:
     def test_entire_fit_placed_cost(self):
         proc = proc_with([(1, 4)])
-        piece = PendingPiece.of(Task(cost=2.0, period=8.0, tid=0))
+        piece = PendingPiece(Task(cost=2.0, period=8.0, tid=0))
         outcome = assign_piece(piece, proc, ExactRTAAdmission())
         assert outcome == AssignOutcome(
             completed=True, filled=False, placed_cost=2.0
@@ -26,7 +26,7 @@ class TestOutcomeAccounting:
 
     def test_split_placed_cost_matches_body(self):
         proc = proc_with([(2, 4)])
-        piece = PendingPiece.of(Task(cost=7.0, period=8.0, tid=0))
+        piece = PendingPiece(Task(cost=7.0, period=8.0, tid=0))
         outcome = assign_piece(piece, proc, ExactRTAAdmission())
         body = proc.subtasks[-1]
         assert outcome.placed_cost == pytest.approx(body.cost)
@@ -50,7 +50,7 @@ class TestOutcomeAccounting:
                 return "boundary-stub"
 
         proc = proc_with([(5, 10)])
-        piece = PendingPiece.of(Task(cost=5.0, period=10.0, tid=0))
+        piece = PendingPiece(Task(cost=5.0, period=10.0, tid=0))
         outcome = assign_piece(piece, proc, BoundaryPolicy())
         assert outcome.completed and outcome.filled
         assert proc.subtasks[-1].kind is SubtaskKind.WHOLE
@@ -59,7 +59,7 @@ class TestOutcomeAccounting:
 
     def test_nothing_fits_leaves_piece_untouched(self):
         proc = proc_with([(2, 4), (4, 8)])  # U = 1
-        piece = PendingPiece.of(Task(cost=3.0, period=8.0, tid=0))
+        piece = PendingPiece(Task(cost=3.0, period=8.0, tid=0))
         before = piece.cost
         outcome = assign_piece(piece, proc, ExactRTAAdmission())
         assert outcome.placed_cost == 0.0
@@ -76,7 +76,7 @@ class TestSplitChainAcrossProcessors:
         newcomer (R = 1 + c <= 4), so cost 8 completes on processor 3.
         """
         procs = [proc_with([(1.0, 4)], start_tid=10 + i) for i in range(3)]
-        piece = PendingPiece.of(Task(cost=8.0, period=12.0, tid=0))
+        piece = PendingPiece(Task(cost=8.0, period=12.0, tid=0))
         placed = []
         for proc in procs:
             outcome = assign_piece(piece, proc, ExactRTAAdmission())
@@ -93,7 +93,7 @@ class TestSplitChainAcrossProcessors:
 
     def test_deadlines_shrink_along_chain(self):
         procs = [proc_with([(1.0, 4)], start_tid=10 + i) for i in range(3)]
-        piece = PendingPiece.of(Task(cost=8.0, period=12.0, tid=0))
+        piece = PendingPiece(Task(cost=8.0, period=12.0, tid=0))
         deadlines = []
         for proc in procs:
             deadlines.append(piece.deadline)

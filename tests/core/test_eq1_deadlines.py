@@ -32,19 +32,19 @@ import numpy as np
 
 class TestPendingPieceResponses:
     def test_default_response_is_cost(self):
-        piece = PendingPiece.of(Task(cost=6.0, period=12.0, tid=0))
+        piece = PendingPiece(Task(cost=6.0, period=12.0, tid=0))
         piece.split_off(ProcessorState(index=1), 2.0)
         assert piece.deadline == pytest.approx(10.0)
 
     def test_explicit_response_shrinks_deadline(self):
-        piece = PendingPiece.of(Task(cost=6.0, period=12.0, tid=5))
+        piece = PendingPiece(Task(cost=6.0, period=12.0, tid=5))
         piece.split_off(ProcessorState(index=1), 2.0, response=3.5)
         assert piece.body_cost == pytest.approx(2.0)
         assert piece.body_response == pytest.approx(3.5)
         assert piece.deadline == pytest.approx(12.0 - 3.5)
 
     def test_response_below_cost_rejected(self):
-        piece = PendingPiece.of(Task(cost=6.0, period=12.0, tid=5))
+        piece = PendingPiece(Task(cost=6.0, period=12.0, tid=5))
         with pytest.raises(ValueError):
             piece.split_off(ProcessorState(index=1), 2.0, response=1.0)
 
@@ -60,7 +60,7 @@ class TestAssignWithHigherPriorityResident:
         proc.pre_assigned_tid = 0  # the phase-3 shape
         proc.add(resident)
         # the piece being split has LOWER priority (longer period)
-        piece = PendingPiece.of(Task(cost=14.0, period=20.0, tid=1))
+        piece = PendingPiece(Task(cost=14.0, period=20.0, tid=1))
         return proc, piece
 
     def test_body_response_exceeds_cost(self):
@@ -128,7 +128,7 @@ class TestConsumedWindowExhaustion:
         resident = Task(cost=6.0, period=9.0, tid=0)  # hog
         proc = ProcessorState(index=0)
         proc.add(resident)
-        piece = PendingPiece.of(Task(cost=8.0, period=20.0, tid=1))
+        piece = PendingPiece(Task(cost=8.0, period=20.0, tid=1))
         # consume the entire window artificially
         piece.split_off(ProcessorState(index=1), 0.5, response=20.0)
         assert piece.deadline <= 1e-9

@@ -19,7 +19,7 @@ def loaded_processor(pairs, start_tid=0):
 
 
 def piece_for(cost, period, tid=100):
-    return PendingPiece.of(Task(cost=cost, period=period, tid=tid))
+    return PendingPiece(Task(cost=cost, period=period, tid=tid))
 
 
 class TestMaxSplitBasics:

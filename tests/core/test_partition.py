@@ -51,7 +51,7 @@ class TestProcessorState:
 
 class TestPendingPiece:
     def _piece(self):
-        return PendingPiece.of(Task(cost=6.0, period=12.0, tid=0))
+        return PendingPiece(Task(cost=6.0, period=12.0, tid=0))
 
     def test_initial_state(self):
         p = self._piece()

@@ -5,14 +5,10 @@ produced (the churn simulator's correctness hinges on this)."""
 import pytest
 
 from repro.core import partition
-from repro.core.partition import (
-    PartitionResult,
-    ProcessorRole,
-    ProcessorState,
-)
-from repro.core.rmts import partition_rmts, readmit_task
+from repro.core.partition import ProcessorRole, ProcessorState
+from repro.core.rmts import partition_rmts
 from repro.core.rta import RTAContext
-from repro.core.task import SubtaskKind, Task, TaskSet
+from repro.core.task import SubtaskKind, Task
 from repro.taskgen.generators import TaskSetGenerator
 
 
@@ -177,17 +173,6 @@ class TestPartitionRemoveReadmit:
         assert result.remove_task(victim) == 0
         assert result.removed_tids() == [victim]
 
-    def test_readmit_round_trip_restores_validity(self):
-        ts = _taskset(seed=3)
-        result = partition_rmts(ts, 4)
-        victim = ts[1]
-        result.remove_task(victim.tid)
-        host = readmit_task(result, victim)
-        assert host is not None
-        assert result.removed_tids() == []
-        assert result.validate() == []
-        assert result.processors_hosting(victim.tid) == [host]
-
     @pytest.mark.parametrize("seed", [0, 3, 11, 19])
     def test_round_trip_matches_fresh_survivor_partition_util(self, seed):
         """Removing every task of one 'tenant' must leave per-processor
@@ -205,18 +190,3 @@ class TestPartitionRemoveReadmit:
             assert proc.rta_context().schedulable == (
                 fresh.rta_context().schedulable
             )
-
-    def test_readmit_skips_full_and_dedicated_processors(self):
-        heavy = Task(cost=90.0, period=100.0, tid=1)
-        result = PartitionResult(
-            algorithm="fixture",
-            taskset=TaskSet([heavy]),
-            processors=[
-                ProcessorState(index=0, role=ProcessorRole.DEDICATED),
-                ProcessorState(index=1, full=True),
-            ],
-            success=True,
-        )
-        result.info["removed_tids"] = [1]
-        assert readmit_task(result, heavy) is None
-        assert result.removed_tids() == [1]

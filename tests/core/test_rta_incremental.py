@@ -239,6 +239,28 @@ class TestContextMatchesOneShot:
             same_floats(ctx.responses, fresh.responses)
 
 
+    @given(seed=seeds)
+    @settings(max_examples=60, deadline=None)
+    def test_inserts_into_empty_context_equal_fresh_build(self, seed):
+        """An empty processor's context (built without sorting or
+        analysis) grows into the context a fresh build gives."""
+        subs = random_subtasks(seed, n=5)
+        ctx = RTAContext([])
+        assert ctx.schedulable and ctx.util_sum == 0.0
+        assert ctx.hyper_prod == 1.0 and ctx.implicit and ctx.rm_ordered
+        for i, sub in enumerate(subs):
+            if i % 2 == 0:
+                admits(ctx, sub)  # may arm the probe memo
+            insert(ctx, sub)
+        fresh = RTAContext(subs)
+        same_columns(ctx, fresh)
+        assert ctx.schedulable == fresh.schedulable
+        assert ctx.first_fail == fresh.first_fail
+        if fresh.schedulable:
+            ctx._resolve()
+            same_floats(ctx.responses, fresh.responses)
+
+
 class TestLargeProcessors:
     """Context vs oracle where ``random_subtasks`` never goes: 8..40
     subtasks per processor, so sums take numpy's pairwise order and the
@@ -385,7 +407,7 @@ def random_piece(seed: int, n_existing: int) -> PendingPiece:
     """A pending piece at any priority slot; sometimes already split, so
     its synthetic deadline is shorter than its period."""
     candidate = random_candidate(seed, n_existing)
-    piece = PendingPiece.of(candidate.parent)
+    piece = PendingPiece(candidate.parent)
     rng = np.random.default_rng(seed + 313)
     if rng.random() < 0.5:
         cost = float(rng.uniform(0.1, 0.6)) * piece.cost
@@ -520,7 +542,7 @@ class TestMaxSplitSkipBoundary:
         # usually binds.
         costs += [f * target for f in (0.5, 0.9, 1.1, 1.5) if f * target < period]
         for cost in costs:
-            piece = PendingPiece.of(Task(cost=cost, period=period, tid=tid))
+            piece = PendingPiece(Task(cost=cost, period=period, tid=tid))
             assert max_split_points(subs, piece, context=ctx) == (
                 max_split_points(subs, piece, context=None)
             )

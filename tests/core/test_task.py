@@ -34,6 +34,19 @@ class TestTask:
         with pytest.raises(ValueError):
             Task(cost=2.0, period=1.0)
 
+    @pytest.mark.parametrize(
+        "cost, period, message",
+        [
+            (math.inf, math.inf, "cost must be finite"),
+            (1.0, math.inf, "period must be finite"),
+            (math.nan, 1.0, "cost must be positive"),
+            (1.0, math.nan, "period must be positive"),
+        ],
+    )
+    def test_rejects_non_finite(self, cost, period, message):
+        with pytest.raises(ValueError, match=message):
+            Task(cost=cost, period=period)
+
     def test_full_utilization_allowed(self):
         t = Task(cost=5.0, period=5.0)
         assert t.utilization == pytest.approx(1.0)
@@ -74,6 +87,21 @@ class TestSubtask:
         t = Task(cost=1.0, period=5.0)
         with pytest.raises(ValueError):
             Subtask(cost=1.0, period=5.0, deadline=5.0, parent=t, index=0)
+
+    @pytest.mark.parametrize(
+        "cost, period, deadline",
+        [
+            (math.inf, 5.0, 5.0),
+            (math.nan, 5.0, 5.0),
+            (1.0, math.inf, 5.0),
+            (1.0, math.inf, math.inf),
+            (1.0, 5.0, math.nan),
+        ],
+    )
+    def test_rejects_non_finite(self, cost, period, deadline):
+        t = Task(cost=1.0, period=5.0)
+        with pytest.raises(ValueError):
+            Subtask(cost=cost, period=period, deadline=deadline, parent=t)
 
     def test_zero_cost_subtask_allowed_as_value(self):
         # PendingPiece may probe zero-cost candidates; the value object

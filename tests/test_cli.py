@@ -89,6 +89,27 @@ class TestSimulateCommand:
         assert (code == 1) == ("MISS" in out)
 
 
+    @pytest.mark.parametrize(
+        "field, index, value, message",
+        [
+            ("period", 1, float("inf"), "period must be finite"),
+            ("cost", 0, float("nan"), "cost must be positive"),
+        ],
+    )
+    def test_non_finite_partition_file_is_a_clean_error(
+        self, taskfile, tmp_path, capsys, field, index, value, message
+    ):
+        saved = tmp_path / "partition.json"
+        assert main(["partition", taskfile, "-m", "2", "--save", str(saved)]) == 0
+        data = json.loads(saved.read_text())
+        data["tasks"][index][field] = value
+        saved.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["simulate", "--partition-file", str(saved)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+
 class TestGenerateCommand:
     def test_writes_file(self, tmp_path, capsys):
         out_path = tmp_path / "gen.json"
