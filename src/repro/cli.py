@@ -189,37 +189,24 @@ def cmd_sweep(args) -> int:
     algorithms = standard_algorithms(include_light=args.light)
     before = COUNTERS.snapshot()
     progress: dict = {}
-    if args.store:
-        from repro.store.checkpoint import run_sweep
-
-        sweep = run_sweep(
-            algorithms,
-            gen,
-            processors=args.processors,
-            u_grid=u_grid,
-            samples=args.samples,
-            seed=args.seed,
-            jobs=args.jobs,
-            store=args.store,
-            resume=args.resume,
-            progress=progress,
-        )
-    else:
-        sweep = acceptance_sweep(
-            algorithms,
-            gen,
-            processors=args.processors,
-            u_grid=u_grid,
-            samples=args.samples,
-            seed=args.seed,
-            jobs=args.jobs,
-        )
+    sweep = acceptance_sweep(
+        algorithms,
+        gen,
+        processors=args.processors,
+        u_grid=u_grid,
+        samples=args.samples,
+        seed=args.seed,
+        jobs=args.jobs,
+        store=args.store or None,
+        resume=args.resume,
+        progress=progress,
+    )
     title = (
         f"acceptance sweep: M={args.processors}, N={args.n}, "
         f"{args.periods} periods, samples={args.samples}, jobs={args.jobs}"
     )
     print(sweep.table(title=title).to_text())
-    if progress:
+    if args.store:
         print(f"checkpoint: {progress['cells_resumed']} cells resumed, "
               f"{progress['cells_computed']} computed "
               f"(store: {args.store})")

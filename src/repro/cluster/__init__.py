@@ -42,7 +42,6 @@ from repro.cluster.events import (
 )
 from repro.cluster.policies import CHURN_POLICIES, ChurnPolicy, make_policy
 from repro.cluster.simulator import (
-    ChurnInterrupted,
     ChurnMetrics,
     ChurnResult,
     simulate_churn,
@@ -53,7 +52,6 @@ from repro.cluster.sweep import run_churn_grid
 __all__ = [
     "ChurnConfig",
     "ChurnEvent",
-    "ChurnInterrupted",
     "ChurnMetrics",
     "ChurnResult",
     "CHURN_POLICIES",

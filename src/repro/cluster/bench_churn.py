@@ -26,9 +26,10 @@ from dataclasses import replace
 from typing import Dict, List, Optional
 
 from repro.cluster.events import ChurnConfig, tenant_pool
-from repro.cluster.simulator import ChurnInterrupted, simulate_churn
+from repro.cluster.simulator import simulate_churn
 from repro.cluster.sweep import grid_by_policy, run_churn_grid
 from repro.perf.telemetry import COUNTERS, write_bench_json
+from repro.store.journal import BudgetExhausted
 
 __all__ = ["run_bench_churn", "main"]
 
@@ -49,7 +50,7 @@ def _bench_resume(config: ChurnConfig) -> Dict[str, object]:
         store_path = os.path.join(tmp, "churn.db")
         try:
             simulate_churn(config, store=store_path, max_new_events=cutoff)
-        except ChurnInterrupted:
+        except BudgetExhausted:
             pass  # the expected mid-run "kill"
         else:
             raise RuntimeError(

@@ -13,21 +13,20 @@ reads the same tenants' task sets and rate-independent timeline draws
 instead of regenerating them (see :func:`tenant_pool`).
 
 The configuration is content-addressed exactly like sweep checkpoints
-(:func:`repro.store.checkpoint.sweep_config_key`): floats are encoded
-with ``float.hex()`` and the SHA-256 of the canonical JSON names the
+(:func:`repro._util.keys.content_key`): floats are encoded with
+``float.hex()`` and the SHA-256 of the canonical JSON names the
 ``churn:<sha256>`` journal namespace, so a resumed run can never mix
 events from a different configuration.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Dict, List, Tuple
 
+from repro._util.keys import content_key
 from repro.core.task import Task, TaskSet
 from repro.runner import cell_rng
 from repro.taskgen.generators import TaskSetGenerator
@@ -56,6 +55,11 @@ _PARETO_SHAPE = 2.0
 #: out).  A grid needs one; the second lets two interleaved grids each
 #: keep theirs.  A 60-tenant pool holds about 75 KB.
 _POOL_SLOTS = 2
+
+#: The float-typed :class:`ChurnConfig` fields besides ``trace``.
+_FLOAT_FIELDS = (
+    "arrival_rate", "mean_lifetime", "u_set", "tmin", "tmax", "max_wait",
+)
 
 
 @dataclass(frozen=True)
@@ -100,6 +104,15 @@ class ChurnConfig:
     max_wait: float = 200.0
 
     def __post_init__(self) -> None:
+        # ``400`` and ``400.0`` are one configuration: coerce so both get
+        # one journal namespace.
+        for name in _FLOAT_FIELDS:
+            object.__setattr__(self, name, float(getattr(self, name)))
+        object.__setattr__(
+            self,
+            "trace",
+            tuple((float(t), float(life)) for t, life in self.trace),
+        )
         if self.processors < 1:
             raise ValueError("need at least one processor")
         if self.horizon < 1 and not self.trace:
@@ -115,8 +128,7 @@ class ChurnConfig:
             raise ValueError(f"unknown lifetime model {self.lifetime_model!r}")
         if self.arrival_model == "trace" and not self.trace:
             raise ValueError("trace arrival model needs trace rows")
-        for name in ("arrival_rate", "mean_lifetime", "u_set", "max_wait",
-                     "tmin", "tmax"):
+        for name in _FLOAT_FIELDS:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if any(not math.isfinite(v) for row in self.trace for v in row):
@@ -171,33 +183,10 @@ class ChurnEvent:
         return (self.time, 0 if self.kind == "departure" else 1, self.tenant)
 
 
-def _hex(value: float) -> str:
-    return float(value).hex()
-
-
 def churn_config_key(config: ChurnConfig) -> str:
-    """Canonical content hash of one churn configuration.
-
-    Mirrors :func:`repro.store.checkpoint.sweep_config_key`: floats are
-    ``float.hex()``-encoded so the key is exact; any parameter change
-    yields a fresh ``churn:`` namespace.
-    """
-    canonical = {}
-    for key, value in sorted(asdict(config).items()):
-        if isinstance(value, float):
-            canonical[key] = _hex(value)
-        elif key == "trace":
-            canonical[key] = [
-                [_hex(t), _hex(life)] for t, life in config.trace
-            ]
-        else:
-            canonical[key] = value
-    blob = json.dumps(
-        {"kind": "churn", "config": canonical},
-        separators=(",", ":"),
-        sort_keys=True,
-    )
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    """Content key of one churn configuration: any parameter change
+    yields a fresh ``churn:`` namespace."""
+    return content_key("churn", config=asdict(config))
 
 
 def _draw_taskset(

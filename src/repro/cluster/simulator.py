@@ -30,9 +30,9 @@ from repro.cluster.policies import ChurnPolicy, make_policy
 from repro.cluster.state import ClusterState
 from repro.perf.telemetry import COUNTERS
 from repro.store.backend import ResultStore
+from repro.store.journal import BudgetExhausted
 
 __all__ = [
-    "ChurnInterrupted",
     "ChurnMetrics",
     "ChurnResult",
     "simulate_churn",
@@ -50,21 +50,6 @@ UTIL_BOUNDS: Tuple[float, ...] = tuple(
 
 #: Migrations-per-departure buckets.
 MIGRATION_BOUNDS: Tuple[float, ...] = (0, 1, 2, 3, 4, 6, 8, 12, 16)
-
-
-class ChurnInterrupted(RuntimeError):
-    """Raised when a run hits its ``max_new_events`` budget mid-run.
-
-    Everything journaled before the interruption is durable; a later
-    ``resume=True`` call replays the journal and continues from the
-    exact event where this run stopped (the kill/resume tests rely on
-    the deterministic cutoff).
-    """
-
-    def __init__(self, message: str, *, completed: int, total: int) -> None:
-        super().__init__(message)
-        self.completed = completed
-        self.total = total
 
 
 def _bucket_index(bounds: Tuple[float, ...], value: float) -> int:
@@ -357,8 +342,9 @@ def simulate_churn(
     loads the journal, replays the recorded ops to rebuild the exact
     cluster state, and computes only the remaining events.
     ``max_new_events`` bounds how many *new* events this call may
-    process; hitting the bound raises :class:`ChurnInterrupted` after
-    the journal write.
+    process; hitting the bound raises
+    :class:`~repro.store.journal.BudgetExhausted` after the journal
+    write.
     """
     policy = make_policy(config)
     timeline = build_event_timeline(config)
@@ -397,7 +383,7 @@ def simulate_churn(
         utilization = state.utilization()
         for index in range(start, total):
             if max_new_events is not None and processed_new >= max_new_events:
-                raise ChurnInterrupted(
+                raise BudgetExhausted(
                     f"churn run stopped after {processed_new} new events "
                     f"({index}/{total} journaled); "
                     "rerun with resume=True to continue",

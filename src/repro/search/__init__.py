@@ -16,9 +16,10 @@ the grid with derivative-free search:
   :class:`~repro.taskgen.generators.TaskSetGenerator` parameters for
   concrete task sets an algorithm rejects at the lowest ``U_M`` above
   its proven bound, emitting replayable witness artifacts;
-* :mod:`repro.search.probes` — the resumable probe journal: every probe
-  is content-addressed into the PR-4 result store under a
-  ``search:<config-sha256>`` namespace, so interrupted searches resume
+* :mod:`repro.search.probes` — the probe worker: every probe is
+  content-addressed into the result store under a
+  ``search:<config-sha256>`` namespace through
+  :class:`repro.store.journal.Journal`, so interrupted searches resume
   byte-identically and probes dedup across runs (exactly like
   ``sweep --resume``).
 
@@ -43,7 +44,6 @@ from repro.search.frontier import (
     map_frontier,
     measure_sharpness,
 )
-from repro.search.probes import ProbeJournal, SearchInterrupted
 from repro.search.witness import (
     load_witness,
     replay_witness,
@@ -56,8 +56,6 @@ __all__ = [
     "search_config_key",
     "search_namespace",
     "adversarial_config_key",
-    "ProbeJournal",
-    "SearchInterrupted",
     "FrontierResult",
     "LevelVerdict",
     "map_frontier",

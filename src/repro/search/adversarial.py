@@ -34,8 +34,9 @@ from repro.perf.telemetry import COUNTERS
 from repro.runner import cell_rng
 from repro.search.config import adversarial_config_key
 from repro.search.frontier import acceptance_test_for
-from repro.search.probes import ProbeJournal
+from repro.search.probes import evaluate_counted
 from repro.store.backend import ResultStore
+from repro.store.journal import Journal
 from repro.taskgen.generators import TaskSetGenerator
 
 __all__ = [
@@ -53,9 +54,10 @@ __all__ = [
 PENALTY_MARGIN = 1.0
 
 # Row layout of one journaled candidate evaluation (a plain JSON list so
-# the journal round-trips exactly; see ProbeJournal).
+# the journal round-trips exactly; see Journal).
 FOUND, MARGIN, U_REJECT, BOUND, CAP, BREAKDOWN = 0, 1, 2, 3, 4, 5
 STATUS, RTA_CALLS, RTA_ITERS, MAX_UTIL, TMAX = 6, 7, 8, 9, 10
+ROW_WIDTH = TMAX + 1
 
 
 @dataclass(frozen=True)
@@ -281,16 +283,17 @@ def adversarial_search(
     Deterministic at any ``jobs`` level: the round-``r`` population is
     drawn from ``cell_rng(seed, r)`` given the elite statistics of the
     journaled rounds ``< r``, and each candidate is scored by the
-    journaled, order-preserving :class:`ProbeJournal`.  With a *store*,
-    rerunning (same configuration, any round budget) replays the
-    journaled prefix instead of recomputing it.
+    journaled, order-preserving :class:`~repro.store.journal.Journal`.
+    With a *store*, rerunning (same configuration, any round budget)
+    replays the journaled prefix instead of recomputing it.
     """
-    journal = ProbeJournal(
+    journal = Journal(
         store,
         config.namespace(),
         worker=evaluate_candidate,
         key_fn=candidate_key,
-        max_new_probes=max_new_candidates,
+        width=ROW_WIDTH,
+        budget=max_new_candidates,
     )
     payload = (
         acceptance_test_for(config.algorithm),
@@ -323,7 +326,7 @@ def adversarial_search(
             (round_idx, cand_idx, float(draw[0]), float(draw[1]))
             for cand_idx, draw in enumerate(draws)
         ]
-        rows = journal.evaluate(items, payload, jobs=jobs)
+        rows = evaluate_counted(journal, items, payload, jobs=jobs)
         COUNTERS.se_ce_rounds += 1
 
         margins = np.array([row[MARGIN] for row in rows], dtype=float)
@@ -353,6 +356,6 @@ def adversarial_search(
         best=best,
         best_position=best_position,
         history=history,
-        candidates_computed=journal.probes_computed,
-        candidates_resumed=journal.probes_resumed,
+        candidates_computed=journal.computed,
+        candidates_resumed=journal.resumed,
     )

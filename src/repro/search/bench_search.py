@@ -34,9 +34,9 @@ from repro.perf.telemetry import COUNTERS, write_bench_json
 from repro.search.adversarial import AdversarialConfig, adversarial_search
 from repro.search.config import SearchConfig
 from repro.search.frontier import map_frontier
-from repro.search.probes import SearchInterrupted
 from repro.search.witness import replay_witness, witness_record
 from repro.store.backend import ResultStore
+from repro.store.journal import BudgetExhausted
 from repro.taskgen.generators import TaskSetGenerator
 
 __all__ = [
@@ -78,7 +78,7 @@ def _bench_resume(config: SearchConfig, *, jobs: int) -> Dict[str, object]:
                 map_frontier(
                     config, store=store, jobs=jobs, max_new_probes=cutoff
                 )
-            except SearchInterrupted:
+            except BudgetExhausted:
                 pass  # the expected mid-run "kill"
             else:
                 raise RuntimeError(

@@ -26,9 +26,9 @@ from repro.runner import jobs_arg
 from repro.search.adversarial import AdversarialConfig, adversarial_search
 from repro.search.config import SearchConfig
 from repro.search.frontier import map_frontier, measure_sharpness
-from repro.search.probes import SearchInterrupted
 from repro.search.witness import load_witness, replay_witness, save_witness
 from repro.store.backend import ResultStore
+from repro.store.journal import BudgetExhausted
 from repro.taskgen.generators import TaskSetGenerator
 
 __all__ = [
@@ -90,7 +90,7 @@ def cmd_frontier(args) -> int:
 
     try:
         result, sharpness = _with_store(args, run)
-    except SearchInterrupted as exc:
+    except BudgetExhausted as exc:
         print(f"interrupted: {exc}", file=sys.stderr)
         return 3
     payload = result.as_dict()
@@ -160,7 +160,7 @@ def cmd_adversarial(args) -> int:
 
     try:
         result = _with_store(args, run)
-    except SearchInterrupted as exc:
+    except BudgetExhausted as exc:
         print(f"interrupted: {exc}", file=sys.stderr)
         return 3
     if args.json:

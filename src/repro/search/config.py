@@ -1,8 +1,9 @@
 """Search configurations and their content-addressed identity.
 
 The journal namespace follows the ``sweep:<config-sha256>`` discipline of
-:func:`repro.store.checkpoint.sweep_config_key`: floats are encoded with
-``float.hex()`` so the key is exact, and algorithms participate by *name*
+:func:`repro.analysis.acceptance.sweep_config_key`: a
+:func:`~repro._util.keys.content_key` (floats encoded with
+``float.hex()``, so the key is exact), and algorithms participate by *name*
 (renaming invalidates checkpoints; changing an implementation does not —
 run ``python -m repro store gc`` after algorithm changes).
 
@@ -19,11 +20,10 @@ half-width all dedup against the same journal.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Tuple
+from typing import Tuple
 
+from repro._util.keys import content_key
 from repro.taskgen.generators import TaskSetGenerator
 
 __all__ = [
@@ -32,22 +32,6 @@ __all__ = [
     "search_namespace",
     "adversarial_config_key",
 ]
-
-
-def _hex(value: float) -> str:
-    return float(value).hex()
-
-
-def _canonical_generator(generator: TaskSetGenerator) -> Dict[str, object]:
-    return {
-        key: (_hex(value) if isinstance(value, float) else value)
-        for key, value in sorted(asdict(generator).items())
-    }
-
-
-def _digest(blob_fields: Dict[str, object]) -> str:
-    blob = json.dumps(blob_fields, separators=(",", ":"), sort_keys=True)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -117,14 +101,12 @@ class SearchConfig:
 
 def search_config_key(config: SearchConfig) -> str:
     """Content hash of the *probe identity* fields (see module docstring)."""
-    return _digest(
-        {
-            "kind": "search_probes",
-            "algorithm": config.algorithm,
-            "generator": _canonical_generator(config.generator),
-            "processors": int(config.processors),
-            "seed": int(config.seed),
-        }
+    return content_key(
+        "search_probes",
+        algorithm=config.algorithm,
+        generator=asdict(config.generator),
+        processors=int(config.processors),
+        seed=int(config.seed),
     )
 
 
@@ -157,19 +139,17 @@ def adversarial_config_key(
     what makes kill-and-resume (and "search a little longer") replays
     byte-identical.
     """
-    return _digest(
-        {
-            "kind": "adversarial_search",
-            "algorithm": algorithm,
-            "generator": _canonical_generator(generator),
-            "processors": int(processors),
-            "seed": int(seed),
-            "population": int(population),
-            "elite_frac": _hex(elite_frac),
-            "base_u_norm": _hex(base_u_norm),
-            "tolerance": _hex(tolerance),
-            "margin_floor": _hex(margin_floor),
-            "max_util_range": [_hex(v) for v in max_util_range],
-            "tmax_range": [_hex(v) for v in tmax_range],
-        }
+    return content_key(
+        "adversarial_search",
+        algorithm=algorithm,
+        generator=asdict(generator),
+        processors=int(processors),
+        seed=int(seed),
+        population=int(population),
+        elite_frac=float(elite_frac),
+        base_u_norm=float(base_u_norm),
+        tolerance=float(tolerance),
+        margin_floor=float(margin_floor),
+        max_util_range=[float(v) for v in max_util_range],
+        tmax_range=[float(v) for v in tmax_range],
     )

@@ -28,8 +28,14 @@ from repro.analysis.algorithms import PARTITIONERS
 from repro.core.bounds import ll_bound, light_task_threshold, rmts_bound_cap
 from repro.perf.telemetry import COUNTERS
 from repro.search.config import SearchConfig, search_namespace
-from repro.search.probes import ProbeJournal
+from repro.search.probes import (
+    PROBE_WIDTH,
+    evaluate_counted,
+    evaluate_probe,
+    probe_key,
+)
 from repro.store.backend import ResultStore
+from repro.store.journal import Journal
 
 __all__ = [
     "LevelVerdict",
@@ -165,7 +171,7 @@ class FrontierResult:
 
 
 def _classify_level(
-    journal: ProbeJournal,
+    journal: Journal,
     payload,
     u_norm: float,
     config: SearchConfig,
@@ -179,7 +185,8 @@ def _classify_level(
     decided = False
     while samples < config.max_samples_per_level:
         step = min(config.batch, config.max_samples_per_level - samples)
-        rows = journal.evaluate(
+        rows = evaluate_counted(
+            journal,
             [(u_norm, idx) for idx in range(samples, samples + step)],
             payload,
             jobs=jobs,
@@ -218,15 +225,20 @@ def map_frontier(
     ``search:<config-sha256>`` and a rerun (after a kill, or with a
     different target level sharing the probe identity) resumes from the
     journal.  ``max_new_probes`` simulates a mid-run kill by budget; see
-    :class:`~repro.search.probes.SearchInterrupted`.
+    :class:`~repro.store.journal.BudgetExhausted`.
 
     Results are bit-identical at any ``jobs`` level and across
     kill/resume cycles: each probe derives from
     ``cell_rng(seed, u_key(u), sample)`` and the bisection trajectory is
     a pure function of the probe verdicts.
     """
-    journal = ProbeJournal(
-        store, search_namespace(config), max_new_probes=max_new_probes
+    journal = Journal(
+        store,
+        search_namespace(config),
+        worker=evaluate_probe,
+        key_fn=probe_key,
+        width=PROBE_WIDTH,
+        budget=max_new_probes,
     )
     payload = (
         acceptance_test_for(config.algorithm),
@@ -266,8 +278,8 @@ def map_frontier(
         lo=lo,
         hi=hi,
         levels=levels,
-        probes_computed=journal.probes_computed,
-        probes_resumed=journal.probes_resumed,
+        probes_computed=journal.computed,
+        probes_resumed=journal.resumed,
         undecided_levels=sum(1 for v in levels if not v.decided),
     )
 

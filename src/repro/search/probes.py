@@ -1,4 +1,4 @@
-"""Probe evaluation and the resumable search journal.
+"""Probe evaluation for the frontier search.
 
 A *probe* is one acceptance-test call: generate a task set at
 ``(u_norm, sample_idx)`` from the configured generator and ask the
@@ -8,48 +8,32 @@ probe coordinates — so a probe's result is independent of which process
 computes it, when, in which batch, and *for which search*: bisections
 targeting different acceptance levels share probes at equal ``u``.
 
-The :class:`ProbeJournal` content-addresses every completed probe into a
-:class:`~repro.store.backend.ResultStore` namespace
-(``search:<config-sha256>``, see :mod:`repro.search.config`) exactly like
-``sweep --resume`` journals its cells: a killed search resumes
-byte-identically, and repeated searches over the same configuration dedup
-instead of recomputing.  ``max_new_probes`` bounds how many new probes
-one call may compute; hitting the budget raises
-:class:`SearchInterrupted` *after* the journal write, which is how the
-tests and the benchmark simulate a mid-run kill at a deterministic
-cutoff.
+Probes are journaled through :class:`repro.store.journal.Journal` into
+the store namespace ``search:<config-sha256>`` (see
+:mod:`repro.search.config`), exactly like ``sweep --resume`` journals
+its cells: a killed search resumes byte-identically, and repeated
+searches over the same configuration dedup instead of recomputing.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Sequence, Tuple
 
 from repro.perf.telemetry import COUNTERS
-from repro.runner import cell_rng, chunked_map
-from repro.store.backend import ResultStore
+from repro.runner import cell_rng
+from repro.store.journal import Journal
 
 __all__ = [
-    "SearchInterrupted",
-    "ProbeJournal",
+    "PROBE_WIDTH",
     "u_key",
     "probe_key",
     "evaluate_probe",
+    "evaluate_counted",
 ]
 
-
-class SearchInterrupted(RuntimeError):
-    """Raised when a search hits its ``max_new_probes`` budget mid-run.
-
-    Everything journaled before the interruption is durable; rerunning
-    the same configuration against the same store picks up exactly where
-    this run stopped.
-    """
-
-    def __init__(self, message: str, *, completed: int, total: int) -> None:
-        super().__init__(message)
-        self.completed = completed
-        self.total = total
+#: Length of one probe row: ``[accepted, rta_calls, rta_iterations]``.
+PROBE_WIDTH = 3
 
 
 def u_key(u_norm: float) -> int:
@@ -91,100 +75,14 @@ def evaluate_probe(payload, item) -> List[int]:
     ]
 
 
-class ProbeJournal:
-    """Content-addressed, resumable cache of search-probe results.
-
-    Without a *store* this is a plain in-memory memo (still dedups the
-    probes one search re-requests, e.g. a sharpness scan revisiting a
-    level).  With a store, every computed batch is journaled through
-    ``put_many`` before control returns, and construction preloads the
-    namespace so a resumed search serves finished probes from disk.
-
-    Worker outputs must be JSON-serializable lists of plain numbers (and
-    strings); a journaled row and a recomputed one are then the same
-    bytes, which is what makes resumed searches bit-identical.
-    """
-
-    def __init__(
-        self,
-        store: Optional[ResultStore] = None,
-        namespace: str = "",
-        *,
-        worker: Callable[[Any, Any], List[Any]] = evaluate_probe,
-        key_fn: Callable[..., str] = probe_key,
-        max_new_probes: Optional[int] = None,
-    ) -> None:
-        self._store = store
-        self._namespace = namespace
-        self._worker = worker
-        self._key_fn = key_fn
-        self._budget = max_new_probes
-        self._cache: Dict[str, List[Any]] = {}
-        if store is not None:
-            for key, value in store.get_namespace(namespace).items():
-                if isinstance(value, list):
-                    self._cache[key] = value
-        #: Probes served from the journal (durable rows or the memo).
-        self.probes_resumed = 0
-        #: Probes computed (and journaled) by this journal instance.
-        self.probes_computed = 0
-
-    @property
-    def journaled(self) -> int:
-        """Number of probe results currently known to this journal."""
-        return len(self._cache)
-
-    def evaluate(
-        self, items: Sequence[Tuple], payload: Any, *, jobs: int = 1
-    ) -> List[List[Any]]:
-        """Results for *items* in order, computing only the missing ones.
-
-        Computation fans out over :func:`repro.runner.chunked_map`
-        (bit-identical at any ``jobs`` level).  Raises
-        :class:`SearchInterrupted` when the ``max_new_probes`` budget
-        cuts the batch short — everything computed up to the budget is
-        journaled first.
-        """
-        keys = [self._key_fn(*item) for item in items]
-        pending = [
-            (item, key)
-            for item, key in zip(items, keys)
-            if key not in self._cache
-        ]
-        resumed = len(items) - len(pending)
-        self.probes_resumed += resumed
-        COUNTERS.se_probes_resumed += resumed
-
-        interrupted = False
-        if pending and self._budget is not None:
-            remaining = self._budget - self.probes_computed
-            if remaining < len(pending):
-                pending = pending[: max(0, remaining)]
-                interrupted = True
-        if pending:
-            rows = chunked_map(
-                self._worker,
-                [item for item, _key in pending],
-                payload=payload,
-                jobs=jobs,
-            )
-            if self._store is not None:
-                self._store.put_many(
-                    self._namespace,
-                    {key: row for (_item, key), row in zip(pending, rows)},
-                )
-            for (_item, key), row in zip(pending, rows):
-                self._cache[key] = list(row)
-            self.probes_computed += len(pending)
-            COUNTERS.se_probes += len(pending)
-        if interrupted:
-            known = sum(1 for key in keys if key in self._cache)
-            raise SearchInterrupted(
-                f"search stopped after {self.probes_computed} new probes "
-                f"({known}/{len(items)} of the requested batch journaled); "
-                "rerun the same configuration against the same store to "
-                "continue",
-                completed=known,
-                total=len(items),
-            )
-        return [self._cache[key] for key in keys]
+def evaluate_counted(
+    journal: Journal, items: Sequence[Tuple], payload: Any, *, jobs: int
+) -> List[List[Any]]:
+    """``journal.evaluate``, counted into ``se_probes`` (computed) and
+    ``se_probes_resumed`` (served from the journal), on a budget stop too."""
+    computed, resumed = journal.computed, journal.resumed
+    try:
+        return journal.evaluate(items, payload, jobs=jobs)
+    finally:
+        COUNTERS.se_probes += journal.computed - computed
+        COUNTERS.se_probes_resumed += journal.resumed - resumed

@@ -18,20 +18,30 @@ Layering::
     loadgen.py   load-generating client / serving benchmark
 """
 
-from repro.service.cache import LRUCache, admit_cache_key
-from repro.service.handlers import AdmissionService, ServiceConfig
-from repro.service.validation import (
-    RequestValidationError,
-    parse_admit_request,
-    parse_taskset_payload,
-)
+from importlib import import_module
+from typing import Any
 
-__all__ = [
-    "AdmissionService",
-    "ServiceConfig",
-    "LRUCache",
-    "admit_cache_key",
-    "RequestValidationError",
-    "parse_admit_request",
-    "parse_taskset_payload",
-]
+#: Public name -> the submodule that defines it.  The names resolve
+#: lazily (PEP 562), so importing one submodule — the store's tiered
+#: cache needs only :mod:`repro.service.cache` — does not load the
+#: handlers and the algorithm registry with it.
+_EXPORTS = {
+    "AdmissionService": "handlers",
+    "ServiceConfig": "handlers",
+    "LRUCache": "cache",
+    "admit_cache_key": "cache",
+    "RequestValidationError": "validation",
+    "parse_admit_request": "validation",
+    "parse_taskset_payload": "validation",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

@@ -1,6 +1,8 @@
-"""Persistent content-addressed result store and resumable sweeps.
+"""Persistent content-addressed result store and the batch journal.
 
-The durable layer under the analysis engine (see ``docs/storage.md``):
+The durable layer under the analysis engine (see ``docs/storage.md``).
+It holds no analysis code: importing it loads nothing of
+:mod:`repro.analysis`.
 
 * :class:`~repro.store.backend.ResultStore` — schema-versioned,
   checksummed key/value store on stdlib ``sqlite3`` in WAL mode, with
@@ -8,15 +10,18 @@ The durable layer under the analysis engine (see ``docs/storage.md``):
 * :class:`~repro.store.tiered.TieredCache` — LRU front + sqlite back,
   giving ``python -m repro serve --store PATH`` a cache that survives
   restarts;
-* :func:`~repro.store.checkpoint.run_sweep` — acceptance-ratio sweeps
-  that journal per-cell results and resume with bit-identical curves;
+* :class:`~repro.store.journal.Journal` — the one batch journal:
+  acceptance sweeps (``acceptance_sweep(..., store=...)``), frontier
+  and adversarial searches write their results through it and resume
+  bit-identically; :class:`~repro.store.journal.BudgetExhausted` is the
+  one budget error of journaled sweeps, searches and churn runs;
 * :mod:`~repro.store.provenance` — artifact stamps (code version, config
   hash, seed, counter snapshot) audited by ``python -m repro store
   verify``.
 """
 
 from repro.store.backend import ResultStore, StoreStats, row_checksum
-from repro.store.checkpoint import SweepInterrupted, run_sweep, sweep_config_key
+from repro.store.journal import BudgetExhausted, Journal
 from repro.store.provenance import (
     config_hash,
     provenance_record,
@@ -31,9 +36,8 @@ __all__ = [
     "ResultStore",
     "StoreStats",
     "row_checksum",
-    "SweepInterrupted",
-    "run_sweep",
-    "sweep_config_key",
+    "BudgetExhausted",
+    "Journal",
     "TieredCache",
     "config_hash",
     "provenance_record",

@@ -35,7 +35,7 @@ from repro.analysis.algorithms import standard_algorithms
 from repro.perf.telemetry import COUNTERS, write_bench_json
 from repro.service import loadgen
 from repro.store.backend import ResultStore
-from repro.store.checkpoint import SweepInterrupted, run_sweep
+from repro.store.journal import BudgetExhausted
 from repro.taskgen.generators import TaskSetGenerator
 
 __all__ = ["run_bench_store", "main"]
@@ -102,18 +102,18 @@ def _bench_resume(store_path: str, *, samples: int, seed: int,
     full = acceptance_sweep(algorithms, gen, **sweep_kwargs)
 
     try:
-        run_sweep(
+        acceptance_sweep(
             algorithms, gen, store=store_path, max_new_cells=cutoff,
-            checkpoint_every=samples, **sweep_kwargs
+            **sweep_kwargs
         )
-    except SweepInterrupted:
+    except BudgetExhausted:
         pass  # the expected mid-run "kill"
     else:
         raise RuntimeError("interrupted leg unexpectedly ran to completion")
 
     progress: Dict[str, int] = {}
     before = COUNTERS.snapshot()
-    resumed = run_sweep(
+    resumed = acceptance_sweep(
         algorithms, gen, store=store_path, resume=True, progress=progress,
         **sweep_kwargs
     )

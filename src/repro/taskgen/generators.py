@@ -18,7 +18,7 @@ from typing import Iterator, List, Optional, Union
 
 import numpy as np
 
-from repro._util.validation import check_positive
+from repro._util.validation import check_positive, check_positive_finite
 from repro.core.bounds import light_task_threshold
 from repro.core.task import TaskSet
 from repro.taskgen.uunifast import uunifast_discard
@@ -91,8 +91,26 @@ class TaskSetGenerator:
             "kchain",
         ):
             raise ValueError(f"unknown period_model {self.period_model!r}")
-        if self.max_util is not None and not 0.0 < self.max_util <= 1.0:
-            raise ValueError("max_util must lie in (0, 1]")
+        # ``tmin=10`` and ``tmin=10.0`` generate the same task sets: coerce
+        # so equal generators also get equal journal namespaces.
+        object.__setattr__(self, "tmin", float(self.tmin))
+        object.__setattr__(self, "tmax", float(self.tmax))
+        if self.max_util is not None:
+            object.__setattr__(self, "max_util", float(self.max_util))
+            if not 0.0 < self.max_util <= 1.0:
+                raise ValueError("max_util must lie in (0, 1]")
+        # Reject the period bounds a model reads here, not in generate().
+        if self.period_model != "discrete":
+            check_positive_finite("tmin", self.tmin)
+        if self.period_model in ("loguniform", "uniform"):
+            check_positive_finite("tmax", self.tmax)
+            if not self.tmin < self.tmax:
+                raise ValueError(
+                    f"tmin must be below tmax, got {self.tmin!r} >= "
+                    f"{self.tmax!r}"
+                )
+        if self.period_model == "kchain" and self.k < 1:
+            raise ValueError(f"k must be >= 1, got {self.k!r}")
 
     # -- fluent configuration --------------------------------------------------
 

@@ -132,6 +132,30 @@ class TestConfigKeyAndTasksets:
             ChurnConfig(arrival_rate=0.021)
         )
 
+    def test_key_is_pinned(self):
+        # Journals written by earlier versions must keep resuming.
+        assert churn_config_key(ChurnConfig()) == (
+            "a322c8746b374d8afb80a1c67d8def42a852d84ea02d722a516b7a85c7969e67"
+        )
+        assert churn_config_key(ChurnConfig(
+            arrival_model="trace", trace=((0.0, 50.0), (1.5, 0.0)),
+            policy="bf-rejoin",
+        )) == (
+            "f51268da94922d263ef6567a49134a4f5a64df289525e840880d266187e5f7bc"
+        )
+
+    def test_int_and_float_fields_share_a_key(self):
+        assert ChurnConfig(mean_lifetime=400) == ChurnConfig(
+            mean_lifetime=400.0
+        )
+        assert churn_config_key(ChurnConfig(mean_lifetime=400)) == \
+            churn_config_key(ChurnConfig(mean_lifetime=400.0))
+        assert churn_config_key(ChurnConfig(
+            arrival_model="trace", trace=((0, 50), (1.5, 0))
+        )) == churn_config_key(ChurnConfig(
+            arrival_model="trace", trace=((0.0, 50.0), (1.5, 0.0))
+        ))
+
     def test_tenant_taskset_deterministic_and_independent(self):
         config = ChurnConfig(tasks_per_set=4, u_set=0.5)
         a = tenant_taskset(config, 3)

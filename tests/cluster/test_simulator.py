@@ -6,13 +6,10 @@ import json
 import pytest
 
 from repro.cluster.events import ChurnConfig, churn_config_key, tenant_pool
-from repro.cluster.simulator import (
-    ChurnInterrupted,
-    ChurnMetrics,
-    simulate_churn,
-)
+from repro.cluster.simulator import ChurnMetrics, simulate_churn
 from repro.cluster.sweep import grid_by_policy, run_churn_grid
 from repro.store.backend import ResultStore
+from repro.store.journal import BudgetExhausted
 
 pytestmark = pytest.mark.churn
 
@@ -108,7 +105,7 @@ class TestKillResume:
         full = simulate_churn(config)
         path = str(tmp_path / "kill.db")
         cutoff = full.events_total // 2
-        with pytest.raises(ChurnInterrupted) as exc:
+        with pytest.raises(BudgetExhausted) as exc:
             simulate_churn(config, store=path, max_new_events=cutoff)
         assert exc.value.completed == cutoff
         assert exc.value.total == full.events_total
@@ -126,7 +123,7 @@ class TestKillResume:
         straight = str(tmp_path / "straight.db")
         simulate_churn(config, store=straight)
         killed = str(tmp_path / "killed.db")
-        with pytest.raises(ChurnInterrupted):
+        with pytest.raises(BudgetExhausted):
             simulate_churn(config, store=killed, max_new_events=5)
         simulate_churn(config, store=killed, resume=True)
         blobs = []

@@ -10,7 +10,6 @@ from repro.search.adversarial import (
     AdversarialConfig,
     adversarial_search,
 )
-from repro.search.probes import SearchInterrupted
 from repro.search.witness import (
     load_witness,
     replay_witness,
@@ -18,6 +17,7 @@ from repro.search.witness import (
     witness_record,
 )
 from repro.store.backend import ResultStore
+from repro.store.journal import BudgetExhausted
 from repro.taskgen.generators import TaskSetGenerator
 
 pytestmark = pytest.mark.search
@@ -67,7 +67,7 @@ class TestAdversarialSearch:
         store = ResultStore(str(tmp_path / "adv.db"))
         try:
             cutoff = quick_result.candidates_computed // 2
-            with pytest.raises(SearchInterrupted):
+            with pytest.raises(BudgetExhausted):
                 adversarial_search(
                     quick_config, store=store, max_new_candidates=cutoff
                 )

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.search.adversarial import AdversarialConfig
 from repro.search.config import SearchConfig, search_config_key
 from repro.search.frontier import map_frontier
 from repro.taskgen.generators import TaskSetGenerator
@@ -123,3 +124,25 @@ class TestSearchConfig:
         assert search_config_key(
             replace(config, algorithm="spa2")
         ) != search_config_key(config)
+
+    def test_namespace_digests_are_pinned(self):
+        # Journals written by earlier versions must keep resuming.
+        config = SearchConfig(
+            algorithm="rmts", generator=TaskSetGenerator(n=12),
+            processors=4, seed=0,
+        )
+        assert search_config_key(config) == (
+            "ae985b55cf231fbde6e2f1d0ee00b9ad86713285a32908825196aa064726a831"
+        )
+        assert AdversarialConfig().namespace() == (
+            "search:"
+            "bbedc96f19016f4927d879bcb9828cfd6469241cf39ea6737c78874ba8498cc4"
+        )
+
+    def test_equal_generators_share_a_namespace(self):
+        config = quick_config()
+        int_periods = replace(
+            config, generator=replace(config.generator, tmin=10, tmax=1000)
+        )
+        assert int_periods == config
+        assert search_config_key(int_periods) == search_config_key(config)

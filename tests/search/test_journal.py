@@ -6,8 +6,9 @@ import pytest
 
 from repro.search.config import SearchConfig, search_namespace
 from repro.search.frontier import map_frontier, measure_sharpness
-from repro.search.probes import ProbeJournal, SearchInterrupted, probe_key, u_key
+from repro.search.probes import PROBE_WIDTH, evaluate_probe, probe_key, u_key
 from repro.store.backend import ResultStore
+from repro.store.journal import BudgetExhausted, Journal
 from repro.taskgen.generators import TaskSetGenerator
 
 pytestmark = pytest.mark.search
@@ -60,7 +61,7 @@ class TestResume:
     def test_budget_kill_then_resume_is_byte_identical(self, config, store):
         full = map_frontier(config)
         cutoff = full.probes_computed // 2
-        with pytest.raises(SearchInterrupted) as excinfo:
+        with pytest.raises(BudgetExhausted) as excinfo:
             map_frontier(config, store=store, max_new_probes=cutoff)
         assert excinfo.value.completed <= excinfo.value.total
         resumed = map_frontier(config, store=store)
@@ -73,7 +74,7 @@ class TestResume:
         assert resumed_payload == full_payload
 
     def test_zero_budget_interrupts_before_any_probe(self, config, store):
-        with pytest.raises(SearchInterrupted):
+        with pytest.raises(BudgetExhausted):
             map_frontier(config, store=store, max_new_probes=0)
         assert store.get_namespace(search_namespace(config)) == {}
 
@@ -94,7 +95,10 @@ class TestResume:
             backend.close()
         backend = ResultStore(path)
         try:
-            journal = ProbeJournal(backend, search_namespace(config))
+            journal = Journal(
+                backend, search_namespace(config), worker=evaluate_probe,
+                key_fn=probe_key, width=PROBE_WIDTH,
+            )
             assert journal.journaled == first.probes_total
         finally:
             backend.close()
@@ -102,7 +106,10 @@ class TestResume:
 
 class TestInMemoryJournal:
     def test_memoizes_repeated_requests(self):
-        journal = ProbeJournal()
+        journal = Journal(
+            None, "", worker=evaluate_probe, key_fn=probe_key,
+            width=PROBE_WIDTH,
+        )
         generator = TaskSetGenerator(n=4)
 
         def test(ts, m):
@@ -113,5 +120,5 @@ class TestInMemoryJournal:
         first = journal.evaluate(items, payload)
         again = journal.evaluate(items, payload)
         assert again == first
-        assert journal.probes_computed == 4
-        assert journal.probes_resumed == 4
+        assert journal.computed == 4
+        assert journal.resumed == 4

@@ -35,6 +35,53 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             TaskSetGenerator(max_util=1.5)
 
+    @pytest.mark.parametrize("model", ["loguniform", "uniform"])
+    @pytest.mark.parametrize(
+        "tmin, tmax",
+        [
+            (10.0, float("inf")),
+            (float("nan"), 1000.0),
+            (0.0, 1000.0),
+            (-5.0, 1000.0),
+            (100.0, 100.0),
+            (200.0, 100.0),
+        ],
+    )
+    def test_bad_period_range_fails_at_construction(self, model, tmin, tmax):
+        with pytest.raises(ValueError):
+            TaskSetGenerator(period_model=model, tmin=tmin, tmax=tmax)
+
+    @pytest.mark.parametrize("model", ["harmonic", "kchain"])
+    @pytest.mark.parametrize("tmin", [0.0, -1.0, float("inf"), float("nan")])
+    def test_bad_base_period_fails_at_construction(self, model, tmin):
+        with pytest.raises(ValueError):
+            TaskSetGenerator(period_model=model, tmin=tmin)
+
+    def test_bad_chain_count(self):
+        with pytest.raises(ValueError):
+            TaskSetGenerator(period_model="kchain", k=0)
+
+    def test_unread_period_fields_are_not_checked(self):
+        # harmonic and kchain read only tmin, discrete reads neither.
+        TaskSetGenerator(period_model="harmonic", tmin=8.0, tmax=2.0)
+        TaskSetGenerator(period_model="discrete", tmin=0.0, tmax=0.0)
+        TaskSetGenerator(period_model="loguniform", k=0)
+
+    def test_float_fields_are_coerced(self):
+        gen = TaskSetGenerator(n=8, tmin=10, tmax=1000, max_util=1)
+        assert (gen.tmin, gen.tmax, gen.max_util) == (10.0, 1000.0, 1.0)
+        assert all(
+            type(v) is float for v in (gen.tmin, gen.tmax, gen.max_util)
+        )
+        assert gen == TaskSetGenerator(n=8, max_util=1.0)
+        a = gen.generate(u_norm=0.7, processors=2, seed=3)
+        b = TaskSetGenerator(n=8, max_util=1.0).generate(
+            u_norm=0.7, processors=2, seed=3
+        )
+        assert [(t.cost, t.period) for t in a] == [
+            (t.cost, t.period) for t in b
+        ]
+
 
 class TestGeneration:
     def test_requested_utilization_hit(self):

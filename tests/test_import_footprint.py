@@ -111,3 +111,12 @@ def test_cli_preset_choices_match_the_workload_registry():
     from repro.taskgen.workloads import preset_names
 
     assert list(cli._PRESET_NAMES) == preset_names()
+
+
+def test_acceptance_loads_no_store_and_the_store_no_analysis():
+    # A store-less sweep (what the experiments and perfbench run) must not
+    # pay for sqlite3 or the store; the store holds no analysis code.
+    code = "import json, sys\nimport repro.analysis.acceptance\n"
+    assert _loaded(code, ("sqlite3", "repro.store")) == []
+    code = "import json, sys\nimport repro.store\n"
+    assert _loaded(code, ("repro.analysis",)) == []
