@@ -192,13 +192,16 @@ def acceptance_sweep(
     ``max_new_cells`` bounds how many new cells a journaled sweep may
     compute; hitting it raises
     :class:`~repro.store.journal.BudgetExhausted` after the journal
-    write.  *progress*, when given, is filled with
+    write; without a store, ``resume`` and ``max_new_cells`` raise
+    ``ValueError``.  *progress*, when given, is filled with
     ``cells_total``/``cells_resumed``/``cells_computed``.
     """
     if not algorithms:
         raise ValueError("need at least one algorithm")
     if samples < 1:
         raise ValueError("need at least one sample per level")
+    if store is None and (resume or max_new_cells is not None):
+        raise ValueError("resume and max_new_cells need a store")
     names = list(algorithms)
     payload = (generator, [algorithms[n] for n in names], processors, seed)
     cells = [

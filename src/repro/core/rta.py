@@ -238,11 +238,33 @@ class RTAContext:
       on the new one, see :func:`response_time`), which typically converges
       in one or two iterations.
 
+    Before any fixed point, each slot of a build or a probe (the candidate
+    and each lower-priority resident) tries the linear response-time upper
+    bound of Bini, Nguyen, Richard & Baruah (IEEE TC 2009)::
+
+        R_ub = (C_i + sum_hp C_j (1 - U_j)) / (1 - sum_hp U_j)
+
+    kept O(1) per slot by running sums along the priority order.  When
+    ``U_hp <= 1 - 1e-6`` and ``R_ub <= D_i (1 - 1e-9)`` the slot is
+    settled as schedulable: its response stays NaN and
+    :func:`response_time` is not called.  This cannot change a decision.
+    The exact least fixed point ``R*`` of ``C + sum ceil(R/T_j) C_j`` is at
+    most ``R_ub``: every hp job released before ``R*`` completes by
+    ``R*``, so its ``k``-th job count satisfies ``(k-1) T_j + C_j <= R*``,
+    i.e. ``k C_j <= U_j R* + C_j (1 - U_j)``.  The float iteration never
+    counts more than the exact one, since ``ceil(r/T - EPS) <= ceil(r/T)``,
+    and it climbs from below, so its fixed point is at most ``R*``.  The
+    margins absorb rounding in the running sums, so a settled slot is one
+    :func:`is_schedulable` accepts too.  A slot that misses the bound runs
+    the exact iteration; a missed lower-priority slot with no cached
+    response warm-starts from the fluid lower bound.
+
     All arithmetic uses the same prefixes, iteration order and sums as
     :func:`is_schedulable` on the merged list, so decisions and response
     values are bit-identical to the rebuild-from-scratch path
     (property-tested in ``tests/core/test_rta_incremental.py``).  A NaN
-    response means "not computed".
+    response means "not computed" (or settled by the bound);
+    :meth:`_resolve` fills any NaN slot exactly.
 
     The context is mutable and has one owner, a
     :class:`~repro.core.partition.ProcessorState`, which updates it in
@@ -323,12 +345,30 @@ class RTAContext:
         if n and self.util_sum > 1.0 + EPS:
             self.first_fail = -2
             return
+        # Slots the linear response bound settles keep a NaN response
+        # (see the class docstring); only the others run the fixed point.
+        # ``u_hp`` and ``lin`` are the prefix's ``sum U_j`` and
+        # ``sum C_j (1 - U_j)``.
+        u_hp = 0.0
+        lin = 0.0
+        settled = 0
         for i in range(n):
-            r = response_time(costs[i], costs[:i], periods[:i], deadlines[i])
-            if r is None:
-                self.first_fail = i
-                break
-            responses[i] = r
+            cost_i = costs[i]
+            u_i = ratios[i]
+            if (
+                u_hp <= 1.0 - 1e-6
+                and cost_i + lin <= deadlines[i] * (1.0 - 1e-9) * (1.0 - u_hp)
+            ):
+                settled += 1
+            else:
+                r = response_time(cost_i, costs[:i], periods[:i], deadlines[i])
+                if r is None:
+                    self.first_fail = i
+                    break
+                responses[i] = r
+            u_hp += u_i
+            lin += cost_i * (1.0 - u_i)
+        COUNTERS.rta_bound_accepts += settled
 
     @classmethod
     def from_rows(cls, rows: Sequence[SubtaskRow]) -> "RTAContext":
@@ -442,66 +482,100 @@ class RTAContext:
             m_ratios.insert(pos, u_c)
             if pairwise_sum(m_ratios) > 1.0 + EPS:
                 return False
-        # The candidate's hp set is the unchanged prefix — no merged lists
-        # needed unless the suffix must be re-checked.  The fluid lower
-        # bound warm-starts the cold iteration.  Without interferers (the
-        # common case: RM-TS places tasks in increasing priority order)
-        # the response is the cost and no warm start is read.
+        # Every slot first tries the linear response bound, O(1) on the
+        # running hp sums ``u_hp = sum U_j`` and ``lin = sum C_j (1 - U_j)``
+        # (see the class docstring); a settled slot keeps a NaN response.
+        # The hp lists are built only for a slot that misses the bound.
         responses = self.responses
-        if pos:
-            hp_costs = costs[:pos]
-            hp_periods = periods[:pos]
-            hp_cost = 0.0
-            for c in hp_costs:
-                hp_cost += c
+        deadline = float(deadline)
+        u_hp = 0.0
+        lin = 0.0
+        hp_cost = 0.0
+        for j in range(pos):
+            c = costs[j]
+            u = ratios[j]
+            u_hp += u
+            lin += c * (1.0 - u)
+            hp_cost += c
+        merged = responses[:pos]
+        if u_hp <= 1.0 - 1e-6 and cost + lin <= deadline * (1.0 - 1e-9) * (
+            1.0 - u_hp
+        ):
+            settled = 1
+            merged.append(_NAN)
+        else:
+            # The candidate's hp set is the unchanged prefix.  The fluid
+            # lower bound warm-starts the cold iteration; without
+            # interferers the response is the cost and no start is read.
             r = response_time(
                 cost,
-                hp_costs,
-                hp_periods,
+                costs[:pos],
+                periods[:pos],
                 deadline,
                 start=_fluid_start(cost, hp_cost, pairwise_sum(ratios[:pos])),
             )
-        else:
-            r = response_time(cost, (), (), deadline)
-        if r is None:
-            return False
-        merged = responses[:pos]
-        merged.append(r)
-        if pos < n:
-            # The merged hp set of resident i is ``costs[:pos] + [cost] +
-            # costs[pos:i]``: grown by one resident per step.
-            if pos:
-                hp_costs.append(cost)
-                hp_periods.append(period)
+            if r is None:
+                return False
+            settled = 0
+            merged.append(r)
+        u_hp += u_c
+        lin += cost * (1.0 - u_c)
+        hp_cost += cost
+        deadlines = self.deadlines
+        # The merged hp set of resident i is ``costs[:pos] + [cost] +
+        # costs[pos:i]``; once built, the hp lists hold that of resident
+        # ``done`` and grow from there (-1: not built yet).
+        hp_costs: List[float] = []
+        hp_periods: List[float] = []
+        done = -1
+        for i in range(pos, n):
+            cost_i = costs[i]
+            u_i = ratios[i]
+            deadline_i = deadlines[i]
+            if u_hp <= 1.0 - 1e-6 and cost_i + lin <= deadline_i * (1.0 - 1e-9) * (
+                1.0 - u_hp
+            ):
+                settled += 1
+                merged.append(_NAN)
             else:
-                hp_costs = [cost]
-                hp_periods = [period]
-            deadlines = self.deadlines
-            # Lower-priority suffix: warm-start each task with one step of
-            # the *extended* iteration map applied to its cached fixed
-            # point — still a lower bound on the new least fixed point
-            # (the map is monotone and the old fixed point lies below it),
-            # shrunk so float rounding cannot overshoot.  The iteration
-            # then typically starts at its destination, and a start beyond
-            # the deadline rejects without a single interference sum.
-            for i in range(pos, n):
+                if done < 0:
+                    hp_costs = costs[:pos]
+                    hp_costs.append(cost)
+                    hp_costs += costs[pos:i]
+                    hp_periods = periods[:pos]
+                    hp_periods.append(period)
+                    hp_periods += periods[pos:i]
+                else:
+                    hp_costs += costs[done:i]
+                    hp_periods += periods[done:i]
+                done = i
+                # Warm start: one step of the *extended* iteration map
+                # applied to the cached fixed point — still a lower bound
+                # on the new least fixed point (the map is monotone and the
+                # old fixed point lies below it), shrunk so float rounding
+                # cannot overshoot — or the fluid bound where no fixed
+                # point is cached.  The iteration then typically starts at
+                # its destination, and a start beyond the deadline rejects
+                # without a single interference sum.
                 r_prev = responses[i]
                 start = (
                     (r_prev + ceil(r_prev / period - EPS) * cost)
                     * (1.0 - 1e-12)
                     if r_prev == r_prev
-                    else None
+                    else _fluid_start(cost_i, hp_cost, u_hp)
                 )
-                cost_i = costs[i]
                 r = response_time(
-                    cost_i, hp_costs, hp_periods, deadlines[i], start=start
+                    cost_i, hp_costs, hp_periods, deadline_i, start=start
                 )
                 if r is None:
+                    COUNTERS.rta_bound_accepts += settled
                     return False
                 merged.append(r)
-                hp_costs.append(cost_i)
-                hp_periods.append(periods[i])
-        self._memo = (cost, period, float(deadline), priority, merged)
+            u_hp += u_i
+            lin += cost_i * (1.0 - u_i)
+            hp_cost += cost_i
+        COUNTERS.rta_bound_accepts += settled
+        self._memo = (cost, period, deadline, priority, merged)
         return True
 
     def insert(

@@ -26,6 +26,7 @@ _FIELDS = (
     "rta_iterations",     # fixed-point iterations across all calls
     "admission_probes",   # incremental admits() probes answered
     "hyper_accepts",      # probes settled by the hyperbolic sufficient test
+    "rta_bound_accepts",  # RTA slots settled by the linear response bound
     "ctx_memo_hits",      # context extensions served from the probe memo
     "ctx_requests",       # ProcessorState analysis-context lookups
     "ctx_builds",         # lookups that had to (re)build the context

@@ -10,7 +10,10 @@ cells, ...).  Design rules, in order:
    stored under a key wins and every later write of the same key returns
    the stored payload, so concurrent writers converge on one byte-exact
    answer (analysis results are pure functions of their key, so a losing
-   writer lost nothing).
+   writer lost nothing).  The one exception is :meth:`ResultStore.put_many`,
+   the journal's batch write, which replaces: a journal writes only keys
+   it holds no trusted row for, so its recomputed row overwrites a
+   distrusted one, and a valid row it replaces is the same bytes.
 2. **Corruption is detected, never served.**  Every row carries a
    SHA-256 over ``namespace + key + payload``; a mismatch on read drops
    the row and reports a miss.  A file sqlite itself rejects (or that
@@ -295,7 +298,12 @@ class ResultStore:
     def put_many(
         self, namespace: str, items: Dict[str, object]
     ) -> None:
-        """Batch insert-or-get (one transaction — the checkpoint hot path)."""
+        """Batch write (one transaction — the journal hot path).
+
+        A row already stored under a key is replaced: the journal writes
+        only keys it holds no trusted row for, so a distrusted row (say,
+        of the wrong width) gets its recomputed value.
+        """
         now = time.time()
         rows = []
         for key, value in items.items():
@@ -307,7 +315,7 @@ class ResultStore:
             ))
         with self._lock:
             self._conn.executemany(
-                "INSERT OR IGNORE INTO entries (namespace, key, payload, "
+                "INSERT OR REPLACE INTO entries (namespace, key, payload, "
                 "checksum, schema_version, created_at, last_access, hits) "
                 "VALUES (?, ?, ?, ?, ?, ?, ?, 0)",
                 rows,

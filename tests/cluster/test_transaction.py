@@ -53,6 +53,7 @@ def assert_matches_fresh_build(proc):
     assert got.first_fail == want.first_fail
     if want.schedulable:
         got._resolve()
+        want._resolve()
         _same_floats(got.responses, want.responses)
 
 

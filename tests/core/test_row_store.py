@@ -62,6 +62,7 @@ def check_against(proc, subtasks):
     assert got.first_fail == fresh.first_fail
     if fresh.schedulable:
         got._resolve()
+        fresh._resolve()
         same_floats(got.responses, fresh.responses)
 
 

@@ -199,6 +199,7 @@ class TestContextMatchesOneShot:
         assert grown.first_fail == fresh.first_fail
         if fresh.schedulable:
             grown._resolve()
+            fresh._resolve()
             same_floats(grown.responses, fresh.responses)
 
     @given(seed=seeds)
@@ -217,6 +218,7 @@ class TestContextMatchesOneShot:
         same_columns(ctx, fresh)
         # A hyperbolic accept arms no memo and leaves the suffix NaN.
         ctx._resolve()
+        fresh._resolve()
         same_floats(ctx.responses, fresh.responses)
 
     @given(seed=seeds)
@@ -236,6 +238,7 @@ class TestContextMatchesOneShot:
         assert ctx.first_fail == fresh.first_fail
         if fresh.schedulable:
             ctx._resolve()
+            fresh._resolve()
             same_floats(ctx.responses, fresh.responses)
 
 
@@ -258,6 +261,7 @@ class TestContextMatchesOneShot:
         assert ctx.first_fail == fresh.first_fail
         if fresh.schedulable:
             ctx._resolve()
+            fresh._resolve()
             same_floats(ctx.responses, fresh.responses)
 
 
@@ -273,12 +277,14 @@ class TestLargeProcessors:
         ctx = RTAContext(subs)
         assert ctx.schedulable == is_schedulable(subs)
         reference = list(response_times(subs).responses)
-        if ctx.first_fail == -1:
+        # Slots the response bound settled stay NaN until resolved.
+        fail = ctx.first_fail
+        if fail != -2:
+            assert ctx._resolve() == fail
+        if fail == -1:
             same_floats(ctx.responses, reference)
-        elif ctx.first_fail >= 0:
-            same_floats(
-                ctx.responses[: ctx.first_fail], reference[: ctx.first_fail]
-            )
+        elif fail >= 0:
+            same_floats(ctx.responses[:fail], reference[:fail])
 
     @given(seed=seeds)
     @settings(max_examples=80, deadline=None)
@@ -304,6 +310,7 @@ class TestLargeProcessors:
         assert grown.first_fail == fresh.first_fail
         if fresh.schedulable:
             grown._resolve()
+            fresh._resolve()
             same_floats(grown.responses, fresh.responses)
 
     @given(seed=seeds)
@@ -443,6 +450,7 @@ class TestLeanAdmissionPath:
             ctx, fresh = proc.rta_context(), RTAContext(subs + [sub])
             same_columns(ctx, fresh)
             ctx._resolve()
+            fresh._resolve()
             same_floats(ctx.responses, fresh.responses)
 
     @given(seed=seeds)

@@ -208,6 +208,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             acceptance_sweep(ALGOS, GEN, **bad)
 
+    @pytest.mark.parametrize(
+        "journal_only", [{"max_new_cells": 1}, {"resume": True}],
+        ids=["max_new_cells", "resume"],
+    )
+    def test_journal_options_need_a_store(self, journal_only):
+        """A budget or resume flag without a store would silently do
+        nothing (a full sweep), so it is rejected before any cell runs."""
+        before = COUNTERS.snapshot()
+        with pytest.raises(ValueError, match="need a store"):
+            acceptance_sweep(ALGOS, GEN, **journal_only, **SWEEP_KWARGS)
+        assert COUNTERS.delta_since(before)["rta_calls"] == 0
+
 
 #: A journal as the previous sweep implementation wrote it: namespace
 #: ``sweep:<key>`` with ``level:sample`` keys and ``[0/1, ...]`` rows,
@@ -266,3 +278,20 @@ class TestStoredFormat:
         assert resumed.curves == acceptance_sweep(
             ALGOS, GEN, **PARENT_KWARGS
         ).curves
+
+    def test_recomputed_rows_replace_distrusted_ones(self, store):
+        """The recomputed rows are written over the bad ones, so the next
+        resume trusts every row and computes nothing."""
+        bad = dict(PARENT_ROWS, **{"1:1": [1, 0], "1:2": "junk"})
+        store.put_many(PARENT_NAMESPACE, bad)
+        acceptance_sweep(
+            ALGOS, GEN, store=store, resume=True, **PARENT_KWARGS
+        )
+        assert store.get_namespace(PARENT_NAMESPACE) == PARENT_ROWS
+        progress = {}
+        acceptance_sweep(
+            ALGOS, GEN, store=store, resume=True, progress=progress,
+            **PARENT_KWARGS
+        )
+        assert progress["cells_computed"] == 0
+        assert progress["cells_resumed"] == len(PARENT_ROWS)
