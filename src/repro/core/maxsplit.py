@@ -30,11 +30,12 @@ analyzed **once per search** instead of once per probe — the binary search
 probes through :meth:`~repro.core.rta.RTAContext.admits` (the cached
 fixed points warm-start every probe, no re-sorting), and the
 scheduling-points variant reads the context's lists directly, evaluates
-Bini & Buttazzo's reduced test-point set and stops scanning as soon as
-no remaining point or constraint can lower the result.  Without a
-context the rebuild-per-probe code runs over the full point set; it is
-the oracle of the equivalence tests.  Results are bit-identical either
-way.
+Bini & Buttazzo's reduced test-point set, walks the lower-priority
+constraints from the lowest priority (usually the binding one) up and
+stops scanning as soon as no remaining point or constraint can lower the
+result.  Without a context the rebuild-per-probe code runs over the full
+point set; it is the oracle of the equivalence tests.  Results are
+bit-identical either way.
 
 The arithmetic is plain Python floats.  Each point's interference is
 summed with :func:`math.fsum`, which rounds correctly, so a split cost is
@@ -175,6 +176,25 @@ def _limit(
     return numer / jobs if jobs else numer * inf
 
 
+def _demand(t: float, costs: Sequence[float], periods: Sequence[float]) -> float:
+    """:func:`_interference` without a list for one or two terms.
+
+    Each term ``ceil(t/T_j) C_j`` is finite and non-negative, and
+    ``fsum`` of zero, one or two such terms is ``0.0``, the term, or the
+    IEEE sum (a single addition is already correctly rounded), so only
+    three or more terms need ``fsum``.
+    """
+    k = len(costs)
+    if k > 2:
+        return fsum([ceil(t / p - EPS) * c for c, p in zip(costs, periods)])
+    if k == 2:
+        return (ceil(t / periods[0] - EPS) * costs[0]
+                + ceil(t / periods[1] - EPS) * costs[1])
+    if k:
+        return ceil(t / periods[0] - EPS) * costs[0]
+    return 0.0
+
+
 def _max_or_nan(values: Iterable[float]) -> float:
     """``max`` that returns NaN when any value is NaN."""
     top = -inf
@@ -241,11 +261,14 @@ def max_split_points(
         # at least min(best, C) can lower it.
         hp_costs = costs[:pos]
         hp_periods = periods[:pos]
+        # With no hp task the deadline is the only point (the piece above
+        # every resident, each RM-TS phase-2 split).
+        own = sorted(points(hp_periods, deadline), reverse=True) if pos else (deadline,)
         best = -inf
-        for t in sorted(points(hp_periods, deadline), reverse=True):
+        for t in own:
             if t <= best:
                 break
-            slack = t - _interference(t, hp_costs, hp_periods)
+            slack = t - _demand(t, hp_costs, hp_periods)
             if slack > best:
                 best = slack
                 if best >= cost:
@@ -253,7 +276,13 @@ def max_split_points(
         if best <= 0.0:
             return 0.0
 
-        for j in range(pos, n):
+        # Lowest priority first: it carries the most interference, so it
+        # usually binds, and its cap lowers the bar the looser
+        # constraints above it must stay under.  The order cannot change
+        # the float: the result is min(C, slack, every cap), and a
+        # constraint is skipped only once some point reaches a bar that
+        # is never below that minimum.
+        for j in range(n - 1, pos - 1, -1):
             dl_j = deadlines[j]
             cost_j = costs[j]
             hp_costs = costs[:j]
@@ -261,12 +290,24 @@ def max_split_points(
             bar = min(best, cost)
             # The deadline is always a test point: often it alone clears
             # the bar and the point set is never built.
-            cap = _limit(dl_j, cost_j, hp_costs, hp_periods, period_new)
+            numer = dl_j - cost_j - _demand(dl_j, hp_costs, hp_periods)
+            jobs = ceil(dl_j / period_new - EPS)
+            cap = numer / jobs if jobs else numer * inf
             if not cap < bar:  # also NaN
                 continue
             with_new = hp_periods[:pos] + [period_new] + hp_periods[pos:]
-            for t in points(with_new, dl_j):
-                limit = _limit(t, cost_j, hp_costs, hp_periods, period_new)
+            pts = points(with_new, dl_j)
+            pts.discard(dl_j)  # evaluated above
+            terms = list(zip(hp_costs, hp_periods))
+            for t in pts:
+                # _limit over _demand's sums (the same float), inlined with
+                # the list for fsum: this is the innermost loop.
+                if j > 2:
+                    numer = t - cost_j - fsum([ceil(t / p - EPS) * c for c, p in terms])
+                else:
+                    numer = t - cost_j - _demand(t, hp_costs, hp_periods)
+                jobs = ceil(t / period_new - EPS)
+                limit = numer / jobs if jobs else numer * inf
                 if not limit < bar:
                     break
                 if limit > cap:

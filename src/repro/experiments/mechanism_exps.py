@@ -8,7 +8,11 @@ lowest-priority task on its processor (Lemma 11's conclusion).
 E10 compares the two MaxSplit implementations (Section IV-A): the binary
 search over ``[0, C]`` and the efficient scheduling-points variant of [22]
 must agree to float precision; the points variant needs far fewer RTA
-evaluations.
+evaluations.  It measures a newcomer above every resident with a period
+no longer than theirs, the shape RM-TS phase 2 makes, and one below
+every resident, and times the points variant with the processor's
+analysis context too (the path partitioning takes), checking that it
+returns the reference's float bit for bit.
 """
 
 from __future__ import annotations
@@ -102,6 +106,13 @@ def _random_processor(rng: np.random.Generator, n_tasks: int) -> ProcessorState:
     return proc
 
 
+#: E10's newcomer shapes, by the tid (= priority) the newcomer gets:
+#: above every resident, with a period no longer than theirs (RM order,
+#: the only shape RM-TS phase 2 makes), and below every resident with
+#: the drawn period (where no lower-priority constraint runs).
+_E10_NEWCOMERS = {"highest priority": -1, "lowest priority": 10_000}
+
+
 @register("e10", "MaxSplit: binary search vs scheduling-points variant")
 def run_e10(quick: bool = True, seed: int = 0) -> ExperimentReport:
     report = ExperimentReport(
@@ -115,37 +126,59 @@ def run_e10(quick: bool = True, seed: int = 0) -> ExperimentReport:
     )
     trials = 40 if quick else 400
     rng = np.random.default_rng(seed)
-    diffs = []
-    t_binary = t_points = 0.0
+    diffs = {shape: [] for shape in _E10_NEWCOMERS}
+    exact = {shape: True for shape in _E10_NEWCOMERS}
+    # Seconds per shape: binary search, points reference, points with
+    # the processor's context (built before timing, as partitioning
+    # caches it).
+    seconds = {shape: [0.0, 0.0, 0.0] for shape in _E10_NEWCOMERS}
     for _ in range(trials):
         proc = _random_processor(rng, int(rng.integers(3, 9)))
-        period = float(rng.uniform(50, 2000))
-        cost = float(rng.uniform(0.3, 0.9)) * period
-        piece = PendingPiece(
-            Task(cost=cost, period=period, tid=10_000)
-        )
+        drawn = float(rng.uniform(50, 2000))
+        share = float(rng.uniform(0.3, 0.9))
         existing = proc.subtasks
-        t0 = time.perf_counter()
-        c_bin = max_split_binary(existing, piece)
-        t1 = time.perf_counter()
-        c_pts = max_split_points(existing, piece)
-        t2 = time.perf_counter()
-        t_binary += t1 - t0
-        t_points += t2 - t1
-        scale = max(cost, 1.0)
-        diffs.append(abs(c_bin - c_pts) / scale)
+        context = proc.rta_context()
+        for shape, tid in _E10_NEWCOMERS.items():
+            period = drawn if tid > 0 else min(drawn, min(context.periods))
+            cost = share * period
+            piece = PendingPiece(Task(cost=cost, period=period, tid=tid))
+            t0 = time.perf_counter()
+            c_bin = max_split_binary(existing, piece)
+            t1 = time.perf_counter()
+            c_pts = max_split_points(existing, piece)
+            t2 = time.perf_counter()
+            c_ctx = max_split_points((), piece, context=context)
+            t3 = time.perf_counter()
+            spent = seconds[shape]
+            spent[0] += t1 - t0
+            spent[1] += t2 - t1
+            spent[2] += t3 - t2
+            diffs[shape].append(abs(c_bin - c_pts) / max(cost, 1.0))
+            exact[shape] = exact[shape] and c_ctx.hex() == c_pts.hex()
     table = Table(
-        ["trials", "max |c_bin - c_pts| (rel)", "binary total s", "points total s",
-         "speedup"],
+        ["newcomer", "trials", "max |c_bin - c_pts| (rel)", "binary total s",
+         "points total s", "context total s", "points speedup",
+         "context speedup"],
         title="E10: MaxSplit implementation agreement and cost",
     )
-    speedup = t_binary / t_points if t_points > 0 else float("inf")
-    table.add_row([trials, max(diffs), t_binary, t_points, speedup])
+    for shape in _E10_NEWCOMERS:
+        t_binary, t_points, t_context = seconds[shape]
+        table.add_row([
+            shape, trials, max(diffs[shape]), t_binary, t_points, t_context,
+            t_binary / t_points, t_binary / t_context,
+        ])
+        report.observations.append(
+            f"{shape.capitalize()} newcomer: both MaxSplit variants agree to "
+            f"{max(diffs[shape]):.2e} relative; the scheduling-points "
+            f"variant is {t_binary / t_points:.1f}x faster than binary "
+            f"search, {t_binary / t_context:.1f}x with the processor's "
+            "context."
+        )
     report.tables.append(table)
-    report.checks["maxsplit_agreement"] = max(diffs) < 1e-6
-    report.checks["points_not_slower"] = speedup > 1.0
-    report.observations.append(
-        f"Both MaxSplit variants agree to {max(diffs):.2e} relative; the "
-        f"scheduling-points variant is {speedup:.1f}x faster."
+    worst = max(max(d) for d in diffs.values())
+    report.checks["maxsplit_agreement"] = worst < 1e-6
+    report.checks["points_not_slower"] = all(
+        t_binary > t_points for t_binary, t_points, _ in seconds.values()
     )
+    report.checks["context_equals_points"] = all(exact.values())
     return report

@@ -17,8 +17,11 @@ counters, verdicts, probe counts, witnesses), which are deterministic
 by construction.  Wall-clock timing belongs to ``perfbench/``, which
 scales it for host noise.  The one exception is a fixed ignore list
 (:data:`DEFAULT_IGNORES`, ``fnmatch`` globs over the dotted leaf path,
-list items as ``[i]``): machine identity, and the clock readings of the
-loadgen report, a user tool whose product is latency.
+list items as ``[i]``): machine identity, the source hash that every
+``src/`` edit changes, and the clock readings of the loadgen report, a
+user tool whose product is latency.  The rest of each provenance stamp
+(its counters, seed and config hash) repeats exactly, so it is gated:
+counters that no longer match the code fail the gate.
 
 A committed baseline with no fresh twin is drift too: a nightly step
 that stops writing its artifact must fail the gate, not skip it.
@@ -48,9 +51,9 @@ __all__ = [
 
 #: Leaf paths that never participate in the comparison.
 DEFAULT_IGNORES: Tuple[str, ...] = (
-    # machine identity
-    "provenance.*",
+    # machine identity, and the hash of the source tree
     "host.*",
+    "provenance.code_version",
     # loadgen (BENCH_service.json) clock readings
     "client.rps",
     "client.elapsed_seconds",

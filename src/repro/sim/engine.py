@@ -27,6 +27,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
+from math import inf
 from typing import Dict, List, Optional, Tuple
 
 from repro._util.floats import EPS
@@ -117,6 +118,11 @@ def _piece_chains(
     return chains
 
 
+def _non_negative(value: float) -> bool:
+    """Finite and ``>= 0`` (False for NaN)."""
+    return 0 <= value < inf
+
+
 def simulate_partition(
     partition: PartitionResult,
     *,
@@ -178,17 +184,20 @@ def simulate_partition(
         )
     if horizon is None:
         horizon = default_horizon(partition.taskset)
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    if preemption_overhead < 0 or migration_overhead < 0:
-        raise ValueError("overheads must be non-negative")
+    # Written so that NaN fails each check: a NaN horizon simulates
+    # nothing and passes vacuously, an infinite one never returns.
+    if not 0 < horizon < inf:
+        raise ValueError(f"horizon must be a finite number > 0, got {horizon}")
+    if not (_non_negative(preemption_overhead)
+            and _non_negative(migration_overhead)):
+        raise ValueError("overheads must be finite and non-negative")
     offsets = offsets or {}
-    if any(v < 0 for v in offsets.values()):
-        raise ValueError("offsets must be non-negative")
+    if not all(_non_negative(v) for v in offsets.values()):
+        raise ValueError("offsets must be finite and non-negative")
     if release_model not in ("periodic", "sporadic"):
         raise ValueError(f"unknown release model {release_model!r}")
-    if sporadic_slack < 0:
-        raise ValueError("sporadic_slack must be non-negative")
+    if not _non_negative(sporadic_slack):
+        raise ValueError("sporadic_slack must be finite and non-negative")
     if release_model == "sporadic":
         import numpy as _np
 

@@ -279,3 +279,94 @@ class TestReducedTestPoints:
                                             dedicate_over_bound=dedicate)
                     seen["pre_assigned"] += len(result.info["pre_assigned_tids"])
         assert seen["below_hp"] > 0 and seen["pre_assigned"] > 0, seen
+
+
+def any_processor(rng, n, *, rm_ordered):
+    """Random subtasks with priorities ``2, 4, ..., 2n`` (odd tids are
+    free for a newcomer), periods RM-ordered or shuffled against the
+    priorities, a total utilization of 0.3-0.9 split at random, and some
+    synthetic deadlines below the period (the residue of earlier
+    splits)."""
+    periods = rng.uniform(4.0, 200.0, size=n)
+    if rm_ordered:
+        periods = np.sort(periods)
+    shares = rng.exponential(size=n)
+    utils = shares / max(shares.sum(), 1e-9) * rng.uniform(0.3, 0.9)
+    subs = []
+    for i, (period, u) in enumerate(zip(periods.tolist(), utils.tolist())):
+        deadline = period if rng.random() < 0.6 else period * rng.uniform(0.5, 1.0)
+        cost = min(float(u) * period, float(deadline))
+        task = Task(cost=cost, period=period, tid=2 * (i + 1))
+        subs.append(Subtask(cost=cost, period=period, deadline=float(deadline),
+                            parent=task))
+    return subs
+
+
+class TestContextPathBitIdentity:
+    """The context path walks the lower-priority constraints from the
+    lowest priority up and sums short interference lists without
+    ``fsum``; neither may change the float.  Each case compares it with
+    the from-scratch full-point-set reference by ``float.hex``."""
+
+    @staticmethod
+    def _assert_identical(subs, piece):
+        from repro.core.rta import RTAContext
+
+        ctx = RTAContext(subs)
+        if not ctx.schedulable:
+            return False
+        got = max_split_points((), piece, context=ctx)
+        want = max_split_points(subs, piece, context=None)
+        assert got.hex() == want.hex()
+        return True
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=300, deadline=None)
+    def test_any_rank_any_period_order(self, seed):
+        # Ranks above every resident (RM-TS phase 2) and below some
+        # (phase 3); shuffled periods take the full point set.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(0, 8))
+        subs = any_processor(rng, n, rm_ordered=rng.random() < 0.5)
+        period = float(rng.uniform(4.0, 200.0))
+        rank = 0 if rng.random() < 0.5 else int(rng.integers(0, n + 1))
+        piece = piece_for(float(rng.uniform(0.05, 0.95)) * period, period,
+                          tid=2 * rank + 1)
+        if rng.random() < 0.4:  # a tail: synthetic deadline below T
+            piece.split_off(ProcessorState(index=1),
+                            float(rng.uniform(0.1, 0.6)) * piece.cost)
+        self._assert_identical(subs, piece)
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=100, deadline=None)
+    def test_zero_job_points(self, seed):
+        # A newcomer period beyond every resident deadline / EPS: every
+        # point of every constraint has a zero newcomer job count, so each
+        # cap is +inf, -inf or NaN (a zero numerator).
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 6))
+        subs = any_processor(rng, n, rm_ordered=rng.random() < 0.5)
+        if rng.random() < 0.3:
+            # A resident that exactly fills its deadline: a zero numerator.
+            t = subs[-1].parent
+            subs[-1] = Subtask(cost=subs[-1].deadline, period=t.period,
+                               deadline=subs[-1].deadline,
+                               parent=Task(cost=subs[-1].deadline,
+                                           period=t.period, tid=t.tid))
+        period = float(rng.uniform(1e12, 1e13))
+        piece = piece_for(float(rng.uniform(0.05, 0.95)) * period, period, tid=1)
+        self._assert_identical(subs, piece)
+
+    def test_zero_numerator_constraint_is_ignored(self):
+        # (2,4) then (2,8) at priority below the newcomer: the last
+        # resident's deadline 8 is met exactly, so with a zero newcomer
+        # job count its cap at t=8 is 0 * inf = NaN and the constraint is
+        # ignored on both paths.
+        subs = [
+            Subtask(cost=2.0, period=4.0, deadline=4.0,
+                    parent=Task(cost=2.0, period=4.0, tid=2)),
+            Subtask(cost=4.0, period=8.0, deadline=8.0,
+                    parent=Task(cost=4.0, period=8.0, tid=4)),
+        ]
+        piece = piece_for(1e12, 1e13, tid=1)
+        assert self._assert_identical(subs, piece)

@@ -108,8 +108,27 @@ def test_non_numeric_leaves_compare_exactly():
 
 def test_default_ignores_are_stable():
     # the nightly workflow depends on these staying ignored
-    assert "provenance.*" in DEFAULT_IGNORES
+    assert "provenance.code_version" in DEFAULT_IGNORES
     assert "host.*" in DEFAULT_IGNORES
+
+
+def test_provenance_counters_seed_and_config_are_gated():
+    # Only the source hash may differ; a stale counter is drift.
+    def stamp(version, rta_calls):
+        return {"provenance": {"code_version": version, "seed": 0,
+                               "config_hash": "abc",
+                               "counters": {"rta_calls": rta_calls}}}
+
+    fresh = classify(stamp("src-a", 33286), stamp("src-b", 33286))
+    assert {f.path: f.status for f in fresh} == {
+        "provenance.config_hash": "equal",
+        "provenance.counters.rta_calls": "equal",
+        "provenance.seed": "equal",
+    }
+    stale = classify(stamp("src-a", 36246), stamp("src-b", 33286))
+    assert [f.path for f in stale if f.is_drift] == [
+        "provenance.counters.rta_calls"
+    ]
 
 
 # -- CLI --------------------------------------------------------------------

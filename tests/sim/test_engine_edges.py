@@ -10,6 +10,40 @@ from repro.sim.engine import simulate_partition
 from tests.sim.test_engine import uni_partition
 
 
+NAN = float("nan")
+INF = float("inf")
+
+
+class TestNonFiniteArguments:
+    """NaN passes ``<= 0``-style checks: a NaN horizon simulated nothing
+    and reported a clean run, an infinite horizon or a NaN offset never
+    returned, and a NaN or infinite slack died inside NumPy."""
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"horizon": NAN},
+            {"horizon": INF},
+            {"horizon": 0.0},
+            {"preemption_overhead": NAN},
+            {"preemption_overhead": INF},
+            {"migration_overhead": NAN},
+            {"migration_overhead": INF},
+            {"offsets": {0: NAN}},
+            {"offsets": {0: INF}},
+            {"offsets": {0: -1.0}},
+            {"release_model": "sporadic", "sporadic_slack": NAN},
+            {"release_model": "sporadic", "sporadic_slack": INF},
+        ],
+        ids=lambda kwargs: "-".join(f"{k}={v}" for k, v in kwargs.items()),
+    )
+    def test_rejected(self, kwargs):
+        kwargs.setdefault("horizon", 20.0)
+        ts = TaskSet.from_pairs([(1, 4), (2, 10)])
+        with pytest.raises(ValueError, match="finite"):
+            simulate_partition(uni_partition(ts), **kwargs)
+
+
 class TestDegenerateInputs:
     def test_horizon_shorter_than_first_period(self):
         ts = TaskSet.from_pairs([(1, 10)])

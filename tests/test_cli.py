@@ -90,6 +90,19 @@ class TestSimulateCommand:
 
 
     @pytest.mark.parametrize(
+        "flag, value", [("--horizon", "nan"), ("--horizon", "inf"),
+                        ("--horizon", "0"), ("--overhead", "nan"),
+                        ("--overhead", "inf")],
+    )
+    def test_non_finite_argument_is_a_clean_error(self, taskfile, capsys,
+                                                  flag, value):
+        assert main(["simulate", taskfile, "-m", "2", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert "deadline misses" not in captured.out
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize(
         "field, index, value, message",
         [
             ("period", 1, float("inf"), "period must be finite"),
