@@ -10,7 +10,8 @@ journal replay and ``--jobs N`` runs bit-identical.
 Those draws are shared through a :class:`TenantPool`, one per
 ``(TaskSetGenerator, seed, u_set)``: every cell of a policy × rate grid
 reads the same tenants' task sets and rate-independent timeline draws
-instead of regenerating them (see :func:`tenant_pool`).
+instead of regenerating them, and every policy at one arrival rate reads
+the same sorted timeline (see :func:`tenant_pool`).
 
 The configuration is content-addressed exactly like sweep checkpoints
 (:func:`repro._util.keys.content_key`): floats are encoded with
@@ -213,7 +214,9 @@ class TenantPool:
 
     Each tenant's cluster :class:`~repro.core.task.Task` tuple
     (:func:`~repro.cluster.state.cluster_tasks`) is kept beside its set,
-    so the cells of a grid share those too.
+    so the cells of a grid share those too.  So is each arrival stream's
+    sorted timeline (:meth:`timeline`), keyed by the configuration
+    fields it depends on: the policies of a grid at one rate read one.
 
     Entries are filled on first use with ``dict.setdefault``, so
     threads that race on one tenant keep the first (identical) value
@@ -230,6 +233,7 @@ class TenantPool:
         self._tasks: Dict[int, Tuple[Task, ...]] = {}
         self._gaps: Dict[int, float] = {}
         self._lifetimes: Dict[Tuple[str, int], float] = {}
+        self._timelines: Dict[Tuple[object, ...], Tuple[ChurnEvent, ...]] = {}
 
     def taskset(self, tenant: int) -> TaskSet:
         """Tenant *tenant*'s task set (see :func:`tenant_taskset`)."""
@@ -282,6 +286,27 @@ class TenantPool:
             return x_m * (1.0 + found)
         return mean * found
 
+    def timeline(self, config: ChurnConfig) -> List[ChurnEvent]:
+        """*config*'s sorted timeline, built once per arrival stream.
+
+        The list is fresh on every call; the events are frozen, so no
+        caller can change what the next one reads.
+        """
+        key = (
+            config.arrival_model,
+            config.arrival_rate,
+            config.horizon,
+            config.trace,
+            config.lifetime_model,
+            config.mean_lifetime,
+        )
+        found = self._timelines.get(key)
+        if found is None:
+            found = self._timelines.setdefault(
+                key, tuple(_sorted_timeline(self, config))
+            )
+        return list(found)
+
 
 @lru_cache(maxsize=_POOL_SLOTS)
 def tenant_pool(
@@ -309,9 +334,14 @@ def build_event_timeline(config: ChurnConfig) -> List[ChurnEvent]:
     ``i``'s lifetime each come from ``cell_rng(seed, stream, i)``, so
     the timeline is identical no matter where or how often it is built.
     The draws come from the configuration's :class:`TenantPool`, so a
-    grid draws them once for all its policies and rates.
+    grid draws them once for all its policies and rates, and sorts one
+    timeline per rate (:meth:`TenantPool.timeline`).
     """
-    pool = pool_of(config)
+    return pool_of(config).timeline(config)
+
+
+def _sorted_timeline(pool: TenantPool, config: ChurnConfig) -> List[ChurnEvent]:
+    """Build and sort *config*'s timeline from *pool*'s draws."""
     model, mean = config.lifetime_model, config.mean_lifetime
     arrivals: List[Tuple[int, float, float]] = []
     if config.arrival_model == "trace":

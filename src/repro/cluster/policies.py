@@ -38,7 +38,7 @@ from repro.core.partition import (
     ProcessorSnapshot,
     ProcessorState,
 )
-from repro.core.task import Task, TaskSet
+from repro.core.task import TaskSet
 
 __all__ = [
     "AdmitOutcome",
@@ -244,23 +244,28 @@ class RepartitionPolicy(ChurnPolicy):
         """Union task set over residents (+ the arriving tenant) and the
         union-tid -> (tenant, local) mapping.
 
-        ``TaskSet`` sorts by ``(period, input position)`` and re-assigns
-        tids 0..N-1; the union is built from the cluster tasks already in
-        that order (one stable sort by period), so union tid ``i`` belongs
-        to ``mapping[i]``.
+        ``TaskSet`` orders by ``(period, input position)`` and assigns
+        tids 0..N-1; one stable sort by period puts the cluster tasks'
+        columns in that order, so union tid ``i`` belongs to
+        ``mapping[i]`` and :meth:`TaskSet.from_columns` builds each union
+        task once (named ``tau{i}``: churn reads only cost, period and
+        tid).
         """
-        raw: List[Task] = []
+        costs: List[float] = []
+        periods: List[float] = []
         owners: List[Tuple[int, int]] = []
         tenants = state.resident_order()
         if extra is not None:
             tenants.append(extra)
         for tenant in tenants:
-            tasks = state.tasks_of(tenant)
-            raw.extend(tasks)
-            owners.extend((tenant, local) for local in range(len(tasks)))
-        periods = [task.period for task in raw]
-        order = sorted(range(len(raw)), key=periods.__getitem__)
-        union = TaskSet([raw[i] for i in order])
+            for local, task in enumerate(state.tasks_of(tenant)):
+                costs.append(task.cost)
+                periods.append(task.period)
+                owners.append((tenant, local))
+        order = sorted(range(len(periods)), key=periods.__getitem__)
+        union = TaskSet.from_columns(
+            [costs[i] for i in order], [periods[i] for i in order]
+        )
         return union, [owners[i] for i in order]
 
     def _try_install(
@@ -282,14 +287,17 @@ class RepartitionPolicy(ChurnPolicy):
         new_hosts: Dict[Tuple[int, int], Tuple[int, ...]] = {
             owner: tuple(hosting[tid]) for tid, owner in enumerate(mapping)
         }
-        migrations = sum(
-            1
+        # New hosts of the residents that change hosts (an arriving
+        # tenant has no old hosts, so it never counts).
+        old_hosts = state.hosts
+        moved = [
+            hosts
             for key, hosts in new_hosts.items()
-            if key in state.hosts and state.hosts[key] != hosts
-        )
-        if migrations > migration_budget:
+            if old_hosts.get(key, hosts) != hosts
+        ]
+        if len(moved) > migration_budget:
             return None
-        if not self._migrations_verified(result, state, new_hosts):
+        if not self._migrations_verified(result, moved):
             return None
         order = state.resident_order()
         if extra is not None:
@@ -298,30 +306,27 @@ class RepartitionPolicy(ChurnPolicy):
             f"{tenant}:{local}": list(hosts)
             for (tenant, local), hosts in new_hosts.items()
         }
-        state.apply_install(order, host_map)
+        state.install(order, new_hosts)
         return AdmitOutcome(
-            ops=[["install", order, host_map]], migrations=migrations
+            ops=[["install", order, host_map]], migrations=len(moved)
         )
 
+    @staticmethod
     def _migrations_verified(
-        self,
-        result: PartitionResult,
-        state: ClusterState,
-        new_hosts: Dict[Tuple[int, int], Tuple[int, ...]],
+        result: PartitionResult, moved: List[Tuple[int, ...]]
     ) -> bool:
         """Re-verify processors receiving migrated tasks with exact RTA.
 
         The partitioner admitted every placement already; this re-checks
-        the destination processors of actual *migrations* independently
-        (EDF-dispatched partitions are covered by the partitioner's own
-        exact DBF test instead).
+        the destination processors of actual migrations (*moved*, their
+        new hosts) independently (EDF-dispatched partitions are covered
+        by the partitioner's own exact DBF test instead).
         """
         if result.scheduler != "fixed":
             return True
         touched = set()
-        for key, hosts in new_hosts.items():
-            if key in state.hosts and state.hosts[key] != hosts:
-                touched.update(hosts)
+        for hosts in moved:
+            touched.update(hosts)
         return all(
             result.processors[q].is_schedulable() for q in sorted(touched)
         )

@@ -17,6 +17,7 @@ exact acceptance criterion.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -53,12 +54,15 @@ MIGRATION_BOUNDS: Tuple[float, ...] = (0, 1, 2, 3, 4, 6, 8, 12, 16)
 
 
 def _bucket_index(bounds: Tuple[float, ...], value: float) -> int:
-    # Plain bucket assignment, not a schedulability decision: the SLO
-    # histograms just need a total, deterministic bucketing of values.
-    for i, bound in enumerate(bounds):
-        if value <= bound:  # repro-lint: disable=R1 (histogram bucketing)
-            return i
-    return len(bounds)
+    """The first bucket whose bound is at least *value*; the overflow
+    bucket ``len(bounds)`` above the last bound and for NaN.
+
+    Plain bucket assignment, not a schedulability decision: the SLO
+    histograms just need a total, deterministic bucketing of values.
+    """
+    if value != value:
+        return len(bounds)
+    return bisect_left(bounds, value)
 
 
 @dataclass
@@ -352,11 +356,14 @@ def simulate_churn(
     state = ClusterState.fresh(config, live=policy.live)
     metrics = ChurnMetrics()
     queue: List[Tuple[int, float]] = []
-    namespace = "churn:" + churn_config_key(config)
 
     owns_store = isinstance(store, str)
     backend: Optional[ResultStore] = (
         ResultStore(store) if owns_store else store  # type: ignore[arg-type]
+    )
+    # The journal namespace hashes the configuration; only a store reads it.
+    namespace = (
+        "churn:" + churn_config_key(config) if backend is not None else ""
     )
     try:
         start = 0
@@ -426,7 +433,7 @@ def simulate_churn(
             metrics=metrics,
             events_processed=processed_new,
             events_total=total,
-            namespace=namespace if backend is not None else None,
+            namespace=namespace or None,
         )
     finally:
         if owns_store and backend is not None:

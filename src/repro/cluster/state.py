@@ -143,7 +143,8 @@ class ClusterState:
         Computed over live processors when present and over the
         resident registry otherwise, summed left to right in list order
         (``+=``: the builtin ``sum`` compensates since Python 3.12), so
-        it is bit-stable under the op replay.
+        it is bit-stable under the op replay.  Residents' ``C / T`` is
+        divided inline, the same float ``Task.utilization`` returns.
         """
         total = 0.0
         if self.processors is not None:
@@ -152,7 +153,7 @@ class ClusterState:
         else:
             for tasks in self.residents.values():
                 for task in tasks:
-                    total += task.utilization
+                    total += task.cost / task.period
         return total / self.config.processors
 
     def resident_order(self) -> List[int]:
@@ -215,15 +216,24 @@ class ClusterState:
 
         *host_map* keys are ``"tenant:local"`` strings (JSON-safe).
         """
+        hosts: Dict[Tuple[int, int], Tuple[int, ...]] = {}
+        for key, procs in host_map.items():
+            tenant_s, local_s = key.split(":")
+            hosts[(int(tenant_s), int(local_s))] = tuple(int(h) for h in procs)
+        self.install(order, hosts)
+
+    def install(
+        self,
+        order: List[int],
+        hosts: Dict[Tuple[int, int], Tuple[int, ...]],
+    ) -> None:
+        """:meth:`apply_install` from a placement map already keyed by
+        ``(tenant, local)``, which the state then owns (the live
+        repartition path, which has the map in that form)."""
         if self.processors is not None:
             raise ValueError("install op is for repartition state")
         self.residents = {t: self.tasks_of(t) for t in order}
-        self.hosts = {}
-        for key, hosts in host_map.items():
-            tenant_s, local_s = key.split(":")
-            self.hosts[(int(tenant_s), int(local_s))] = tuple(
-                int(h) for h in hosts
-            )
+        self.hosts = hosts
 
     def apply_op(self, op: List[object]) -> None:
         """Dispatch one journaled op (replay path)."""

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from math import ceil, floor, fsum, inf
-from typing import Iterable, Optional, Sequence, Set
+from typing import Optional, Sequence, Set
 
 from repro._util.floats import EPS
 from repro.core.rta import RTAContext, is_schedulable
@@ -157,7 +157,7 @@ def _reduced_points(periods: Sequence[float], deadline: float) -> Set[float]:
 def _interference(t: float, costs: Sequence[float], periods: Sequence[float]) -> float:
     """``sum_j ceil(t / T_j) C_j``, correctly rounded by :func:`math.fsum`
     so the value does not depend on the host's summation order."""
-    return fsum([ceil(t / p - EPS) * c for c, p in zip(costs, periods)])
+    return fsum([(ceil(t / p - EPS) or 1) * c for c, p in zip(costs, periods)])
 
 
 def _limit(
@@ -168,12 +168,16 @@ def _limit(
     period_new: float,
 ) -> float:
     """A lower-priority task's cap on the newcomer's cost at instant *t*:
-    ``(t - C_j - I_hp(j)(t)) / ceil(t/T_p)``.  A zero job count divides
-    like IEEE (``±inf``, or NaN for a zero numerator)."""
+    ``(t - C_j - I_hp(j)(t)) / ceil(t/T_p)``.
+
+    Every job count here is at least one: a synchronous release puts a
+    job of every task in any window, even one shorter than ``EPS·T``,
+    where ``ceil(t/T - EPS)`` alone would count none.
+    """
     # _interference, inlined: this is the innermost call of the search.
-    numer = t - cost_j - fsum([ceil(t / p - EPS) * c for c, p in zip(costs, periods)])
-    jobs = ceil(t / period_new - EPS)
-    return numer / jobs if jobs else numer * inf
+    numer = t - cost_j - fsum([(ceil(t / p - EPS) or 1) * c for c, p in zip(costs, periods)])
+    jobs = ceil(t / period_new - EPS) or 1
+    return numer / jobs
 
 
 def _demand(t: float, costs: Sequence[float], periods: Sequence[float]) -> float:
@@ -186,24 +190,13 @@ def _demand(t: float, costs: Sequence[float], periods: Sequence[float]) -> float
     """
     k = len(costs)
     if k > 2:
-        return fsum([ceil(t / p - EPS) * c for c, p in zip(costs, periods)])
+        return fsum([(ceil(t / p - EPS) or 1) * c for c, p in zip(costs, periods)])
     if k == 2:
-        return (ceil(t / periods[0] - EPS) * costs[0]
-                + ceil(t / periods[1] - EPS) * costs[1])
+        return ((ceil(t / periods[0] - EPS) or 1) * costs[0]
+                + (ceil(t / periods[1] - EPS) or 1) * costs[1])
     if k:
-        return ceil(t / periods[0] - EPS) * costs[0]
+        return (ceil(t / periods[0] - EPS) or 1) * costs[0]
     return 0.0
-
-
-def _max_or_nan(values: Iterable[float]) -> float:
-    """``max`` that returns NaN when any value is NaN."""
-    top = -inf
-    for v in values:
-        if v != v:
-            return v
-        if v > top:
-            top = v
-    return top
 
 
 def max_split_points(
@@ -224,9 +217,8 @@ def max_split_points(
     ``c <= max_t (t - C_j - I_hp(j)(t)) / ceil(t/T_p)``.
 
     Higher-priority tasks are unaffected by the newcomer.  The result is
-    the minimum over all constraints, clipped to ``[0, C]``.  A constraint
-    whose cap is NaN (a zero job count against a zero numerator) is
-    ignored.
+    the minimum over all constraints, clipped to ``[0, C]``.  Every job
+    count is at least one (see :func:`_limit`).
 
     With *context* the hp sets are prefixes of the cached lists and the
     points are Bini–Buttazzo's reduced set (the full set where the periods
@@ -291,9 +283,9 @@ def max_split_points(
             # The deadline is always a test point: often it alone clears
             # the bar and the point set is never built.
             numer = dl_j - cost_j - _demand(dl_j, hp_costs, hp_periods)
-            jobs = ceil(dl_j / period_new - EPS)
-            cap = numer / jobs if jobs else numer * inf
-            if not cap < bar:  # also NaN
+            jobs = ceil(dl_j / period_new - EPS) or 1
+            cap = numer / jobs
+            if not cap < bar:
                 continue
             with_new = hp_periods[:pos] + [period_new] + hp_periods[pos:]
             pts = points(with_new, dl_j)
@@ -303,11 +295,11 @@ def max_split_points(
                 # _limit over _demand's sums (the same float), inlined with
                 # the list for fsum: this is the innermost loop.
                 if j > 2:
-                    numer = t - cost_j - fsum([ceil(t / p - EPS) * c for c, p in terms])
+                    numer = t - cost_j - fsum([(ceil(t / p - EPS) or 1) * c for c, p in terms])
                 else:
                     numer = t - cost_j - _demand(t, hp_costs, hp_periods)
-                jobs = ceil(t / period_new - EPS)
-                limit = numer / jobs if jobs else numer * inf
+                jobs = ceil(t / period_new - EPS) or 1
+                limit = numer / jobs
                 if not limit < bar:
                     break
                 if limit > cap:
@@ -333,7 +325,7 @@ def max_split_points(
     # Constraints from each lower-priority task on the processor.
     for sub in lp:
         cost_j = float(sub.cost)
-        cap = _max_or_nan(
+        cap = max(
             _limit(t, cost_j, hp_costs, hp_periods, period_new)
             for t in _full_points(hp_periods + [period_new], float(sub.deadline))
         )

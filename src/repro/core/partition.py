@@ -234,7 +234,8 @@ class ProcessorState:
             self.role = ProcessorRole.NORMAL
         # "full" marks a processor filled by a body subtask during
         # splitting; once no body remains the capacity is reclaimable.
-        if not any(row.kind is SubtaskKind.BODY for row in kept):
+        # Only a set flag needs the scan (fit policies never split).
+        if self.full and not any(row.kind is SubtaskKind.BODY for row in kept):
             self.full = False
         self._reset(kept)
         return removed

@@ -97,7 +97,10 @@ def response_time(
     -------
     The smallest fixed point ``R = C + sum(ceil(R/T_j) C_j)`` if it is at
     most ``deadline`` (up to tolerance), else ``None``.  Interference sums
-    accumulate left to right over the hp set in the given order.
+    accumulate left to right over the hp set in the given order.  Each hp
+    task counts at least one job: a synchronous release puts one in any
+    window, even one shorter than ``EPS·T``, where ``ceil(r/T - EPS)``
+    alone would count none.
     """
     COUNTERS.rta_calls += 1
     if cost <= 0:
@@ -120,7 +123,7 @@ def response_time(
         iterations += 1
         r_new = cost
         for c, t in zip(hp_costs, hp_periods):
-            r_new += ceil(r / t - EPS) * c
+            r_new += (ceil(r / t - EPS) or 1) * c
         if r_new <= r + EPS:
             COUNTERS.rta_iterations += iterations
             if _obs_metrics.ENABLED:
@@ -252,10 +255,10 @@ class RTAContext:
     most ``R_ub``: every hp job released before ``R*`` completes by
     ``R*``, so its ``k``-th job count satisfies ``(k-1) T_j + C_j <= R*``,
     i.e. ``k C_j <= U_j R* + C_j (1 - U_j)``.  The float iteration never
-    counts more than the exact one, since ``ceil(r/T - EPS) <= ceil(r/T)``,
-    and it climbs from below, so its fixed point is at most ``R*``.  The
-    margins absorb rounding in the running sums, so a settled slot is one
-    :func:`is_schedulable` accepts too.  A slot that misses the bound runs
+    counts more than the exact one, since ``max(ceil(r/T - EPS), 1) <=
+    ceil(r/T)`` for ``r > 0``, and it climbs from below, so its fixed
+    point is at most ``R*``.  The margins absorb rounding in the running
+    sums, so a settled slot is one :func:`is_schedulable` accepts too.  A slot that misses the bound runs
     the exact iteration; a missed lower-priority slot with no cached
     response warm-starts from the fluid lower bound.
 
@@ -559,7 +562,7 @@ class RTAContext:
                 # without a single interference sum.
                 r_prev = responses[i]
                 start = (
-                    (r_prev + ceil(r_prev / period - EPS) * cost)
+                    (r_prev + (ceil(r_prev / period - EPS) or 1) * cost)
                     * (1.0 - 1e-12)
                     if r_prev == r_prev
                     else _fluid_start(cost_i, hp_cost, u_hp)

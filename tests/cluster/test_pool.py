@@ -216,10 +216,12 @@ class TestReuseAndBounds:
         workers = [config for config in configs for _ in range(3)]
         barrier = threading.Barrier(len(workers))
         seen = [None] * len(workers)
+        timelines = [None] * len(workers)
 
         def fill(slot, config):
             state = ClusterState.fresh(config, live=False)
             barrier.wait(timeout=30)
+            timelines[slot] = build_event_timeline(config)
             seen[slot] = [state.taskset_of(t) for t in range(30)]
 
         threads = [
@@ -240,3 +242,53 @@ class TestReuseAndBounds:
             assert [_hex_tasks(ts) for ts in seen[slot]] == [
                 _hex_tasks(tenant_taskset(config, t)) for t in range(30)
             ]
+            assert _hex_events(timelines[slot]) == (
+                _hex_events(_fresh_timeline(config))
+            )
+
+
+class TestSharedTimeline:
+    """Each arrival stream's sorted timeline is built once per pool; what
+    every caller reads equals a build on a fresh pool."""
+
+    @pytest.mark.parametrize("arrival_model", ["poisson", "trace"])
+    @pytest.mark.parametrize("lifetime_model", ["exponential", "pareto", "fixed"])
+    def test_equals_a_build_on_a_fresh_pool(self, arrival_model, lifetime_model):
+        trace = ((3.0, 0.0), (1.5, 40.0), (7.25, 0.0), (1.5, 2.0))
+        config = ChurnConfig(
+            seed=9, horizon=25, arrival_rate=0.05, mean_lifetime=90.0,
+            lifetime_model=lifetime_model, arrival_model=arrival_model,
+            trace=trace if arrival_model == "trace" else (),
+        )
+        first = build_event_timeline(config)
+        for other in ("ff-rta", "compact", "repart:rmts"):
+            assert build_event_timeline(replace(config, policy=other)) == first
+        tenant_pool.cache_clear()
+        assert _hex_events(first) == _hex_events(build_event_timeline(config))
+        assert _hex_events(first) == _hex_events(_fresh_timeline(config))
+
+    def test_one_entry_per_arrival_stream(self):
+        base = ChurnConfig(seed=2, horizon=15)
+        for policy in ("ff-rta", "bf-rejoin", "compact", "repart:rmts"):
+            for rate in (0.008, 0.014, 0.018):
+                build_event_timeline(replace(base, policy=policy, arrival_rate=rate))
+        assert len(pool_of(base)._timelines) == 3
+
+    def test_callers_cannot_change_the_shared_copy(self):
+        config = ChurnConfig(seed=4, horizon=12)
+        want = _hex_events(build_event_timeline(config))
+        mine = build_event_timeline(config)
+        mine.reverse()
+        mine.pop()
+        mine.append(ChurnEvent(0.0, "arrival", 99))
+        mine.sort(key=lambda e: e.tenant)
+        again = build_event_timeline(config)
+        assert again is not mine
+        assert _hex_events(again) == want
+
+    def test_rebuild_after_cache_clear_is_identical(self):
+        config = ChurnConfig(seed=6, horizon=20, lifetime_model="pareto")
+        before = _hex_events(build_event_timeline(config))
+        tenant_pool.cache_clear()
+        assert not pool_of(config)._timelines
+        assert _hex_events(build_event_timeline(config)) == before

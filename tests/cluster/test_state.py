@@ -121,6 +121,21 @@ class TestClusterStateOps:
         with pytest.raises(ValueError):
             state.apply_migrate(0, 0, 0, 1)  # no live processors
 
+    def test_install_equals_the_journaled_install(self):
+        config = ChurnConfig(processors=3)
+        hosts = {(2, 0): (1,), (0, 1): (0, 2), (0, 0): (2,), (2, 1): (0,)}
+        direct = ClusterState.fresh(config, live=False)
+        direct.install([2, 0], dict(hosts))
+        replayed = ClusterState.fresh(config, live=False)
+        replayed.apply_install(
+            [2, 0], {f"{t}:{i}": list(h) for (t, i), h in hosts.items()}
+        )
+        assert direct.resident_order() == replayed.resident_order() == [2, 0]
+        assert list(direct.hosts.items()) == list(replayed.hosts.items())
+        assert direct.utilization() == replayed.utilization()
+        with pytest.raises(ValueError):
+            ClusterState.fresh(config, live=True).install([], {})
+
     def test_apply_op_dispatch_matches_direct_calls(self):
         a = self._live()
         b = self._live()

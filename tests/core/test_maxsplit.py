@@ -341,8 +341,8 @@ class TestContextPathBitIdentity:
     @settings(max_examples=100, deadline=None)
     def test_zero_job_points(self, seed):
         # A newcomer period beyond every resident deadline / EPS: every
-        # point of every constraint has a zero newcomer job count, so each
-        # cap is +inf, -inf or NaN (a zero numerator).
+        # point of every constraint lies within EPS·T of zero, where the
+        # tolerant count is 0 and both paths must count one job instead.
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 6))
         subs = any_processor(rng, n, rm_ordered=rng.random() < 0.5)
@@ -358,10 +358,10 @@ class TestContextPathBitIdentity:
         self._assert_identical(subs, piece)
 
     def test_zero_numerator_constraint_is_ignored(self):
-        # (2,4) then (2,8) at priority below the newcomer: the last
-        # resident's deadline 8 is met exactly, so with a zero newcomer
-        # job count its cap at t=8 is 0 * inf = NaN and the constraint is
-        # ignored on both paths.
+        # (2,4) then (4,8) at priority below the newcomer: the last
+        # resident's deadline 8 is met exactly, so its numerator at t=8 is
+        # zero, and the newcomer's one job in that window caps it at 0
+        # on both paths.
         subs = [
             Subtask(cost=2.0, period=4.0, deadline=4.0,
                     parent=Task(cost=2.0, period=4.0, tid=2)),
@@ -370,3 +370,4 @@ class TestContextPathBitIdentity:
         ]
         piece = piece_for(1e12, 1e13, tid=1)
         assert self._assert_identical(subs, piece)
+        assert max_split_points(subs, piece) == 0.0
