@@ -32,10 +32,9 @@ from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union, cast
 
 from repro._util.floats import EPS, is_close
-from repro._util.invariants import check_partition
+from repro._util.invariants import check_partition, invariants_enabled
 from repro.core.rta import RTAContext, is_schedulable, response_times
 from repro.core.task import SplitTaskView, Subtask, SubtaskKind, SubtaskRow, Task, TaskSet
-from repro.perf import config as perf_config
 from repro.perf.telemetry import COUNTERS
 
 __all__ = [
@@ -439,7 +438,7 @@ class PartitionResult:
     def __post_init__(self) -> None:
         # Debug-mode sanitizer (REPRO_DEBUG_INVARIANTS=1): every successful
         # partition must pass its own structural validation at birth.
-        if perf_config.debug_invariants:
+        if invariants_enabled():
             check_partition(self)
 
     # -- basic queries -------------------------------------------------------

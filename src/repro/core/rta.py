@@ -37,7 +37,6 @@ from typing import List, Optional, Sequence, Tuple, TypeVar
 from repro._util.floats import EPS, pairwise_sum
 from repro._util.invariants import check_response_monotonicity, invariants_enabled
 from repro.core.task import Subtask, SubtaskRow
-from repro.obs import metrics as _obs_metrics
 from repro.perf.telemetry import COUNTERS
 
 __all__ = [
@@ -117,8 +116,6 @@ def response_time(
     for _ in range(_MAX_ITER):
         if r > bound:
             COUNTERS.rta_iterations += iterations
-            if _obs_metrics.ENABLED:
-                _obs_metrics.RTA_ITERATIONS.observe(iterations)
             return None
         iterations += 1
         r_new = cost
@@ -126,8 +123,6 @@ def response_time(
             r_new += (ceil(r / t - EPS) or 1) * c
         if r_new <= r + EPS:
             COUNTERS.rta_iterations += iterations
-            if _obs_metrics.ENABLED:
-                _obs_metrics.RTA_ITERATIONS.observe(iterations)
             return r_new if r_new <= bound else None  # repro-lint: disable=R1 (bound pre-inflated by EPS above)
         r = r_new
     raise RuntimeError("RTA fixed point failed to converge")

@@ -39,12 +39,11 @@ _SYNC_KINDS = ("call", "registry")
 _WORKER_KINDS = ("call", "registry", "ref")
 
 #: Modules whose worker-side mutations are the sanctioned delta-merge
-#: protocol (counter and histogram deltas returned to the parent).
+#: protocol (counter deltas returned to the parent).
 _R11_SANCTIONED_MODULES = (
     "repro.runner.pool",
     "repro.perf.telemetry",
     "repro.perf.config",
-    "repro.obs.",
 )
 _R11_SANCTIONED_ROOTS = {"COUNTERS"}
 

@@ -24,11 +24,6 @@ debug_invariants: bool = os.environ.get(
 ).strip().lower() not in ("", "0", "false", "no")
 
 
-def debug_invariants_enabled() -> bool:
-    """Current state of the runtime-sanitizer switch."""
-    return debug_invariants
-
-
 @contextmanager
 def use_debug_invariants(enabled: bool):
     """Temporarily arm or disarm the runtime invariant sanitizer."""

@@ -1,11 +1,12 @@
 """Structured perf telemetry: hot-path counters.
 
 The counters are plain integer attributes on a module-global singleton —
-incrementing one costs ~100 ns, negligible next to the NumPy work in a
-single RTA fixed-point iteration, so they are always on.  Sweep runners
-snapshot the counters around a region and report the delta; worker
-processes of the parallel runner return their deltas to the parent, which
-merges them so totals are meaningful at any ``jobs`` level.
+incrementing one costs tens of nanoseconds, and the RTA kernel bumps its
+two once per ``response_time`` call, not per fixed-point iteration, so
+they are always on.  Sweep runners snapshot the counters around a region
+and report the delta; worker processes of the parallel runner return
+their deltas to the parent, which merges them so totals are meaningful
+at any ``jobs`` level.
 
 ``BENCH_sweep.json`` (see ``DESIGN.md`` §5 for the schema) is assembled
 from these snapshots.  Wall-clock timing is not measured here: that is

@@ -42,7 +42,6 @@ from typing import (
     Tuple,
 )
 
-from repro.obs import metrics
 from repro.perf.telemetry import COUNTERS
 
 if TYPE_CHECKING:
@@ -106,24 +105,16 @@ def jobs_arg(value: str) -> int:
 
 def _worker_chunk(
     func: Callable[[Any, Any], Any], index: int, items: Sequence[Any]
-) -> Tuple[int, List[Any], Dict[str, int], Optional[Dict[str, Any]]]:
-    """Evaluate one chunk in a worker; return results plus deltas.
+) -> Tuple[int, List[Any], Dict[str, int]]:
+    """Evaluate one chunk in a worker; return results plus counter deltas.
 
-    The forked worker inherits the parent's counter values and
-    histograms, so only the deltas accumulated here are meaningful — the
-    parent merges them so telemetry totals and :mod:`repro.obs.metrics`
-    histograms stay exact at any ``jobs`` level.  The histogram delta is
-    ``None`` when metrics are off (the switch is inherited by the fork).
+    The forked worker inherits the parent's counter values, so only the
+    delta accumulated here is meaningful — the parent merges the deltas
+    so telemetry totals stay exact at any ``jobs`` level.
     """
-    hist_before = metrics.snapshot() if metrics.ENABLED else None
     before = COUNTERS.snapshot()
     out = [func(_PAYLOAD, item) for item in items]
-    return (
-        index,
-        out,
-        COUNTERS.delta_since(before),
-        None if hist_before is None else metrics.delta_since(hist_before),
-    )
+    return index, out, COUNTERS.delta_since(before)
 
 
 def _run_serial(
@@ -189,22 +180,14 @@ def chunked_map(
             ]
             parts: List[Optional[List[Any]]] = [None] * len(chunks)
             deltas: List[Dict[str, int]] = []
-            hist_deltas: List[Optional[Dict[str, Any]]] = []
             for future in futures:
-                index, out, delta, hist_delta = future.result()
+                index, out, delta = future.result()
                 parts[index] = out
                 deltas.append(delta)
-                hist_deltas.append(hist_delta)
         # Merge only after every chunk succeeded, so a fallback rerun
-        # cannot double-count the completed chunks' events.  Both merges
-        # run in chunk submission order, which keeps histogram merges
-        # exact (and bit-identical to the serial path for integer
-        # observations).
+        # cannot double-count the completed chunks' events.
         for delta in deltas:
             COUNTERS.merge(delta)
-        for hist_delta in hist_deltas:
-            if hist_delta:
-                metrics.merge(hist_delta)
         return [result for part in parts for result in part]
     except (BrokenProcessPool, PicklingError, OSError):
         return _run_serial(func, payload, items)

@@ -38,7 +38,6 @@ from repro.core.bounds import (
 from repro.core.rmts_light import is_light_task_set
 from repro.core.serialization import partition_to_dict
 from repro.core.task import TaskSet
-from repro.obs import metrics as _obs_metrics
 from repro.perf.telemetry import COUNTERS
 from repro.runner import chunked_map
 from repro.service.cache import LRUCache, admit_cache_key
@@ -108,14 +107,7 @@ def compute_admit_body(
     """Run the real partitioning analysis and build the response body."""
     if inject_delay > 0.0:
         time.sleep(inject_delay)
-    if _obs_metrics.ENABLED:
-        started = time.perf_counter()
-        try:
-            result = PARTITIONERS[algorithm](taskset, processors)
-        finally:
-            _obs_metrics.ADMIT_LATENCY.observe(time.perf_counter() - started)
-    else:
-        result = PARTITIONERS[algorithm](taskset, processors)
+    result = PARTITIONERS[algorithm](taskset, processors)
     return {
         "admitted": bool(result.success),
         "degraded": False,

@@ -10,8 +10,8 @@
 * ``GET /healthz``    — liveness + drain state;
 * ``GET /metrics``    — request counts, latency percentiles, cache stats
   and the :mod:`repro.perf.telemetry` counters, as JSON;
-  ``GET /metrics?format=prometheus`` serves the same counters plus every
-  :mod:`repro.obs.metrics` histogram in the Prometheus text exposition.
+  ``GET /metrics?format=prometheus`` serves the counters, request counts
+  and latency quantiles in the Prometheus text exposition.
 
 Production behaviours, in the order a request meets them:
 
@@ -53,8 +53,6 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple, Union
 from urllib.parse import unquote
 
-from repro.obs import metrics as obs_metrics
-from repro.obs.metrics import HTTP_LATENCY, render_prometheus
 from repro.perf.telemetry import COUNTERS
 from repro.service.handlers import AdmissionService, ServiceConfig
 from repro.service.validation import RequestValidationError
@@ -100,6 +98,24 @@ _ROUTES = frozenset({
     "POST /v1/batch",
 })
 _PATHS = frozenset(route.split(" ", 1)[1] for route in _ROUTES)
+
+
+def _prom_sample(name: str, value: float, **labels: str) -> str:
+    """One exposition sample line ``repro_<name>{k="v",...} <value>``:
+    integral values print bare, label values are escaped."""
+    number = str(int(value)) if value == int(value) else repr(value)
+    if not labels:
+        return f"repro_{name} {number}"
+    inner = ",".join(
+        f'{key}="{_prom_escape(labels[key])}"' for key in sorted(labels)
+    )
+    return f"repro_{name}{{{inner}}} {number}"
+
+
+def _prom_escape(value: str) -> str:
+    return (
+        value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+    )
 
 
 class _HTTPError(Exception):
@@ -395,8 +411,6 @@ class AdmissionServer:
         if endpoint not in _ROUTES:
             endpoint = "other"
         self.stats.record(endpoint, status, elapsed)
-        if obs_metrics.ENABLED:
-            HTTP_LATENCY.observe(elapsed)
         return status, body, extra
 
     async def _shed_or_dispatch(
@@ -588,31 +602,47 @@ class AdmissionServer:
     def metrics_prometheus(self) -> str:
         """``/metrics?format=prometheus``: the text exposition (0.0.4).
 
-        Histograms come from the process-wide :mod:`repro.obs.metrics`
-        registry (they fill only while metrics are armed); counters and
-        per-endpoint/per-status request series are always populated.
+        The telemetry counters as one labeled family, the server gauges,
+        per-endpoint/per-status request counters, and request latency as
+        a summary read from the record behind the JSON ``latency_ms``.
         """
-        return render_prometheus(
-            counters=COUNTERS.snapshot(),
-            gauges={
-                "inflight": float(self._inflight),
-                "uptime_seconds": round(
-                    time.monotonic() - self._started_at, 3
-                ),
-                "draining": 1.0 if self._draining else 0.0,
-            },
-            labeled_counters={
-                "http_requests": [
-                    ({"endpoint": endpoint}, float(count))
-                    for endpoint, count in
-                    sorted(self.stats.by_endpoint.items())
-                ],
-                "http_responses": [
-                    ({"status": str(code)}, float(count))
-                    for code, count in sorted(self.stats.by_status.items())
-                ],
-            },
-        )
+        counters = COUNTERS.snapshot()
+        lines = [
+            "# HELP repro_events_total repro.perf.telemetry hot-path "
+            "event counters",
+            "# TYPE repro_events_total counter",
+        ]
+        lines += [
+            _prom_sample("events_total", counters[event], event=event)
+            for event in sorted(counters)
+        ]
+        gauges = {
+            "draining": 1 if self._draining else 0,
+            "inflight": self._inflight,
+            "uptime_seconds": round(time.monotonic() - self._started_at, 3),
+        }
+        for name in sorted(gauges):
+            lines.append(f"# TYPE repro_{name} gauge")
+            lines.append(_prom_sample(name, gauges[name]))
+        lines.append("# TYPE repro_http_requests counter")
+        lines += [
+            _prom_sample("http_requests", count, endpoint=endpoint)
+            for endpoint, count in sorted(self.stats.by_endpoint.items())
+        ]
+        lines.append("# TYPE repro_http_responses counter")
+        lines += [
+            _prom_sample("http_responses", count, status=str(code))
+            for code, count in sorted(self.stats.by_status.items())
+        ]
+        latency = self.stats.latency_percentiles()
+        lines.append("# TYPE repro_http_request_ms summary")
+        for q, key in (("0.5", "p50"), ("0.9", "p90"), ("0.99", "p99")):
+            if key in latency:  # absent before the first request
+                lines.append(
+                    _prom_sample("http_request_ms", latency[key], quantile=q)
+                )
+        lines.append(_prom_sample("http_request_ms_count", latency["count"]))
+        return "\n".join(lines) + "\n"
 
 
 def run(config: Optional[ServiceConfig] = None) -> int:

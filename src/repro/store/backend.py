@@ -48,7 +48,6 @@ import time
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.serialization import SCHEMA_VERSION as PAYLOAD_SCHEMA_VERSION
-from repro.obs import metrics as _obs_metrics
 from repro.perf.telemetry import COUNTERS
 
 __all__ = ["ResultStore", "StoreStats", "row_checksum"]
@@ -213,19 +212,6 @@ class ResultStore:
         schema version, is deleted and reported as a miss — the caller
         recomputes and re-inserts a fresh row.
         """
-        if _obs_metrics.ENABLED:
-            started = time.perf_counter()
-            try:
-                return self._get_locked(namespace, key)
-            finally:
-                _obs_metrics.STORE_GET_SECONDS.observe(
-                    time.perf_counter() - started
-                )
-        return self._get_locked(namespace, key)
-
-    def _get_locked(
-        self, namespace: str, key: str
-    ) -> Tuple[bool, Optional[object]]:
         with self._lock:
             row = self._conn.execute(
                 "SELECT payload, checksum, schema_version FROM entries "
@@ -258,17 +244,6 @@ class ResultStore:
     def put(self, namespace: str, key: str, value: object) -> object:
         """Insert-or-get: store *value* unless the key exists; return the
         stored value (the first writer's, byte-exact) either way."""
-        if _obs_metrics.ENABLED:
-            started = time.perf_counter()
-            try:
-                return self._put_locked(namespace, key, value)
-            finally:
-                _obs_metrics.STORE_PUT_SECONDS.observe(
-                    time.perf_counter() - started
-                )
-        return self._put_locked(namespace, key, value)
-
-    def _put_locked(self, namespace: str, key: str, value: object) -> object:
         payload = json.dumps(value, separators=(",", ":"))
         now = time.time()
         with self._lock:

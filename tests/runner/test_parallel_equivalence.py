@@ -19,12 +19,17 @@ from repro.analysis.algorithms import (
 from repro.analysis.breakdown import average_breakdown
 from repro.core.baselines.spa import partition_spa1
 from repro.perf.telemetry import COUNTERS
-from repro.runner import cell_rng, chunked_map, resolve_jobs
+from repro.runner import cell_rng, chunked_map, pool, resolve_jobs
 from repro.taskgen.generators import TaskSetGenerator
 
 
 def _square(payload, item):
     return payload * item * item
+
+
+def _count_probes(payload, item):
+    COUNTERS.admission_probes += item
+    return item
 
 
 class TestRunnerPrimitives:
@@ -82,6 +87,13 @@ class TestRunnerPrimitives:
         parallel = run(2)
         assert serial["rta_calls"] > 0
         assert parallel == serial
+
+    def test_worker_chunk_ships_its_own_delta(self):
+        COUNTERS.admission_probes += 5  # inherited from the parent
+        index, out, delta = pool._worker_chunk(_count_probes, 2, [1, 3])
+        assert (index, out) == (2, [1, 3])
+        assert delta["admission_probes"] == 4
+        assert not any(v for k, v in delta.items() if k != "admission_probes")
 
 
 def _call_payload(payload, item):

@@ -1,12 +1,79 @@
-"""Service ↔ observability integration: the /metrics exposition."""
+"""The /metrics endpoint: JSON by default, Prometheus text on request."""
+
+import re
 
 import pytest
 
-from repro.obs import metrics, use_metrics
-from tests.obs.test_prometheus import parse_exposition
+from repro.perf.telemetry import COUNTERS
+from repro.service.server import _prom_sample
 from tests.service.conftest import http_request, run_async, running_server
 
-pytestmark = [pytest.mark.service, pytest.mark.obs]
+pytestmark = pytest.mark.service
+
+_SAMPLE_RE = re.compile(
+    r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
+    r"(?:\{(?P<labels>[^}]*)\})?"
+    r" (?P<value>[^ ]+)$"
+)
+_LABEL_RE = re.compile(r'(?P<key>[a-zA-Z_][a-zA-Z0-9_]*)="(?P<value>[^"]*)"')
+
+
+def parse_exposition(text):
+    """Parse the 0.0.4 text format into samples + per-family types.
+
+    Returns ``(samples, types)`` where samples is a list of
+    ``(name, labels_dict, value_str)`` and types maps family → TYPE.
+    Raises AssertionError on any line that is neither a comment nor a
+    well-formed sample — the test's definition of "valid exposition".
+    """
+    samples = []
+    types = {}
+    assert text.endswith("\n"), "exposition must end with a newline"
+    for line in text.splitlines():
+        if not line:
+            continue
+        if line.startswith("# TYPE "):
+            _, _, rest = line.partition("# TYPE ")
+            family, _, kind = rest.partition(" ")
+            types[family] = kind
+            continue
+        if line.startswith("#"):
+            continue
+        match = _SAMPLE_RE.match(line)
+        assert match, f"malformed sample line: {line!r}"
+        labels = dict(
+            (m.group("key"), m.group("value"))
+            for m in _LABEL_RE.finditer(match.group("labels") or "")
+        )
+        value = match.group("value")
+        assert value == "+Inf" or float(value) is not None
+        samples.append((match.group("name"), labels, value))
+    return samples, types
+
+
+def _series(samples, name):
+    return [(labels, value) for n, labels, value in samples if n == name]
+
+
+def _exposition_after_traffic(tasks_payload):
+    """Serve a few requests, then render both /metrics bodies in-process
+    with no request in between: ``(samples, types, json_body)``."""
+
+    async def scenario():
+        async with running_server() as server:
+            for _ in range(3):
+                await http_request(
+                    server.port, "POST", "/v1/admit",
+                    {"tasks": tasks_payload, "processors": 2},
+                )
+            await http_request(server.port, "GET", "/healthz")
+            await http_request(server.port, "GET", "/nope")
+            text = server.metrics_prometheus()
+            return text, server.metrics_body({})
+
+    text, body = run_async(scenario())
+    samples, types = parse_exposition(text)
+    return samples, types, body
 
 
 def test_metrics_default_stays_json(tasks_payload):
@@ -76,31 +143,56 @@ def test_query_string_does_not_break_routing():
     run_async(scenario())
 
 
-def test_prometheus_histograms_fill_while_metrics_armed(tasks_payload):
-    async def scenario():
-        async with running_server() as server:
-            # the harmonic set is pre-accepted; the second one runs RTA
-            for tasks in (tasks_payload, [[3, 5], [3, 7], [4, 9], [5, 11]]):
-                await http_request(
-                    server.port, "POST", "/v1/admit",
-                    {"tasks": tasks, "processors": 2},
-                )
-            _, _, text = await http_request(
-                server.port, "GET", "/metrics?format=prometheus", raw=True
-            )
-            return text
-
-    metrics.reset()
-    with use_metrics(True):
-        text = run_async(scenario())
-    samples, _ = parse_exposition(text)
-    by_name = {name for name, _, _ in samples}
-    assert "repro_http_request_seconds_count" in by_name
-    counts = {
-        name: value for name, labels, value in samples
-        if name.endswith("_count")
+def test_counters_become_one_labeled_family(tasks_payload):
+    samples, types, _ = _exposition_after_traffic(tasks_payload)
+    assert types["repro_events_total"] == "counter"
+    events = {
+        labels["event"]: int(value)
+        for labels, value in _series(samples, "repro_events_total")
     }
-    assert int(counts["repro_http_request_seconds_count"]) >= 1
-    assert int(counts["repro_admit_latency_seconds_count"]) >= 1
-    assert int(counts["repro_rta_iterations_count"]) >= 1
-    metrics.reset()
+    assert set(events) == set(COUNTERS.snapshot())
+    assert events["svc_requests"] >= 5
+
+
+def test_gauges_and_labeled_counters(tasks_payload):
+    samples, types, body = _exposition_after_traffic(tasks_payload)
+    for gauge in ("inflight", "uptime_seconds", "draining"):
+        assert types[f"repro_{gauge}"] == "gauge"
+    (_, inflight), = _series(samples, "repro_inflight")
+    (_, draining), = _series(samples, "repro_draining")
+    assert int(inflight) == 0 and int(draining) == 0
+    assert types["repro_http_requests"] == "counter"
+    requests = _series(samples, "repro_http_requests")
+    assert ({"endpoint": "POST /v1/admit"}, "3") in requests
+    assert ({"endpoint": "GET /healthz"}, "1") in requests
+    assert ({"endpoint": "other"}, "1") in requests
+    responses = {
+        labels["status"]: value
+        for labels, value in _series(samples, "repro_http_responses")
+    }
+    assert responses == {
+        code: str(count) for code, count in body["requests"]["by_status"].items()
+    }
+
+
+def test_label_values_are_escaped():
+    line = _prom_sample("weird", 1, k='a"b\\c\nd')
+    assert line == 'repro_weird{k="a\\"b\\\\c\\nd"} 1'
+    # the newline in the value must not break the physical line
+    assert len(line.splitlines()) == 1
+
+
+def test_latency_summary_is_the_json_latency_record(tasks_payload):
+    samples, types, body = _exposition_after_traffic(tasks_payload)
+    latency = body["latency_ms"]
+    assert latency["count"] == 5
+    assert types["repro_http_request_ms"] == "summary"
+    quantiles = {
+        labels["quantile"]: float(value)
+        for labels, value in _series(samples, "repro_http_request_ms")
+    }
+    assert quantiles == {
+        "0.5": latency["p50"], "0.9": latency["p90"], "0.99": latency["p99"],
+    }
+    (_, count), = _series(samples, "repro_http_request_ms_count")
+    assert int(count) == latency["count"]
