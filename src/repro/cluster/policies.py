@@ -28,6 +28,7 @@ journals replay to identical decisions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.algorithms import PARTITIONERS
@@ -38,7 +39,7 @@ from repro.core.partition import (
     ProcessorSnapshot,
     ProcessorState,
 )
-from repro.core.task import TaskSet
+from repro.core.task import Task, TaskSet
 
 __all__ = [
     "AdmitOutcome",
@@ -227,6 +228,8 @@ class CompactPolicy(FitPolicy):
 # Repartition policies (PARTITIONERS wrappers)
 # ---------------------------------------------------------------------------
 
+_TID = attrgetter("tid")
+
 
 class RepartitionPolicy(ChurnPolicy):
     """Re-run a registry partitioner on the resident union every event."""
@@ -242,29 +245,35 @@ class RepartitionPolicy(ChurnPolicy):
         self, state: ClusterState, extra: Optional[int]
     ) -> Tuple[TaskSet, List[Tuple[int, int]]]:
         """Union task set over residents (+ the arriving tenant) and the
-        union-tid -> (tenant, local) mapping.
+        ``(tenant, local)`` owner of each union task, in union order.
 
-        ``TaskSet`` orders by ``(period, input position)`` and assigns
-        tids 0..N-1; one stable sort by period puts the cluster tasks'
-        columns in that order, so union tid ``i`` belongs to
-        ``mapping[i]`` and :meth:`TaskSet.from_columns` builds each union
-        task once (named ``tau{i}``: churn reads only cost, period and
-        tid).
+        The union holds the residents' own cluster tasks, sorted by tid
+        (:meth:`TaskSet.from_ordered`), with owners decoded from the
+        tids.  Cluster tids order by period, then tenant, then local
+        index, which is the ``(period, residency, local)`` order
+        ``TaskSet`` gives whenever no two periods are equal.  With a
+        period tie (or a tid order the rounded period key inverts), the
+        union is built as ``TaskSet`` would: one stable sort by period
+        over the residency order, and each task built afresh by
+        :meth:`TaskSet.from_columns` with tid ``i`` and name ``tau{i}``.
+        Partitioners read tids only as an order, so both unions give one
+        partition.
         """
-        costs: List[float] = []
-        periods: List[float] = []
-        owners: List[Tuple[int, int]] = []
         tenants = state.resident_order()
         if extra is not None:
             tenants.append(extra)
+        tasks: List[Task] = []
         for tenant in tenants:
-            for local, task in enumerate(state.tasks_of(tenant)):
-                costs.append(task.cost)
-                periods.append(task.period)
-                owners.append((tenant, local))
-        order = sorted(range(len(periods)), key=periods.__getitem__)
+            tasks += state.tasks_of(tenant)
+        ordered = sorted(tasks, key=_TID)
+        periods = [task.period for task in ordered]
+        if all(a < b for a, b in zip(periods, periods[1:])):
+            union = TaskSet.from_ordered(ordered)
+            return union, [decode_tid(task.tid) for task in ordered]
+        owners = [decode_tid(task.tid) for task in tasks]
+        order = sorted(range(len(tasks)), key=lambda i: tasks[i].period)
         union = TaskSet.from_columns(
-            [costs[i] for i in order], [periods[i] for i in order]
+            [tasks[i].cost for i in order], [tasks[i].period for i in order]
         )
         return union, [owners[i] for i in order]
 
@@ -279,13 +288,14 @@ class RepartitionPolicy(ChurnPolicy):
         if not state.residents and extra is None:
             state.apply_install([], {})
             return AdmitOutcome(ops=[["install", [], {}]])
-        union, mapping = self._union(state, extra)
+        union, owners = self._union(state, extra)
         result = self._partition(union, self.config.processors)
         if not result.success:
             return None
         hosting = result.host_map()
         new_hosts: Dict[Tuple[int, int], Tuple[int, ...]] = {
-            owner: tuple(hosting[tid]) for tid, owner in enumerate(mapping)
+            owner: tuple(hosting[task.tid])
+            for task, owner in zip(union, owners)
         }
         # New hosts of the residents that change hosts (an arriving
         # tenant has no old hosts, so it never counts).

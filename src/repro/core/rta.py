@@ -128,19 +128,39 @@ def response_time(
     raise RuntimeError("RTA fixed point failed to converge")
 
 
+def _meets_at_deadline(
+    cost: float,
+    hp_costs: Sequence[float],
+    hp_periods: Sequence[float],
+    deadline: float,
+) -> bool:
+    """Whether the workload at the deadline, ``W(D) = C + sum (ceil(D/T_j
+    - EPS) or 1) C_j``, is at most ``D``.  ``W(D)`` adds the same terms in
+    the same order as :func:`response_time`, so it is the very float one
+    step of its iteration map gives at ``D`` (see :class:`RTAContext`)."""
+    w = cost
+    for c, p in zip(hp_costs, hp_periods):
+        w += (ceil(deadline / p - EPS) or 1) * c
+    return w <= deadline  # repro-lint: disable=R1 (exact: W(D) is the iteration map's own float at D)
+
+
 def _fluid_start(cost: float, hp_cost: float, hp_util: float) -> Optional[float]:
     """Warm start for a candidate without a cached fixed point: the fluid
-    lower bound of the iteration map, or ``None`` when ``U_hp >= 1``.
+    lower bound of the iteration map, or ``None`` when ``1 - U_hp <=
+    1e-6``.
 
     ``ceil(r/T - EPS) >= r/T - EPS``, so every fixed point satisfies
     ``R >= C - EPS * sum(C_hp) + U_hp * R``.  Without the ``EPS`` term the
     plain fluid bound ``C / (1 - U_hp)`` can overshoot a response that
     lands within the tolerance past a period multiple (merged utilization
     within ``EPS`` above 1).  The final shrink keeps float rounding from
-    overshooting the least fixed point.
+    overshooting the least fixed point: the rounding error of ``1 -
+    U_hp`` (about ``n`` ulps of 1) grows relative to it as it shrinks, so
+    the margin scales with ``1 / (1 - U_hp)``.
     """
-    if hp_util < 1.0:
-        return (cost - EPS * hp_cost) / (1.0 - hp_util) * (1.0 - 1e-12)
+    slack = 1.0 - hp_util
+    if slack > 1e-6:
+        return (cost - EPS * hp_cost) / slack * (1.0 - 1e-12 - 1e-13 / slack)
     return None
 
 
@@ -253,15 +273,30 @@ class RTAContext:
     counts more than the exact one, since ``max(ceil(r/T - EPS), 1) <=
     ceil(r/T)`` for ``r > 0``, and it climbs from below, so its fixed
     point is at most ``R*``.  The margins absorb rounding in the running
-    sums, so a settled slot is one :func:`is_schedulable` accepts too.  A slot that misses the bound runs
-    the exact iteration; a missed lower-priority slot with no cached
-    response warm-starts from the fluid lower bound.
+    sums, so a settled slot is one :func:`is_schedulable` accepts too.
+
+    A slot that misses the bound and has no cached response next tries its
+    workload at the deadline, the first scheduling point of Lehoczky, Sha
+    & Ding (1989): ``W(D) = C_i + sum_hp (ceil(D/T_j - EPS) or 1) C_j``,
+    the very float the iteration map gives at ``D``
+    (:func:`_meets_at_deadline`).
+    When ``W(D) <= D`` exactly, the slot is settled the same way.  This
+    cannot change a decision either: each float step of the map
+    (division, ``ceil``, product, left-to-right sum) is monotone, so from
+    any start ``r <= D`` every iterate stays at most ``W(D) <= D`` and
+    :func:`response_time` accepts.  Its starts are at most ``D``: the cold
+    start ``C_i + sum C_j`` is at most ``W(D)``, and the fluid start
+    (:func:`_fluid_start`) lies below the float fixed point.  A slot with
+    a cached response skips the test, since its warm start usually lands
+    on the new fixed point at once.  Any other slot runs the exact
+    iteration; a lower-priority slot with no cached response warm-starts
+    from the fluid lower bound.
 
     All arithmetic uses the same prefixes, iteration order and sums as
     :func:`is_schedulable` on the merged list, so decisions and response
     values are bit-identical to the rebuild-from-scratch path
     (property-tested in ``tests/core/test_rta_incremental.py``).  A NaN
-    response means "not computed" (or settled by the bound);
+    response means "not computed" (or settled by either test);
     :meth:`_resolve` fills any NaN slot exactly.
 
     The context is mutable and has one owner, a
@@ -343,30 +378,38 @@ class RTAContext:
         if n and self.util_sum > 1.0 + EPS:
             self.first_fail = -2
             return
-        # Slots the linear response bound settles keep a NaN response
-        # (see the class docstring); only the others run the fixed point.
-        # ``u_hp`` and ``lin`` are the prefix's ``sum U_j`` and
-        # ``sum C_j (1 - U_j)``.
+        # Slots the linear response bound or the deadline-point test
+        # settles keep a NaN response (see the class docstring); only the
+        # others run the fixed point.  ``u_hp`` and ``lin`` are the
+        # prefix's ``sum U_j`` and ``sum C_j (1 - U_j)``.
         u_hp = 0.0
         lin = 0.0
         settled = 0
+        pointed = 0
         for i in range(n):
             cost_i = costs[i]
             u_i = ratios[i]
+            deadline_i = deadlines[i]
             if (
                 u_hp <= 1.0 - 1e-6
-                and cost_i + lin <= deadlines[i] * (1.0 - 1e-9) * (1.0 - u_hp)
+                and cost_i + lin <= deadline_i * (1.0 - 1e-9) * (1.0 - u_hp)
             ):
                 settled += 1
             else:
-                r = response_time(cost_i, costs[:i], periods[:i], deadlines[i])
-                if r is None:
-                    self.first_fail = i
-                    break
-                responses[i] = r
+                hp_costs = costs[:i]
+                hp_periods = periods[:i]
+                if _meets_at_deadline(cost_i, hp_costs, hp_periods, deadline_i):
+                    pointed += 1
+                else:
+                    r = response_time(cost_i, hp_costs, hp_periods, deadline_i)
+                    if r is None:
+                        self.first_fail = i
+                        break
+                    responses[i] = r
             u_hp += u_i
             lin += cost_i * (1.0 - u_i)
         COUNTERS.rta_bound_accepts += settled
+        COUNTERS.rta_point_accepts += pointed
 
     @classmethod
     def from_rows(cls, rows: Sequence[SubtaskRow]) -> "RTAContext":
@@ -496,26 +539,34 @@ class RTAContext:
             lin += c * (1.0 - u)
             hp_cost += c
         merged = responses[:pos]
+        pointed = 0
         if u_hp <= 1.0 - 1e-6 and cost + lin <= deadline * (1.0 - 1e-9) * (
             1.0 - u_hp
         ):
             settled = 1
             merged.append(_NAN)
         else:
-            # The candidate's hp set is the unchanged prefix.  The fluid
-            # lower bound warm-starts the cold iteration; without
-            # interferers the response is the cost and no start is read.
-            r = response_time(
-                cost,
-                costs[:pos],
-                periods[:pos],
-                deadline,
-                start=_fluid_start(cost, hp_cost, pairwise_sum(ratios[:pos])),
-            )
-            if r is None:
-                return False
             settled = 0
-            merged.append(r)
+            # The candidate's hp set is the unchanged prefix.
+            top_costs = costs[:pos]
+            top_periods = periods[:pos]
+            if _meets_at_deadline(cost, top_costs, top_periods, deadline):
+                pointed = 1
+                merged.append(_NAN)
+            else:
+                # The fluid lower bound warm-starts the cold iteration;
+                # without interferers the response is the cost and no
+                # start is read.
+                r = response_time(
+                    cost,
+                    top_costs,
+                    top_periods,
+                    deadline,
+                    start=_fluid_start(cost, hp_cost, pairwise_sum(ratios[:pos])),
+                )
+                if r is None:
+                    return False
+                merged.append(r)
         u_hp += u_c
         lin += cost * (1.0 - u_c)
         hp_cost += cost
@@ -551,28 +602,37 @@ class RTAContext:
                 # applied to the cached fixed point — still a lower bound
                 # on the new least fixed point (the map is monotone and the
                 # old fixed point lies below it), shrunk so float rounding
-                # cannot overshoot — or the fluid bound where no fixed
-                # point is cached.  The iteration then typically starts at
+                # cannot overshoot.  The iteration then typically starts at
                 # its destination, and a start beyond the deadline rejects
-                # without a single interference sum.
+                # without a single interference sum.  A slot with no cached
+                # fixed point first tries the deadline-point test, then
+                # starts from the fluid bound.
                 r_prev = responses[i]
-                start = (
-                    (r_prev + (ceil(r_prev / period - EPS) or 1) * cost)
-                    * (1.0 - 1e-12)
-                    if r_prev == r_prev
-                    else _fluid_start(cost_i, hp_cost, u_hp)
-                )
-                r = response_time(
-                    cost_i, hp_costs, hp_periods, deadline_i, start=start
-                )
-                if r is None:
-                    COUNTERS.rta_bound_accepts += settled
-                    return False
-                merged.append(r)
+                if r_prev != r_prev and _meets_at_deadline(
+                    cost_i, hp_costs, hp_periods, deadline_i
+                ):
+                    pointed += 1
+                    merged.append(_NAN)
+                else:
+                    start = (
+                        (r_prev + (ceil(r_prev / period - EPS) or 1) * cost)
+                        * (1.0 - 1e-12)
+                        if r_prev == r_prev
+                        else _fluid_start(cost_i, hp_cost, u_hp)
+                    )
+                    r = response_time(
+                        cost_i, hp_costs, hp_periods, deadline_i, start=start
+                    )
+                    if r is None:
+                        COUNTERS.rta_bound_accepts += settled
+                        COUNTERS.rta_point_accepts += pointed
+                        return False
+                    merged.append(r)
             u_hp += u_i
             lin += cost_i * (1.0 - u_i)
             hp_cost += cost_i
         COUNTERS.rta_bound_accepts += settled
+        COUNTERS.rta_point_accepts += pointed
         self._memo = (cost, period, deadline, priority, merged)
         return True
 

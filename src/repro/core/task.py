@@ -241,6 +241,29 @@ class TaskSet:
             check_taskset(taskset._tasks)
         return taskset
 
+    @classmethod
+    def from_ordered(cls, tasks: Sequence[Task]) -> "TaskSet":
+        """The set of *tasks*, already in RM priority order, kept as given.
+
+        Unlike the other constructors it keeps every task object (cost,
+        period, tid and name): for tasks whose tids already encode an RM
+        order, such as the churn cluster's.  The tids must be strictly
+        increasing and the periods non-decreasing; ``ValueError``
+        otherwise.  The tids need not be ``0..N-1``: partitioners read
+        them only as an order and as identities.
+        """
+        for a, b in zip(tasks, tasks[1:]):
+            if not (a.tid < b.tid and a.period <= b.period):
+                raise ValueError(
+                    f"tasks not in RM order: tid {a.tid} (T={a.period}) "
+                    f"before tid {b.tid} (T={b.period})"
+                )
+        taskset = cls.__new__(cls)
+        taskset._tasks = tuple(tasks)
+        if invariants_enabled():
+            check_taskset(taskset._tasks)
+        return taskset
+
     # -- sequence protocol -------------------------------------------------
 
     def __len__(self) -> int:

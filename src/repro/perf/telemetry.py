@@ -28,6 +28,7 @@ _FIELDS = (
     "admission_probes",   # incremental admits() probes answered
     "hyper_accepts",      # probes settled by the hyperbolic sufficient test
     "rta_bound_accepts",  # RTA slots settled by the linear response bound
+    "rta_point_accepts",  # RTA slots settled by the workload at the deadline
     "ctx_memo_hits",      # context extensions served from the probe memo
     "ctx_requests",       # ProcessorState analysis-context lookups
     "ctx_builds",         # lookups that had to (re)build the context

@@ -160,6 +160,8 @@ class _Stats:
         self.latencies_ms.append(seconds * 1e3)
 
     def latency_percentiles(self) -> Dict[str, float]:
+        """Percentiles over the last 4096 latencies; ``count`` is every
+        observation so far, so it never stops growing."""
         if not self.latencies_ms:
             return {"count": 0}
         data = sorted(self.latencies_ms)
@@ -169,7 +171,7 @@ class _Stats:
             return round(data[idx], 4)
 
         return {
-            "count": len(data),
+            "count": self.total,
             "p50": pct(0.50),
             "p90": pct(0.90),
             "p99": pct(0.99),

@@ -137,9 +137,80 @@ def _reference_union(state, extra):
     return union, {new_tid: owners[i] for new_tid, i in enumerate(order)}
 
 
+def _loaded_state(policy_name, seed, tenants=6):
+    """A repartition state of *tenants* admitted draws (no equal
+    periods), and its policy."""
+    config = ChurnConfig(
+        policy=policy_name, processors=4, seed=seed, tasks_per_set=5, k=99,
+    )
+    policy = make_policy(config)
+    state = ClusterState.fresh(config, live=False)
+    for tenant in range(tenants):
+        policy.admit(state, tenant, rejoin=False)
+    return policy, state
+
+
+def _reference_hosts(policy, state, extra):
+    """``(tenant, local) -> hosts`` of the reference union's partition."""
+    union, owners = _reference_union(state, extra)
+    result = policy._partition(union, policy.config.processors)
+    if not result.success:
+        return None
+    hosting = result.host_map()
+    return {owner: tuple(hosting[tid]) for tid, owner in owners.items()}
+
+
 class TestRepartitionUnion:
     @pytest.mark.parametrize("seed", range(6))
+    def test_union_reuses_the_residents_tasks(self, seed):
+        """Without equal periods the union is the residents' own cluster
+        tasks in tid order, each owned by the tenant its tid encodes, in
+        the reference union's order."""
+        policy, state = _loaded_state("repart:rmts", seed)
+        assert state.residents
+        for extra in (None, 11):
+            union, owners = policy._union(state, extra)
+            own = {
+                (tenant, local): task
+                for tenant in list(state.residents) + [extra]
+                if tenant is not None
+                for local, task in enumerate(state.tasks_of(tenant))
+            }
+            assert all(own[owner] is task for task, owner in zip(union, owners))
+            assert len(union) == len(own)
+            want, want_owners = _reference_union(state, extra)
+            assert owners == [want_owners[t.tid] for t in want]
+            assert [(t.cost.hex(), t.period.hex()) for t in union] == [
+                (t.cost.hex(), t.period.hex()) for t in want
+            ]
+
+    @pytest.mark.parametrize("name", sorted(
+        n for n in CHURN_POLICIES if n.startswith("repart:")
+    ))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_partitioner_places_like_the_reference(self, name, seed):
+        """Every ``repart:<name>`` partitioner gives the reused union the
+        host map it gives the reference construction."""
+        policy, state = _loaded_state(name, seed, tenants=8)
+        for extra in (None, 13):
+            union, owners = policy._union(state, extra)
+            result = policy._partition(union, policy.config.processors)
+            want = _reference_hosts(policy, state, extra)
+            assert result.success == (want is not None)
+            if want is None:
+                continue
+            hosting = result.host_map()
+            got = {
+                owner: tuple(hosting[task.tid])
+                for task, owner in zip(union, owners)
+            }
+            assert got == want
+
+    @pytest.mark.parametrize("seed", range(6))
     def test_union_matches_reference_construction(self, seed):
+        """With equal periods the union falls back to the reference
+        construction: fresh tasks, tids ``0..N-1``, ties in residency
+        order."""
         config = ChurnConfig(
             policy="repart:rmts", processors=4, seed=seed, tasks_per_set=5,
             k=99,
@@ -155,9 +226,9 @@ class TestRepartitionUnion:
             policy.admit(state, tenant, rejoin=False)
         assert {1, 3} <= set(state.residents)
         for extra in (None, 11):
-            union, mapping = policy._union(state, extra)
+            union, owners = policy._union(state, extra)
             want, want_mapping = _reference_union(state, extra)
-            assert dict(enumerate(mapping)) == want_mapping
+            assert dict(enumerate(owners)) == want_mapping
             assert [(t.cost.hex(), t.period.hex(), t.tid) for t in union] == [
                 (t.cost.hex(), t.period.hex(), t.tid) for t in want
             ]

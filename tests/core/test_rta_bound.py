@@ -137,12 +137,14 @@ class TestBoundSettlesOnlySchedulableSlots:
     @settings(max_examples=120, deadline=None)
     def test_build(self, corpus, seed):
         """A build's NaN slots before its verdict are exactly the ones the
-        bound settled, each accepted by exact RTA, and the verdict and every
-        resolved response equal the one-shot oracle's."""
+        bound or the deadline-point test settled, each accepted by exact
+        RTA, and the verdict and every resolved response equal the
+        one-shot oracle's."""
         subs = CORPORA[corpus](seed)
         before = COUNTERS.snapshot()
         ctx = RTAContext(subs)
-        counted = COUNTERS.delta_since(before)["rta_bound_accepts"]
+        delta = COUNTERS.delta_since(before)
+        counted = delta["rta_bound_accepts"] + delta["rta_point_accepts"]
         assert ctx.schedulable == is_schedulable(subs)
         fail = ctx.first_fail
         analysed = {-1: len(subs), -2: 0}.get(fail, fail)

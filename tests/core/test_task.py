@@ -141,6 +141,31 @@ class TestTaskSetOrdering:
         assert ts[1].name == "tau1"
 
 
+class TestTaskSetFromOrdered:
+    def test_keeps_every_task_object(self):
+        tasks = [
+            Task(cost=1, period=5, tid=30, name="a"),
+            Task(cost=2, period=5, tid=41),
+            Task(cost=1, period=9, tid=57),
+        ]
+        ts = TaskSet.from_ordered(tasks)
+        assert all(got is want for got, want in zip(ts, tasks))
+        assert TaskSet.from_ordered([]).tasks == ()
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [(3, 5.0), (3, 6.0)],  # repeated tid
+            [(4, 5.0), (3, 6.0)],  # decreasing tid
+            [(3, 6.0), (4, 5.0)],  # decreasing period
+        ],
+    )
+    def test_rejects_tasks_out_of_rm_order(self, pairs):
+        tasks = [Task(cost=1, period=t, tid=tid) for tid, t in pairs]
+        with pytest.raises(ValueError, match="RM order"):
+            TaskSet.from_ordered(tasks)
+
+
 class TestTaskSetAggregates:
     def test_total_utilization(self, harmonic_set):
         assert harmonic_set.total_utilization == pytest.approx(1.125)

@@ -5,7 +5,7 @@ import re
 import pytest
 
 from repro.perf.telemetry import COUNTERS
-from repro.service.server import _prom_sample
+from repro.service.server import _prom_sample, _Stats
 from tests.service.conftest import http_request, run_async, running_server
 
 pytestmark = pytest.mark.service
@@ -196,3 +196,15 @@ def test_latency_summary_is_the_json_latency_record(tasks_payload):
     }
     (_, count), = _series(samples, "repro_http_request_ms_count")
     assert int(count) == latency["count"]
+
+
+def test_latency_count_is_every_observation():
+    """``count`` keeps growing past the 4096-sample percentile window, as
+    a Prometheus ``_count`` must."""
+    stats = _Stats()
+    for i in range(5000):
+        stats.record("admit", 200, i * 1e-6)
+    latency = stats.latency_percentiles()
+    assert latency["count"] == 5000 == stats.total
+    assert len(stats.latencies_ms) == 4096
+    assert latency["max"] == round(4999 * 1e-3, 4)
